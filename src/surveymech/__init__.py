@@ -26,7 +26,7 @@ from .ci_solver import (
     solve_ci,
 )
 from .errors import ConfigError, InvalidInputError, OutOfRangeError, SolverError
-from .estimation import CIOutput, bernstein_interval, horvitz_thompson, sample_variance
+from .estimation import CIOutput, bernstein_interval, sample_variance
 from .online_runner import (
     BudgetSchedule,
     CIRunResult,
@@ -54,7 +54,7 @@ from .simharness import (
     run_log_csv,
     truthfulness_audit,
 )
-from .virtual_cost import CostSet, VirtualCostProfile, regularize, virtual_cost_profile, virtual_costs
+from .virtual_cost import CostSet, regularize, virtual_costs
 
 __version__ = "0.1.0"
 
@@ -76,7 +76,6 @@ __all__ = [
     "SimMetrics",
     "SolverError",
     "UnbiasedRunResult",
-    "VirtualCostProfile",
     "alpha_gamma",
     "benchmark_ci",
     "benchmark_unbiased",
@@ -92,7 +91,6 @@ __all__ = [
     "gen_population",
     "grid_search_ci",
     "grid_search_unbiased",
-    "horvitz_thompson",
     "metrics_json",
     "monte_carlo",
     "myerson_payments",
@@ -110,7 +108,6 @@ __all__ = [
     "truthfulness_audit",
     "unbiased_bound_rhs",
     "unbiased_schedule",
-    "virtual_cost_profile",
     "virtual_costs",
     "worst_case_variance",
 ]

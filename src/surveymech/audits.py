@@ -170,7 +170,7 @@ def audit_adjacency(trials: int = 1000, seed: int = 0) -> AuditOutcome:
             worst["ignore_mass"], ig1.total_mass - ig2.total_mass - 1e-6
         )
 
-    worst = {name: max(v, 0.0) for name, v in worst.items()}
+    worst = {name: float(max(v, 0.0)) for name, v in worst.items()}
     provable = ("phi_sandwich", "rule_vs_double_sqrt2", "rule_vs_quarter", "ignore_mass")
     passed = all(worst[name] <= 1e-6 for name in provable)
     return AuditOutcome(

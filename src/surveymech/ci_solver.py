@@ -116,42 +116,32 @@ def _phi_blocks(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, ends
 
 
-def _ignore_profile(phi: np.ndarray, starts: np.ndarray, ends: np.ndarray, mass: float):
-    """Threshold ignore profile of total mass ``mass``, filled from the top block."""
-    m = phi.size
-    u = np.zeros(m)
-    threshold = math.inf
-    fraction = 1.0
+def _fill_from_top(sizes, mass: float) -> tuple[int, float]:
+    """Spread ignored mass ``mass`` over the blocks of ``sizes`` from the top.
+
+    Returns ``(top, fraction)``: every block above ``top`` is ignored in full
+    and block ``top`` in ``fraction`` of its size, with ``0 < fraction <= 1``;
+    ``top == len(sizes)`` (fraction 1) when nothing is ignored.
+    """
+    top = len(sizes)
     rem = mass
-    for b in range(starts.size - 1, -1, -1):
-        size = float(ends[b] - starts[b])
-        if rem <= 0:
-            break
-        if rem >= size:
-            u[starts[b]:ends[b]] = 1.0
-            rem -= size
-            if rem <= 0:
-                threshold = float(phi[starts[b]])
-                fraction = 1.0
-                break
-        else:
-            frac = rem / size
-            u[starts[b]:ends[b]] = frac
-            threshold = float(phi[starts[b]])
-            fraction = frac
-            break
-    return u, threshold, fraction
+    while rem > 0 and top > 0:
+        top -= 1
+        if rem < sizes[top]:
+            return top, rem / sizes[top]
+        rem -= sizes[top]
+    return top, 1.0
 
 
-def _inner_value(phi, psi, starts, ends, mass, budget, beta, m):
-    """Objective value at ignored mass ``mass`` with the optimal allocation."""
-    u, _, _ = _ignore_profile(phi, starts, ends, mass)
-    weights = 1.0 - u
-    alloc, _, _ = _calibrate(phi, psi, weights, budget)
-    live = weights > 0
-    with np.errstate(divide="ignore"):
-        variance_term = float(np.sum(weights[live] / alloc[live]))
-    return beta * beta * variance_term / m + (mass / m) ** 2
+def _ignore_profile(phi: np.ndarray, starts: np.ndarray, ends: np.ndarray, mass: float):
+    """Per-cost ignore probabilities of mass ``mass``, with threshold and fraction."""
+    top, fraction = _fill_from_top((ends - starts).tolist(), mass)
+    u = np.zeros(phi.size)
+    if top == starts.size:
+        return u, math.inf, fraction
+    u[starts[top]:ends[top]] = fraction
+    u[ends[top]:] = 1.0
+    return u, float(phi[starts[top]]), fraction
 
 
 def _block_mass_value(block_phi, block_sqrt, sizes, mass, budget, scale, m):
@@ -162,19 +152,11 @@ def _block_mass_value(block_phi, block_sqrt, sizes, mass, budget, scale, m):
     the variance term reduce to O(#blocks) scalar arithmetic.
     """
     nblocks = len(sizes)
-    # weights per block implied by filling mass from the top block down
+    top, fraction = _fill_from_top(sizes, mass)
     weights = [1.0] * nblocks
-    rem = mass
-    for b in range(nblocks - 1, -1, -1):
-        if rem <= 0:
-            break
-        size = sizes[b]
-        if rem >= size:
-            weights[b] = 0.0
-            rem -= size
-        else:
-            weights[b] = 1.0 - rem / size
-            rem = 0.0
+    if top < nblocks:
+        weights[top] = 1.0 - fraction
+        weights[top + 1:] = [0.0] * (nblocks - top - 1)
     total_spend = 0.0
     slope = 0.0
     for b in range(nblocks):
@@ -210,8 +192,8 @@ def _block_mass_value(block_phi, block_sqrt, sizes, mass, budget, scale, m):
     return scale * variance_term + bias
 
 
-def _solve_mass(phi, psi, starts, ends, budget, beta):
-    """Golden-section search for the convex outer objective over mass in [0, m]."""
+def _mass_objective(phi, starts, ends, budget, beta):
+    """The outer objective as a function of the ignored mass, per block."""
     m = phi.size
     block_phi = phi[starts].tolist()
     block_sqrt = [math.sqrt(p) for p in block_phi]
@@ -221,6 +203,11 @@ def _solve_mass(phi, psi, starts, ends, budget, beta):
     def value(mass):
         return _block_mass_value(block_phi, block_sqrt, sizes, mass, budget, scale, m)
 
+    return value
+
+
+def _solve_mass(value, m):
+    """Golden-section search for the convex outer ``value`` over mass in [0, m]."""
     lo, hi = 0.0, float(m)
     x1 = hi - _INVPHI * (hi - lo)
     x2 = lo + _INVPHI * (hi - lo)
@@ -242,7 +229,7 @@ def _solve_mass(phi, psi, starts, ends, budget, beta):
     best_mass, best_val = 0.0, math.inf
     for mass in candidates:
         val = value(mass)
-        if val < best_val - 0.0:
+        if val < best_val:
             best_mass, best_val = mass, val
     return best_mass
 
@@ -250,10 +237,9 @@ def _solve_mass(phi, psi, starts, ends, budget, beta):
 def _solve_ci_arrays(phi, psi, budget, beta):
     """Full CI solve on raw arrays; returns (alloc, lam, saturated, u, H, p, mass)."""
     starts, ends = _phi_blocks(phi)
-    mass = _solve_mass(phi, psi, starts, ends, budget, beta)
+    mass = _solve_mass(_mass_objective(phi, starts, ends, budget, beta), phi.size)
     u, threshold, fraction = _ignore_profile(phi, starts, ends, mass)
-    weights = 1.0 - u
-    alloc, lam, saturated = _calibrate(phi, psi, weights, budget)
+    alloc, lam, saturated = _calibrate(phi, psi, 1.0 - u, budget)
     return alloc, lam, saturated, u, threshold, fraction, mass
 
 
@@ -322,10 +308,9 @@ def objective_at_mass(cost_set: CostSet, budget: float, beta: float, mass: float
     m = len(cost_set)
     if not 0 <= mass <= m:
         raise InvalidInputError("mass must lie in [0, m]")
-    psi = virtual_costs(cost_set)
-    phi = _pav(psi)
+    phi = _pav(virtual_costs(cost_set))
     starts, ends = _phi_blocks(phi)
-    return _inner_value(phi, psi, starts, ends, mass, float(budget), float(beta), m)
+    return _mass_objective(phi, starts, ends, float(budget), float(beta))(mass)
 
 
 def ci_objective(rule: AllocationRule, ignore: IgnoreRule, beta: float, n: int) -> float:

@@ -15,15 +15,10 @@ import sys
 
 import numpy as np
 
-from .allocation import (
-    myerson_payments,
-    solve_unbiased,
-    worst_case_variance,
-)
+from .allocation import _myerson, myerson_payments, solve_unbiased, worst_case_variance
 from .audits import SUITES, run_suite
 from .ci_solver import ci_objective, ci_parameters, solve_ci
 from .errors import ConfigError, InvalidInputError
-from .online_runner import _myerson_allow_zero
 from .populations import Population, gen_population
 from .simharness import metrics_json, monte_carlo, run_log_csv
 from .virtual_cost import CostSet
@@ -139,7 +134,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         params = ci_parameters(float(opts["gamma"]), len(cost_set))
         rule, ignore = solve_ci(cost_set, budget, params.beta)
         effective = np.where(ignore.u_values >= 0.5, 0.0, rule.probabilities)
-        payments = _myerson_allow_zero(cost_set.costs, effective)
+        payments = _myerson(cost_set.costs, effective)
         payload = {
             "task": task,
             "costs": costs_arr.tolist(),

@@ -12,7 +12,6 @@ from .errors import InvalidInputError
 
 __all__ = [
     "CIOutput",
-    "horvitz_thompson",
     "sample_variance",
     "bernstein_interval",
 ]
@@ -46,18 +45,6 @@ class CIOutput:
         return self.lower <= value <= self.upper
 
 
-def horvitz_thompson(y) -> float:
-    """Mean of inverse-probability reweighted observations.
-
-    Raises:
-        InvalidInputError: on an empty input.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise InvalidInputError("y must be a non-empty 1-D sequence")
-    return float(np.mean(y))
-
-
 def sample_variance(y) -> float:
     """Unbiased (n-1 denominator) sample variance.
 
@@ -78,12 +65,8 @@ def bernstein_interval(
     n: int,
     gamma: float,
     bias_term: float = 0.0,
-    clip_to_unit: bool = False,
 ) -> CIOutput:
     """Empirical-variance confidence interval with upper-side bias padding.
-
-    ``clip_to_unit`` optionally clips the reported endpoints to [0, 1] for
-    presentation; it is off by default so coverage guarantees are untouched.
 
     Raises:
         InvalidInputError: for invalid gamma, n < 2, negative sigma, or a
@@ -100,9 +83,6 @@ def bernstein_interval(
     radius = alpha_gamma(gamma) * sigma / math.sqrt(n)
     lower = float(mean) - radius
     upper = float(mean) + bias_term + radius
-    if clip_to_unit:
-        lower = min(max(lower, 0.0), 1.0)
-        upper = min(max(upper, 0.0), 1.0)
     return CIOutput(
         lower=lower,
         upper=upper,

@@ -20,17 +20,11 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .allocation import (
-    AllocationRule,
-    _calibrate,
-    _myerson,
-    _myerson_allow_zero,
-    solve_unbiased,
-    worst_case_variance,
-)
+from .allocation import AllocationRule, _calibrate, _myerson, solve_unbiased, worst_case_variance
 from .ci_solver import _solve_ci_arrays, alpha_gamma, solve_ci
 from .errors import InvalidInputError
 from .estimation import CIOutput, bernstein_interval, sample_variance
@@ -150,60 +144,26 @@ def _ci_round(grid: tuple[float, ...], budget: float, beta: float):
     alloc, _, _, u, _, _, _ = _solve_ci_arrays(phi, psi, budget, beta)
     ignored = u >= 0.5
     effective = np.where(ignored, 0.0, alloc)
-    payments = _myerson_allow_zero(costs, effective)
+    payments = _myerson(costs, effective)
     return costs, alloc, ignored, payments
 
 
-def _run_unbiased(costs_seq, data_seq, cap, schedule, rng, cache, record):
-    n = costs_seq.size
-    grid: list[float] = [cap]
-    y = np.zeros(n)
-    total_paid = 0.0
-    flagged = 0
-    transcripts: list[RoundTranscript] = []
-    for i in range(1, n + 1):
-        cost = float(costs_seq[i - 1])
-        budget = schedule.per_round(i)
-        coin = rng.random()
-        if cost > cap:
-            flagged += 1
-            if record:
-                transcripts.append(RoundTranscript(
-                    round_index=i, cost=cost, grid=tuple(grid), alloc=0.0,
-                    payment_offer=float("nan"), ignored=False, purchased=False,
-                    observed=0.0, y=0.0, paid=0.0, flagged=True,
-                ))
-            continue
-        key = tuple(grid)
-        entry = cache.get(key)
-        if entry is None:
-            entry = _unbiased_round(key, budget)
-            cache[key] = entry
-        garr, alloc, payments = entry
-        idx = int(np.searchsorted(garr, cost, side="left"))
-        a = float(alloc[idx])
-        p = float(payments[idx])
-        purchased = coin < a
-        observed = float(data_seq[i - 1]) if purchased else 0.0
-        y[i - 1] = observed / a
-        paid = p if purchased else 0.0
-        total_paid += paid
-        if record:
-            transcripts.append(RoundTranscript(
-                round_index=i, cost=cost, grid=key, alloc=a, payment_offer=p,
-                ignored=False, purchased=purchased, observed=observed,
-                y=float(y[i - 1]), paid=paid,
-            ))
-        bisect.insort(grid, cost)
-    estimate = float(np.mean(y))
-    return UnbiasedRunResult(
-        estimate=estimate, total_paid=total_paid, flagged=flagged, transcripts=transcripts,
-    ), y
+def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record):
+    """One online run in arrival order: the unbiased task if ``gamma`` is None,
+    else the confidence-interval task at confidence ``gamma``.
 
-
-def _run_ci(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record):
+    Every round not flagged solves its rule on the grid of earlier reports
+    plus the cap, or takes it from ``cache``, keyed by the grid.  An entry is
+    the round solver's tuple (slots 0-3) followed by the budget it was solved
+    for; a hit solved for another budget is solved again, since the same grid
+    recurs at a later round after a flagged arrival.
+    """
     n = costs_seq.size
-    beta = 2.0 * alpha_gamma(gamma) / math.sqrt(n)
+    ci = gamma is not None
+    if ci:
+        solve_round = partial(_ci_round, beta=2.0 * alpha_gamma(gamma) / math.sqrt(n))
+    else:
+        solve_round = _unbiased_round
     grid: list[float] = [cap]
     y = np.zeros(n)
     total_paid = 0.0
@@ -225,26 +185,23 @@ def _run_ci(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record):
             continue
         key = tuple(grid)
         entry = cache.get(key)
-        if entry is None:
-            entry = _ci_round(key, budget, beta)
-            cache[key] = entry
-        garr, alloc, ignored_mask, payments = entry
-        idx = int(np.searchsorted(garr, cost, side="left"))
-        a = float(alloc[idx])
-        ignored = bool(ignored_mask[idx])
+        if entry is None or entry[-1] != budget:
+            entry = cache[key] = solve_round(key, budget) + (budget,)
+        idx = int(np.searchsorted(entry[0], cost, side="left"))
+        a = float(entry[1][idx])
+        ignored = ci and bool(entry[2][idx])
         if ignored:
             ignored_count += 1
+            p = float("nan")
             purchased = False
             observed = 0.0
-            paid = 0.0
-            p = float("nan")
         else:
-            p = float(payments[idx])
+            p = float(entry[-2][idx])
             purchased = coin < a
             observed = float(data_seq[i - 1]) if purchased else 0.0
             y[i - 1] = observed / a
-            paid = p if purchased else 0.0
-            total_paid += paid
+        paid = p if purchased else 0.0
+        total_paid += paid
         if record:
             transcripts.append(RoundTranscript(
                 round_index=i, cost=cost, grid=key, alloc=a, payment_offer=p,
@@ -253,12 +210,16 @@ def _run_ci(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record):
             ))
         bisect.insort(grid, cost)
     mean = float(np.mean(y))
+    if not ci:
+        return UnbiasedRunResult(
+            estimate=mean, total_paid=total_paid, flagged=flagged, transcripts=transcripts,
+        )
     sigma = math.sqrt(sample_variance(y)) if n >= 2 else 0.0
     interval = bernstein_interval(mean, sigma, max(n, 2), gamma, bias_term=ignored_count / n)
     return CIRunResult(
         interval=interval, total_paid=total_paid, ignored_count=ignored_count,
         flagged=flagged, transcripts=transcripts,
-    ), y
+    )
 
 
 def run_unbiased_online(
@@ -276,11 +237,10 @@ def run_unbiased_online(
     """
     cap = population.cap if cap is None else float(cap)
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    result, _ = _run_unbiased(
-        population.costs, population.data, cap, schedule, rng,
+    return _run_online(
+        population.costs, population.data, cap, schedule, None, rng,
         {} if cache is None else cache, record_transcripts,
     )
-    return result
 
 
 def run_ci_online(
@@ -300,11 +260,10 @@ def run_ci_online(
     """
     cap = population.cap if cap is None else float(cap)
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    result, _ = _run_ci(
+    return _run_online(
         population.costs, population.data, cap, schedule, gamma, rng,
         {} if cache is None else cache, record_transcripts,
     )
-    return result
 
 
 def _augmented(costs, cap: float) -> CostSet:

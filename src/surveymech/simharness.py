@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .online_runner import (
-    _run_ci,
-    _run_unbiased,
+    _run_online,
     benchmark_ci,
     benchmark_unbiased,
     ci_bound_rhs,
@@ -95,6 +94,7 @@ def _mc_batch(task, costs, data, cap, budget, gamma, master_seed, run_lo, run_hi
     cache: dict = {}
     if task == "unbiased":
         schedule = unbiased_schedule(n, budget)
+        gamma = None
     else:
         schedule = ci_schedule(n, budget)
     for k in range(count):
@@ -103,11 +103,10 @@ def _mc_batch(task, costs, data, cap, budget, gamma, master_seed, run_lo, run_hi
         perm = draw_permutation(rng, n)
         cseq = costs[perm]
         zseq = data[perm]
+        result = _run_online(cseq, zseq, cap, schedule, gamma, rng, cache, False)
         if task == "unbiased":
-            result, _ = _run_unbiased(cseq, zseq, cap, schedule, rng, cache, False)
             estimates[k] = result.estimate
         else:
-            result, _ = _run_ci(cseq, zseq, cap, schedule, gamma, rng, cache, False)
             interval = result.interval
             estimates[k] = interval.sample_mean
             lowers[k] = interval.lower

@@ -23,10 +23,8 @@ from .errors import InvalidInputError
 
 __all__ = [
     "CostSet",
-    "VirtualCostProfile",
     "virtual_costs",
     "regularize",
-    "virtual_cost_profile",
 ]
 
 
@@ -62,26 +60,6 @@ class CostSet:
 
     def __len__(self) -> int:
         return int(self.costs.size)
-
-
-@dataclass(frozen=True)
-class VirtualCostProfile:
-    """Per-cost virtual costs ``psi`` and their ironed counterpart ``phi``."""
-
-    psi: np.ndarray
-    phi: np.ndarray
-
-    def __post_init__(self):
-        psi = np.asarray(self.psi, dtype=float)
-        phi = np.asarray(self.phi, dtype=float)
-        if psi.shape != phi.shape or psi.ndim != 1 or psi.size == 0:
-            raise InvalidInputError("psi and phi must be non-empty 1-D arrays of equal length")
-        psi = psi.copy()
-        phi = phi.copy()
-        psi.setflags(write=False)
-        phi.setflags(write=False)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "phi", phi)
 
 
 def _psi_from_sorted(costs: np.ndarray) -> np.ndarray:
@@ -146,9 +124,3 @@ def regularize(psi) -> np.ndarray:
     if not np.all(np.isfinite(psi)):
         raise InvalidInputError("psi must be finite")
     return _pav(psi)
-
-
-def virtual_cost_profile(cost_set: CostSet) -> VirtualCostProfile:
-    """Convenience bundle of ``virtual_costs`` and ``regularize``."""
-    psi = virtual_costs(cost_set)
-    return VirtualCostProfile(psi=psi, phi=_pav(psi))

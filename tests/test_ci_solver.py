@@ -238,6 +238,19 @@ class TestOuterSearch:
         assert abs(ignore.total_mass - grid[int(np.argmin(values))]) <= cell * 1.0000001
 
 
+    @given(random_instance)
+    @settings(max_examples=200, deadline=None)
+    def test_objective_at_chosen_mass_matches_rule(self, instance):
+        # The block evaluator behind the outer search, at the solver's mass,
+        # against the array objective of the rules it returns.
+        costs, frac, beta = instance
+        cs = make_set(costs, cap=31.0)
+        budget = frac * float(np.sum(virtual_costs(cs)))
+        rule, ignore = solve_ci(cs, budget, beta)
+        expected = ci_objective(rule, ignore, beta, len(cs))
+        got = objective_at_mass(cs, budget, beta, ignore.total_mass)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
 class TestDegenerateSingleton:
     def test_single_cost_interior_tradeoff(self):
         # With one agent the solver still optimizes the continuous mass.

@@ -152,3 +152,13 @@ class TestAudit:
     def test_convexity_suite(self, capsys):
         code = run_cli(["audit", "--suite", "convexity", "--trials", "10"])
         assert code == 0
+
+    def test_adjacency_detail_plain_floats(self, capsys):
+        from surveymech.audits import audit_adjacency
+
+        outcome = audit_adjacency(trials=50, seed=0)
+        assert outcome.detail["rule_vs_double_singleton"] > 0
+        assert all(type(v) is float for v in outcome.detail.values())
+        code = run_cli(["audit", "--suite", "adjacency", "--trials", "50"])
+        assert code == 0
+        assert "np.float64(" not in capsys.readouterr().out

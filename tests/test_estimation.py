@@ -7,21 +7,8 @@ from surveymech import (
     InvalidInputError,
     alpha_gamma,
     bernstein_interval,
-    horvitz_thompson,
     sample_variance,
 )
-
-
-class TestHorvitzThompson:
-    def test_zeros(self):
-        assert horvitz_thompson([0, 0, 0]) == 0.0
-
-    def test_mean(self):
-        assert horvitz_thompson([2, 0, 4]) == pytest.approx(2.0)
-
-    def test_rejects_empty(self):
-        with pytest.raises(InvalidInputError):
-            horvitz_thompson([])
 
 
 class TestSampleVariance:
@@ -60,10 +47,6 @@ class TestBernsteinInterval:
         out = bernstein_interval(0.2, 0.3, 50, 0.9, 0.25)
         expected = 2 * alpha_gamma(0.9) * 0.3 / math.sqrt(50) + 0.25
         assert out.length == pytest.approx(expected)
-
-    def test_clip_flag(self):
-        out = bernstein_interval(0.4, 0.5, 100, 0.05, 0.1, clip_to_unit=True)
-        assert out.lower == 0.0 and out.upper == 1.0
 
     def test_rejects_bad_gamma(self):
         with pytest.raises(InvalidInputError):

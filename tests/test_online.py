@@ -80,6 +80,21 @@ class TestRunUnbiased:
         with pytest.raises(InvalidInputError):
             run_unbiased_online(pop, sched, rng_seed=0)
 
+    def test_shared_cache_resolves_for_round_budget(self):
+        # After the flagged first arrival, grid {4} serves round 2 and {1, 4}
+        # round 3; a run without flags warmed those grids at rounds 1 and 2,
+        # at smaller budgets, and a shared cache must not serve those rules.
+        def round_allocs(costs, cache):
+            pop = Population(costs=np.array(costs, dtype=float), data=np.ones(3), cap=6.0)
+            res = run_unbiased_online(pop, unbiased_schedule(3, 2.0), 0, cap=4.0, cache=cache)
+            return [t.alloc for t in res.transcripts]
+
+        fresh = round_allocs([5, 1, 2], None)
+        assert fresh == pytest.approx([0.0, 0.102, 0.052], abs=5e-4)
+        cache: dict = {}
+        round_allocs([1, 2, 3], cache)
+        assert round_allocs([5, 1, 2], cache) == fresh
+
     def test_flagged_report_above_cap(self):
         pop = Population(costs=np.array([1.0, 2.0]), data=np.ones(2), cap=5.0)
         sched = unbiased_schedule(2, 10.0)

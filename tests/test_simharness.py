@@ -128,9 +128,9 @@ class TestTruthfulnessAudit:
         # discard suffix behaves like a zero-utility outside option
         costs = np.array([1.0, 2.0, 8.0])
         alloc = np.array([0.8, 0.4, 0.0])
-        from surveymech.online_runner import _myerson_allow_zero
+        from surveymech.allocation import _myerson
 
-        pay = _myerson_allow_zero(costs, alloc)
+        pay = _myerson(costs, alloc)
         report = truthfulness_audit(costs, alloc, pay, cap=8.0)
         assert report.passed
 

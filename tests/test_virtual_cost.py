@@ -7,7 +7,6 @@ from surveymech import (
     CostSet,
     InvalidInputError,
     regularize,
-    virtual_cost_profile,
     virtual_costs,
 )
 from surveymech.oracle import regularize_naive
@@ -79,8 +78,8 @@ class TestRegularize:
     @given(sorted_costs)
     @settings(max_examples=200, deadline=None)
     def test_profile_invariants(self, costs):
-        profile = virtual_cost_profile(make_set(costs, cap=50.0))
-        psi, phi = profile.psi, profile.phi
+        psi = virtual_costs(make_set(costs, cap=50.0))
+        phi = regularize(psi)
         assert np.all(np.diff(phi) >= 0)
         pref_gap = np.cumsum(psi) - np.cumsum(phi)
         assert np.all(pref_gap >= -1e-9 * np.maximum(np.abs(np.cumsum(psi)), 1.0))
@@ -99,8 +98,8 @@ class TestProfileInvariantsLarge:
             m = int(rng.integers(1, 201))
             cap = float(rng.uniform(0.5, 40.0))
             costs = np.sort(rng.uniform(0.0, cap, size=m))
-            profile = virtual_cost_profile(CostSet(costs=costs, cap=cap))
-            psi, phi = profile.psi, profile.phi
+            psi = virtual_costs(CostSet(costs=costs, cap=cap))
+            phi = regularize(psi)
             assert np.all(np.diff(phi) >= 0)
             pref_gap = np.cumsum(psi) - np.cumsum(phi)
             tol = 1e-9 * np.maximum(np.abs(np.cumsum(psi)), 1.0)
