@@ -10,8 +10,10 @@ subject to the expected spend of the non-ignored mass staying within budget
 and ``(1 - U) * A`` monotone non-increasing.  The optimum ignores every cost
 whose ironed virtual cost exceeds a threshold, splits one boundary block
 fractionally, and uses the water-filling allocation on the rest.  The outer
-objective is convex in the ignored mass ``M``, so a golden-section search
-over ``M`` with exact inner calibration finds it.
+objective is convex in the ignored mass ``M`` and a convex quadratic between
+block events, so one upward sweep over those pieces finds its minimizer in
+closed form; the rule at that mass comes from the same fill-from-the-top
+step and calibration that ``objective_at_mass`` and ``g_derivative`` use.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import AllocationRule, _calibrate
+from .allocation import AllocationRule, _calibrate, _myerson
 from .errors import InvalidInputError, SolverError
 from .virtual_cost import CostSet, _pav, virtual_costs
 
@@ -35,10 +37,6 @@ __all__ = [
     "ci_objective",
     "objective_at_mass",
 ]
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_MAX_OUTER_ITERS = 200
-
 
 @dataclass(frozen=True)
 class IgnoreRule:
@@ -144,103 +142,94 @@ def _ignore_profile(phi: np.ndarray, starts: np.ndarray, ends: np.ndarray, mass:
     return u, float(phi[starts[top]]), fraction
 
 
-def _block_mass_value(block_phi, block_sqrt, sizes, mass, budget, scale, m):
-    """Outer objective at ignored mass ``mass`` from block-level sums only.
+def _rule_at_mass(phi, psi, starts, ends, budget, mass):
+    """The rule at ignored mass ``mass``: fill it from the top, then calibrate.
 
-    Equivalent to the array evaluation: within every maximal equal-phi block
-    the ignore weight and the allocation are constant, so the calibration and
-    the variance term reduce to O(#blocks) scalar arithmetic.
+    Returns ``(alloc, lam, saturated, u, threshold, fraction)``.
     """
-    nblocks = len(sizes)
-    top, fraction = _fill_from_top(sizes, mass)
-    weights = [1.0] * nblocks
-    if top < nblocks:
-        weights[top] = 1.0 - fraction
-        weights[top + 1:] = [0.0] * (nblocks - top - 1)
-    total_spend = 0.0
-    slope = 0.0
-    for b in range(nblocks):
-        total_spend += weights[b] * block_phi[b] * sizes[b]
-        slope += weights[b] * block_sqrt[b] * sizes[b]
-    bias = (mass / m) ** 2
-    if total_spend <= budget:
-        return scale * (m - mass) + bias
-    # breakpoint scan as in the array calibration: the first breakpoint whose
-    # spend reaches the budget pins the linear segment holding lam
-    clipped = 0.0
-    lam = None
-    for t in range(nblocks):
-        if clipped + block_sqrt[t] * slope >= budget:
-            lam = (budget - clipped) / slope
-            break
-        clipped += weights[t] * block_phi[t] * sizes[t]
-        slope -= weights[t] * block_sqrt[t] * sizes[t]
-    if lam is None:  # numerically at the saturation boundary
-        return scale * (m - mass) + bias
-    variance_term = 0.0
-    for b in range(nblocks):
-        w = weights[b]
-        if w <= 0:
-            continue
-        if lam <= 0:
-            if block_phi[b] > 0:
-                return math.inf
-            variance_term += w * sizes[b]
-            continue
-        ratio = block_sqrt[b] / lam
-        variance_term += w * sizes[b] * (ratio if ratio > 1.0 else 1.0)
-    return scale * variance_term + bias
+    u, threshold, fraction = _ignore_profile(phi, starts, ends, mass)
+    alloc, lam, saturated = _calibrate(phi, psi, 1.0 - u, budget)
+    return alloc, lam, saturated, u, threshold, fraction
 
 
-def _mass_objective(phi, starts, ends, budget, beta):
-    """The outer objective as a function of the ignored mass, per block."""
+def _optimal_mass(phi, starts, ends, budget, beta):
+    """Smallest minimizer of the outer objective over ignored mass in [0, m].
+
+    ``F(M) = s V(M) + (M/m)^2`` with ``s = beta^2/m``.  While the budget
+    binds, the live blocks below ``j`` are clipped at A = 1 and
+    ``V = K + S1^2 / (B - C)``: ``K`` and ``C`` are the size and spend of the
+    clipped blocks and ``S1`` the sum of ``w * size * sqrt(phi)`` over the
+    rest, linear in ``M``.  So ``F`` is a convex quadratic on each piece, with
+    right slope ``-2s / A_top + 2M/m^2``.  A piece ends when the top live
+    block runs out, when ``lam = (B - C)/S1`` reaches ``sqrt(phi_j)``, or when
+    the live spend reaches ``B``; from there on the budget is slack and
+    ``F = s (m - M) + (M/m)^2``.  Walks the pieces upward and returns
+    ``(mass, slack)``: the first point whose right slope is >= 0, and whether
+    the budget is slack there.
+    """
     m = phi.size
-    block_phi = phi[starts].tolist()
-    block_sqrt = [math.sqrt(p) for p in block_phi]
-    sizes = (ends - starts).tolist()
-    scale = beta * beta / m
-
-    def value(mass):
-        return _block_mass_value(block_phi, block_sqrt, sizes, mass, budget, scale, m)
-
-    return value
-
-
-def _solve_mass(value, m):
-    """Golden-section search for the convex outer ``value`` over mass in [0, m]."""
-    lo, hi = 0.0, float(m)
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = value(x1), value(x2)
-    for _ in range(_MAX_OUTER_ITERS):
-        if hi - lo <= 1e-12 * max(1.0, m):
-            break
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = value(x1)
+    sizes = ends - starts
+    block_phi = phi[starts]
+    block_sqrt = np.sqrt(block_phi)
+    spend_below = np.concatenate(([0.0], np.cumsum(sizes * block_phi)))
+    sqrt_below = np.concatenate(([0.0], np.cumsum(sizes * block_sqrt)))
+    # lowest block not clipped at M = 0, as in the calibration's breakpoint scan
+    spend_at_breakpoints = spend_below[:-1] + block_sqrt * (sqrt_below[-1] - sqrt_below[:-1])
+    j = int(np.searchsorted(spend_at_breakpoints, budget))
+    sizes, block_phi, block_sqrt = sizes.tolist(), block_phi.tolist(), block_sqrt.tolist()
+    spend_below, sqrt_below = spend_below.tolist(), sqrt_below.tolist()
+    s = beta * beta / m
+    inv_m2 = 1.0 / (m * m)
+    slack_root = min(float(m), 0.5 * beta * beta * m)  # zero of -s + 2M/m^2
+    top = len(sizes) - 1
+    live = float(sizes[top])
+    above = 0  # mass of the blocks above ``top``, all ignored
+    while top >= 0:
+        mass = above + (sizes[top] - live)
+        live_spend = spend_below[top] + live * block_phi[top]
+        if live_spend <= budget or j > top:
+            return max(mass, slack_root), True
+        to_slack = (live_spend - budget) / block_phi[top]
+        event = min(live, to_slack)
+        room = budget - spend_below[j]
+        if room > 0:  # else lam = 0 and the slope is -inf up to the event
+            s1 = sqrt_below[top] - sqrt_below[j] + live * block_sqrt[top]
+            a = s * block_sqrt[top] / room
+            if mass * inv_m2 >= a * s1:
+                return mass, False
+            step = (a * s1 - mass * inv_m2) / (a * block_sqrt[top] + inv_m2)
+            if j < top:
+                event = min(event, (s1 - room / block_sqrt[j]) / block_sqrt[top])
+            if step < event:
+                return mass + step, False
+        if event == to_slack:
+            return max(mass + event, slack_root), True
+        if event < live:
+            # lam reached sqrt(phi_j): advance j explicitly, since recomputing
+            # lam at this point can stall on rounding
+            live -= event
+            j += 1
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = value(x2)
-    # Snap to the best of the bracket, its midpoint, and the endpoints; ties
-    # resolve toward less ignoring.
-    candidates = sorted({0.0, float(m), lo, hi, 0.5 * (lo + hi), x1, x2})
-    best_mass, best_val = 0.0, math.inf
-    for mass in candidates:
-        val = value(mass)
-        if val < best_val:
-            best_mass, best_val = mass, val
-    return best_mass
+            above += sizes[top]
+            top -= 1
+            live = float(sizes[top])
+    return float(m), True
 
 
 def _solve_ci_arrays(phi, psi, budget, beta):
     """Full CI solve on raw arrays; returns (alloc, lam, saturated, u, H, p, mass)."""
     starts, ends = _phi_blocks(phi)
-    mass = _solve_mass(_mass_objective(phi, starts, ends, budget, beta), phi.size)
-    u, threshold, fraction = _ignore_profile(phi, starts, ends, mass)
-    alloc, lam, saturated = _calibrate(phi, psi, 1.0 - u, budget)
-    return alloc, lam, saturated, u, threshold, fraction, mass
+    mass, slack = _optimal_mass(phi, starts, ends, budget, beta)
+    rule = _rule_at_mass(phi, psi, starts, ends, budget, mass)
+    # On the saturation kink the calibration's own spend sum decides: step up
+    # until it agrees the budget is slack (rule[2], ``saturated``), so the
+    # rule is the right-hand one.
+    step = math.ulp(float(phi.size))
+    while slack and not rule[2] and mass < phi.size:
+        mass = min(float(phi.size), mass + step)
+        step *= 2.0
+        rule = _rule_at_mass(phi, psi, starts, ends, budget, mass)
+    return rule + (mass,)
 
 
 def solve_ci(cost_set: CostSet, budget: float, beta: float) -> tuple[AllocationRule, IgnoreRule]:
@@ -268,12 +257,41 @@ def solve_ci(cost_set: CostSet, budget: float, beta: float) -> tuple[AllocationR
     return rule, ignore
 
 
+def _variance_sum(alloc: np.ndarray, u: np.ndarray) -> float:
+    """``sum_k (1 - U_k) / A_k`` over the costs not ignored for sure."""
+    weights = 1.0 - u
+    live = weights > 0
+    with np.errstate(divide="ignore"):
+        return float(np.sum(weights[live] / alloc[live]))
+
+
+def _deployed_policy(costs: np.ndarray, alloc: np.ndarray, u: np.ndarray):
+    """The ignore indicator ``U >= 1/2`` that is deployed, and its prices.
+
+    Payments are the minimal truthful prices for the effective allocation
+    ``(1 - indicator) * A`` (prices against the raw A would let an ignored
+    agent profit by under-reporting); NaN where it is zero.
+    """
+    ignored = u >= 0.5
+    return ignored, _myerson(costs, np.where(ignored, 0.0, alloc))
+
+
+def _rule_for(cost_set: CostSet, budget: float, mass: float):
+    """``_rule_at_mass`` on a cost set; returns ``(alloc, saturated, u)``."""
+    psi = virtual_costs(cost_set)
+    phi = _pav(psi)
+    starts, ends = _phi_blocks(phi)
+    alloc, _, saturated, u, _, _ = _rule_at_mass(phi, psi, starts, ends, budget, mass)
+    return alloc, saturated, u
+
+
 def g_derivative(cost_set: CostSet, budget: float, beta: float, mass: float) -> float:
     """Right derivative of the variance term at ignored mass ``mass``.
 
-    Equals ``-beta^2 * (2/m) / A_M(c_r)`` where ``c_r`` is the largest cost
-    not ignored with probability one; non-decreasing in ``mass`` because the
-    variance term is convex.
+    Equals ``-beta^2 * (2/m) / A_M(c_r)`` while the budget binds, where
+    ``c_r`` is the largest cost not ignored with probability one, and
+    ``-beta^2 / m`` where the live set is bought in full; non-decreasing in
+    ``mass`` because the variance term is convex.
 
     Raises:
         SolverError: when the budget cannot support any purchase at ``mass``
@@ -287,30 +305,27 @@ def g_derivative(cost_set: CostSet, budget: float, beta: float, mass: float) -> 
         raise InvalidInputError("mass must lie in [0, m)")
     if not np.isfinite(budget) or budget < 0:
         raise InvalidInputError("budget must be a non-negative finite real")
-    psi = virtual_costs(cost_set)
-    phi = _pav(psi)
-    starts, ends = _phi_blocks(phi)
-    u, _, _ = _ignore_profile(phi, starts, ends, mass)
-    alloc, _, _ = _calibrate(phi, psi, 1.0 - u, budget)
-    live = np.flatnonzero(u < 1.0)
-    r = int(live[-1])
-    if alloc[r] <= 0:
+    alloc, saturated, u = _rule_for(cost_set, budget, mass)
+    if saturated:
+        return -beta * beta / m
+    a_r = float(alloc[np.flatnonzero(u < 1.0)[-1]])
+    if a_r <= 0:
         raise SolverError("subproblem infeasible: zero allocation at the marginal cost")
-    return -beta * beta * 2.0 / m / float(alloc[r])
+    return -beta * beta * 2.0 / m / a_r
 
 
 def objective_at_mass(cost_set: CostSet, budget: float, beta: float, mass: float) -> float:
     """Outer objective at a prescribed ignored mass (allocation optimized).
 
-    Convex in ``mass``; used to audit the outer search.
+    Convex in ``mass``; used to audit the outer search.  Evaluates the rule
+    ``solve_ci`` would return at this mass.
     """
     mass = float(mass)
     m = len(cost_set)
     if not 0 <= mass <= m:
         raise InvalidInputError("mass must lie in [0, m]")
-    phi = _pav(virtual_costs(cost_set))
-    starts, ends = _phi_blocks(phi)
-    return _mass_objective(phi, starts, ends, float(budget), float(beta))(mass)
+    alloc, _, u = _rule_for(cost_set, float(budget), mass)
+    return float(beta) ** 2 * _variance_sum(alloc, u) / m + (mass / m) ** 2
 
 
 def ci_objective(rule: AllocationRule, ignore: IgnoreRule, beta: float, n: int) -> float:
@@ -319,8 +334,4 @@ def ci_objective(rule: AllocationRule, ignore: IgnoreRule, beta: float, n: int) 
     u = ignore.u_values
     if alloc.size != u.size or alloc.size != n:
         raise InvalidInputError("rule, ignore rule and n must agree in length")
-    weights = 1.0 - u
-    live = weights > 0
-    with np.errstate(divide="ignore"):
-        variance_term = float(np.sum(weights[live] / alloc[live]))
-    return float(beta) ** 2 * variance_term / n + (float(np.sum(u)) / n) ** 2
+    return float(beta) ** 2 * _variance_sum(alloc, u) / n + (float(np.sum(u)) / n) ** 2

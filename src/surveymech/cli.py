@@ -15,9 +15,9 @@ import sys
 
 import numpy as np
 
-from .allocation import _myerson, myerson_payments, solve_unbiased, worst_case_variance
+from .allocation import myerson_payments, solve_unbiased, worst_case_variance
 from .audits import SUITES, run_suite
-from .ci_solver import ci_objective, ci_parameters, solve_ci
+from .ci_solver import _deployed_policy, ci_objective, ci_parameters, solve_ci
 from .errors import ConfigError, InvalidInputError
 from .populations import Population, gen_population
 from .simharness import metrics_json, monte_carlo, run_log_csv
@@ -133,8 +133,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             raise ConfigError("ci task needs --gamma")
         params = ci_parameters(float(opts["gamma"]), len(cost_set))
         rule, ignore = solve_ci(cost_set, budget, params.beta)
-        effective = np.where(ignore.u_values >= 0.5, 0.0, rule.probabilities)
-        payments = _myerson(cost_set.costs, effective)
+        _, payments = _deployed_policy(cost_set.costs, rule.probabilities, ignore.u_values)
         payload = {
             "task": task,
             "costs": costs_arr.tolist(),

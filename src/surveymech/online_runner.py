@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .allocation import AllocationRule, _calibrate, _myerson, solve_unbiased, worst_case_variance
-from .ci_solver import _solve_ci_arrays, alpha_gamma, solve_ci
+from .ci_solver import _deployed_policy, _solve_ci_arrays, _variance_sum, ci_parameters, solve_ci
 from .errors import InvalidInputError
 from .estimation import CIOutput, bernstein_interval, sample_variance
 from .populations import Population
@@ -131,20 +131,12 @@ def _unbiased_round(grid: tuple[float, ...], budget: float):
 
 
 def _ci_round(grid: tuple[float, ...], budget: float, beta: float):
-    """Solve one CI round: allocation, rounded ignore indicator, payments.
-
-    The deployed ignore decision is the deterministic indicator U >= 1/2, so
-    payments are the minimal truthful prices for the effective allocation
-    ``(1 - indicator) * A`` (prices against the raw A would let an ignored
-    agent profit by under-reporting).
-    """
+    """Solve one CI round: allocation, deployed ignore indicator, payments."""
     costs = np.asarray(grid)
     psi = _psi_from_sorted(costs)
     phi = _pav(psi)
     alloc, _, _, u, _, _, _ = _solve_ci_arrays(phi, psi, budget, beta)
-    ignored = u >= 0.5
-    effective = np.where(ignored, 0.0, alloc)
-    payments = _myerson(costs, effective)
+    ignored, payments = _deployed_policy(costs, alloc, u)
     return costs, alloc, ignored, payments
 
 
@@ -154,16 +146,16 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record):
 
     Every round not flagged solves its rule on the grid of earlier reports
     plus the cap, or takes it from ``cache``, keyed by the grid.  An entry is
-    the round solver's tuple (slots 0-3) followed by the budget it was solved
-    for; a hit solved for another budget is solved again, since the same grid
-    recurs at a later round after a flagged arrival.
+    the round solver's tuple (slots 0-3) followed by the budget and the CI
+    ``beta`` (None for the unbiased task) it was solved for.  A hit solved
+    for another budget or ``beta`` is solved again: the same grid recurs at a
+    later round after a flagged arrival, and a shared cache may have served
+    a run at another ``gamma``.
     """
     n = costs_seq.size
     ci = gamma is not None
-    if ci:
-        solve_round = partial(_ci_round, beta=2.0 * alpha_gamma(gamma) / math.sqrt(n))
-    else:
-        solve_round = _unbiased_round
+    beta = ci_parameters(gamma, n).beta if ci else None
+    solve_round = partial(_ci_round, beta=beta) if ci else _unbiased_round
     grid: list[float] = [cap]
     y = np.zeros(n)
     total_paid = 0.0
@@ -185,8 +177,8 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record):
             continue
         key = tuple(grid)
         entry = cache.get(key)
-        if entry is None or entry[-1] != budget:
-            entry = cache[key] = solve_round(key, budget) + (budget,)
+        if entry is None or entry[-2:] != (budget, beta):
+            entry = cache[key] = solve_round(key, budget) + (budget, beta)
         idx = int(np.searchsorted(entry[0], cost, side="left"))
         a = float(entry[1][idx])
         ignored = ci and bool(entry[2][idx])
@@ -196,7 +188,7 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record):
             purchased = False
             observed = 0.0
         else:
-            p = float(entry[-2][idx])
+            p = float(entry[-3][idx])
             purchased = coin < a
             observed = float(data_seq[i - 1]) if purchased else 0.0
             y[i - 1] = observed / a
@@ -293,12 +285,9 @@ def benchmark_ci(costs, cap: float, budget: float, gamma: float):
     """
     aug = _augmented(costs, cap)
     m = len(aug)
-    beta = 2.0 * alpha_gamma(gamma) / math.sqrt(m)
+    beta = ci_parameters(gamma, m).beta
     rule, ignore = solve_ci(aug, budget, beta)
-    weights = 1.0 - ignore.u_values
-    live = weights > 0
-    with np.errstate(divide="ignore"):
-        variance_term = float(np.sum(weights[live] / rule.probabilities[live]))
+    variance_term = _variance_sum(rule.probabilities, ignore.u_values)
     l_star = beta * math.sqrt(variance_term / m) + ignore.total_mass / m
     return (rule, ignore), l_star
 

@@ -19,6 +19,7 @@ from surveymech import (
     solve_unbiased,
     virtual_costs,
 )
+from surveymech.audits import random_cost_set
 
 
 def make_set(costs, cap=None):
@@ -165,8 +166,44 @@ class TestGDerivative:
         assert g_derivative(cs, 3.0, 1.0, 0.0) == pytest.approx(-8.0)
 
     def test_saturated_unit_allocation(self):
+        # The budget buys every live cost: the variance term is
+        # beta^2 (m - M) / m, of slope -beta^2 / m (not twice that).
         cs = make_set([1, 1, 1])
-        assert g_derivative(cs, 100.0, 2.0, 0.0) == pytest.approx(-2 * 4.0 / 3.0)
+        assert g_derivative(cs, 100.0, 2.0, 0.0) == pytest.approx(-4.0 / 3.0)
+
+    @pytest.mark.parametrize(
+        "costs, budget, beta, mass",
+        [([1, 10, 11], 3.0, 1.0, 0.0),  # the budget binds
+         ([1, 10, 11], 3.0, 1.0, 0.4),
+         ([1, 3, 9, 27], 5.0, 1.2, 2.5),  # the live set is bought in full
+         ([1, 1, 1], 100.0, 2.0, 0.0)],
+    )
+    def test_matches_finite_difference(self, costs, budget, beta, mass):
+        cs = make_set(costs)
+        m = len(cs)
+        h = 1e-6
+        ahead = objective_at_mass(cs, budget, beta, mass + h)
+        rise = ahead - objective_at_mass(cs, budget, beta, mass)
+        variance_slope = rise / h - (2.0 * mass + h) / m**2
+        assert g_derivative(cs, budget, beta, mass) == pytest.approx(variance_slope, rel=1e-4)
+
+    def test_optimality_at_solver_mass(self):
+        # At the chosen mass the right slope of the whole objective is >= 0,
+        # also where the optimum sits on the kink at which the budget stops
+        # binding.
+        for seed in range(1200):
+            rng = np.random.default_rng([99, seed])
+            cs = random_cost_set(rng, max_m=60, min_m=1)
+            budget = float(rng.uniform(0.0, 1.2)) * float(np.sum(virtual_costs(cs)))
+            beta = float(rng.uniform(0.05, 3.0))
+            if budget <= 0:
+                continue
+            _, ignore = solve_ci(cs, budget, beta)
+            m = len(cs)
+            mass = ignore.total_mass
+            if mass < m:
+                slope = g_derivative(cs, budget, beta, mass) + 2.0 * mass / m**2
+                assert slope >= -1e-9, seed
 
     def test_monotone_in_mass(self):
         cs = make_set([1, 3, 9, 27])
@@ -241,8 +278,8 @@ class TestOuterSearch:
     @given(random_instance)
     @settings(max_examples=200, deadline=None)
     def test_objective_at_chosen_mass_matches_rule(self, instance):
-        # The block evaluator behind the outer search, at the solver's mass,
-        # against the array objective of the rules it returns.
+        # The objective at the solver's mass against the array objective of
+        # the rules it returns.
         costs, frac, beta = instance
         cs = make_set(costs, cap=31.0)
         budget = frac * float(np.sum(virtual_costs(cs)))
@@ -250,6 +287,21 @@ class TestOuterSearch:
         expected = ci_objective(rule, ignore, beta, len(cs))
         got = objective_at_mass(cs, budget, beta, ignore.total_mass)
         assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "seed, mass",
+        [(196, 5.412695937616619), (62, 8.39023976697904), (2513, 16.36226414625823)],
+    )
+    def test_objective_continuous_at_saturation_mass(self, seed, mass):
+        # Masses where the budget stops binding: the objective is continuous
+        # there, as the rule solve_ci builds is.
+        cs = random_cost_set(np.random.default_rng(seed), max_m=60, min_m=2)
+        budget = 0.5 * float(np.sum(virtual_costs(cs)))
+        value = objective_at_mass(cs, budget, 1.0, mass)
+        assert math.isfinite(value)
+        for side in (mass - 1e-9, mass + 1e-9):
+            assert value == pytest.approx(objective_at_mass(cs, budget, 1.0, side), rel=1e-9)
+
 
 class TestDegenerateSingleton:
     def test_single_cost_interior_tradeoff(self):

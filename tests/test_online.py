@@ -153,6 +153,25 @@ class TestRunCI:
             if t.ignored:
                 assert t.paid == 0.0 and not t.purchased and t.y == 0.0
 
+    def test_shared_cache_resolves_for_gamma(self):
+        # Same n, budget and grids, another gamma: a cache warmed at gamma
+        # 0.95 must not serve its rules to a run at gamma 0.05.
+        pop = gen_population(
+            {"kind": "two_point", "fractions": [0.85, 0.15], "costs": [1.0, 20.0],
+             "data": [1.0, 0.3]},
+            200, 25.0, 0,
+        )
+        perm = np.random.default_rng(5).permutation(200)
+        arrived = Population(costs=pop.costs[perm], data=pop.data[perm], cap=25.0)
+        sched = ci_schedule(200, 300.0)
+        fresh = run_ci_online(arrived, sched, 0.05, rng_seed=11)
+        assert (fresh.ignored_count, fresh.total_paid) == (200, 0.0)
+        cache: dict = {}
+        run_ci_online(arrived, sched, 0.95, rng_seed=11, cache=cache)
+        warm = run_ci_online(arrived, sched, 0.05, rng_seed=11, cache=cache)
+        assert (warm.ignored_count, warm.total_paid) == (200, 0.0)
+        assert warm.interval == fresh.interval
+
 
 class TestBenchmarks:
     def test_free_data(self):
