@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, OutOfRangeError, SolverError
-from .virtual_cost import CostSet, _pav, _psi_from_sorted, virtual_costs
+from .virtual_cost import CostSet, _iron, virtual_costs
 
 __all__ = [
     "AllocationRule",
@@ -89,46 +89,64 @@ class PaymentRule:
         return int(self.payments.size)
 
 
-def _calibrate(phi: np.ndarray, psi: np.ndarray, weights: np.ndarray | None, budget: float):
-    """Water-filling allocation binding ``sum_k w_k A_k psi_k`` to ``budget``.
+def _calibrate_rows(phi, psi, weights, budgets, sizes):
+    """Water-filling allocations binding ``sum_k w_k A_k psi_k`` to each row's budget.
 
-    ``phi`` must be non-decreasing and non-negative, and ``weights`` (None
-    means all ones) non-negative and constant on every maximal equal-phi
-    block; then the spend equals ``sum_k w_k min(phi_k, lam*sqrt(phi_k))``
-    and is piecewise linear in ``lam``.  Returns ``(A, lam, saturated)``.
+    Row ``r`` of the padded 2-D ``phi``/``psi`` (and ``weights``; None means
+    all ones) holds ``sizes[r]`` entries, then padding with ``phi = 0``.  Each
+    row's ``phi`` must be non-decreasing and non-negative, and its weights
+    non-negative and constant on every maximal equal-phi block; then the
+    spend equals ``sum_k w_k min(phi_k, lam*sqrt(phi_k))`` and is piecewise
+    linear in ``lam``.  The square roots, weights and prefix sums run on all
+    rows at once; the budget test, the breakpoint spends and the two
+    breakpoint searches run per row on its own entries, so each row's
+    arithmetic is that of a single-row call.  Returns ``(A, lam, saturated)``,
+    with ``A`` 1 on the padding.
     """
-    m = phi.size
     sqrt_phi = np.sqrt(phi)
-    # Unweighted, the products by the scalar 1.0 are exact; weighted, w * phi
-    # already vanishes wherever w or phi does, so no mask is needed.
-    w = 1.0 if weights is None else weights
-    if float(np.sum(w * psi)) <= budget:
-        return np.ones(m), float(sqrt_phi[-1]), True
+    # Weighted, w * phi already vanishes wherever w or phi does, so no mask
+    # is needed; unweighted, the products by 1.0 they stand for are exact.
+    if weights is None:
+        wpsi, pref_wphi, pref_wsqrt = psi, phi.copy(), sqrt_phi.copy()
+    else:
+        wpsi, pref_wphi, pref_wsqrt = weights * psi, weights * phi, weights * sqrt_phi
     # Prefix sums in place: fresh arrays here raised the peak RSS of a 5-run
     # n=1000 Monte Carlo batch by about 3 MB through heap fragmentation.
-    pref_wphi = w * phi
-    pref_wsqrt = w * sqrt_phi
-    np.cumsum(pref_wphi, out=pref_wphi)
-    np.cumsum(pref_wsqrt, out=pref_wsqrt)
-    total_wsqrt = pref_wsqrt[-1]
-    # Spend when lam sits at breakpoint sqrt(phi_j): entries below j are clipped.
-    spend_bp = pref_wphi + sqrt_phi * (total_wsqrt - pref_wsqrt)
-    j = int(np.searchsorted(spend_bp, budget, side="left"))
-    if j >= m:  # numerically at the saturation boundary
-        return np.ones(m), float(sqrt_phi[-1]), True
-    i0 = int(np.searchsorted(sqrt_phi, sqrt_phi[j], side="left"))
-    clipped_spend = float(pref_wphi[i0 - 1]) if i0 > 0 else 0.0
-    slope = float(total_wsqrt - (pref_wsqrt[i0 - 1] if i0 > 0 else 0.0))
-    if slope <= 0:
-        raise SolverError("degenerate calibration segment")
-    lam = (budget - clipped_spend) / slope
-    if phi[0] > 0.0:
-        alloc = np.minimum(1.0, lam / sqrt_phi)
-    else:
-        alloc = np.ones(m)
-        pos = phi > 0
-        alloc[pos] = np.minimum(1.0, lam / sqrt_phi[pos])
-    return alloc, float(lam), False
+    np.cumsum(pref_wphi, axis=1, out=pref_wphi)
+    np.cumsum(pref_wsqrt, axis=1, out=pref_wsqrt)
+    lam = np.empty(phi.shape[0])
+    saturated = np.zeros(phi.shape[0], dtype=bool)
+    for r, (m, budget) in enumerate(zip(sizes.tolist(), budgets)):
+        total_wsqrt = pref_wsqrt[r, m - 1]
+        j = m
+        if float(np.add.reduce(wpsi[r, :m])) > budget:
+            # Spend when lam sits at breakpoint sqrt(phi_j): entries below j are clipped.
+            spend_bp = pref_wphi[r, :m] + sqrt_phi[r, :m] * (total_wsqrt - pref_wsqrt[r, :m])
+            j = int(spend_bp.searchsorted(budget, side="left"))
+        if j >= m:  # budget covers full collection, or numerically at its boundary
+            saturated[r] = True
+            lam[r] = sqrt_phi[r, m - 1]
+            continue
+        i0 = int(sqrt_phi[r, :m].searchsorted(sqrt_phi[r, j], side="left"))
+        clipped_spend = float(pref_wphi[r, i0 - 1]) if i0 > 0 else 0.0
+        slope = float(total_wsqrt - (pref_wsqrt[r, i0 - 1] if i0 > 0 else 0.0))
+        if slope <= 0:
+            raise SolverError("degenerate calibration segment")
+        lam[r] = (budget - clipped_spend) / slope
+    # A saturated row's lam is its largest sqrt(phi), so it gets all ones too.
+    alloc = np.ones_like(phi)
+    np.divide(lam[:, None], sqrt_phi, out=alloc, where=phi > 0)
+    np.minimum(alloc, 1.0, out=alloc)
+    return alloc, lam, saturated
+
+
+def _calibrate(phi: np.ndarray, psi: np.ndarray, weights: np.ndarray | None, budget: float):
+    """``_calibrate_rows`` on one 1-D row; returns ``(A, lam, saturated)``."""
+    alloc, lam, saturated = _calibrate_rows(
+        phi[None, :], psi[None, :], None if weights is None else weights[None, :],
+        (budget,), np.array([phi.size]),
+    )
+    return alloc[0], float(lam[0]), bool(saturated[0])
 
 
 def solve_unbiased(cost_set: CostSet, budget: float) -> AllocationRule:
@@ -145,20 +163,21 @@ def solve_unbiased(cost_set: CostSet, budget: float) -> AllocationRule:
     if not np.isfinite(budget) or budget <= 0:
         raise InvalidInputError("budget must be a positive finite real")
     psi = virtual_costs(cost_set)
-    phi = _pav(psi)
+    phi = _iron(psi)
     alloc, lam, saturated = _calibrate(phi, psi, None, budget)
     return AllocationRule(probabilities=alloc, lam=lam, saturated=saturated)
 
 
 def _myerson(costs: np.ndarray, alloc: np.ndarray) -> np.ndarray:
-    """Minimal truthful IR payments; NaN where the allocation is zero."""
-    m = costs.size
-    tail = np.empty(m)
-    tail[-1] = 0.0
-    if m > 1:
-        contrib = alloc[1:] * np.diff(costs)
-        tail[:-1] = np.cumsum(contrib[::-1])[::-1]
-    return costs + np.divide(tail, alloc, out=np.full(m, np.nan), where=alloc > 0)
+    """Minimal truthful IR payments; NaN where the allocation is zero.
+
+    Works along the last axis, so a 2-D call prices every row at once; a row
+    padded by repeating its last cost adds nothing to the payments before it.
+    """
+    tail = np.zeros_like(alloc)
+    tail[..., :-1] = alloc[..., 1:] * np.diff(costs, axis=-1)
+    tail = np.cumsum(tail[..., ::-1], axis=-1)[..., ::-1]
+    return costs + np.divide(tail, alloc, out=np.full_like(alloc, np.nan), where=alloc > 0)
 
 
 def myerson_payments(cost_set: CostSet, rule: AllocationRule) -> PaymentRule:

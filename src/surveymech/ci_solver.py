@@ -25,7 +25,7 @@ import numpy as np
 
 from .allocation import AllocationRule, _calibrate, _myerson
 from .errors import InvalidInputError, SolverError
-from .virtual_cost import CostSet, _pav, virtual_costs
+from .virtual_cost import CostSet, _iron, virtual_costs
 
 __all__ = [
     "IgnoreRule",
@@ -245,7 +245,7 @@ def solve_ci(cost_set: CostSet, budget: float, beta: float) -> tuple[AllocationR
     if not np.isfinite(beta) or beta <= 0:
         raise InvalidInputError("beta must be a positive finite real")
     psi = virtual_costs(cost_set)
-    phi = _pav(psi)
+    phi = _iron(psi)
     alloc, lam, saturated, u, threshold, fraction, mass = _solve_ci_arrays(phi, psi, budget, beta)
     rule = AllocationRule(probabilities=alloc, lam=lam, saturated=saturated)
     ignore = IgnoreRule(
@@ -279,7 +279,7 @@ def _deployed_policy(costs: np.ndarray, alloc: np.ndarray, u: np.ndarray):
 def _rule_for(cost_set: CostSet, budget: float, mass: float):
     """``_rule_at_mass`` on a cost set; returns ``(alloc, saturated, u)``."""
     psi = virtual_costs(cost_set)
-    phi = _pav(psi)
+    phi = _iron(psi)
     starts, ends = _phi_blocks(phi)
     alloc, _, saturated, u, _, _ = _rule_at_mass(phi, psi, starts, ends, budget, mass)
     return alloc, saturated, u

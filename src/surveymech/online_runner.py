@@ -20,16 +20,15 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .allocation import AllocationRule, _calibrate, _myerson, solve_unbiased, worst_case_variance
+from .allocation import AllocationRule, _calibrate_rows, _myerson, solve_unbiased, worst_case_variance
 from .ci_solver import _deployed_policy, _solve_ci_arrays, _variance_sum, ci_parameters, solve_ci
 from .errors import InvalidInputError
 from .estimation import CIOutput, bernstein_interval, sample_variance
 from .populations import Population
-from .virtual_cost import CostSet, _pav, _psi_from_sorted
+from .virtual_cost import CostSet, _iron_rows, _psi_from_sorted
 
 __all__ = [
     "BudgetSchedule",
@@ -47,6 +46,10 @@ __all__ = [
     "transcripts_to_csv",
     "run_summary_json",
 ]
+
+# Rows per batch of ``_solve_rounds``: keeps its padded temporaries at a few
+# MB on grids of up to a few thousand points.
+_BATCH_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -118,26 +121,37 @@ class CIRunResult:
     transcripts: list = field(default_factory=list)
 
 
-def _unbiased_round(grid: tuple[float, ...], budget: float):
-    """Solve one round's rule and payments on a sorted grid; cache-friendly."""
-    if budget <= 0:
+def _solve_rounds(costs, sizes, budgets, beta):
+    """Solve a batch of rounds, one per row of the 2-D ``costs``.
+
+    Row ``r`` is a sorted grid of ``sizes[r]`` costs with round budget
+    ``budgets[r]``, padded by repeating its last cost.  Virtual costs and
+    ironing run on all rows together; the unbiased task also calibrates and
+    prices them together, while the CI task (``beta`` not None) solves each
+    row with ``_solve_ci_arrays`` and ``_deployed_policy``.  Returns one
+    tuple per row: ``(costs, A, payments)``, or ``(costs, A, ignored,
+    payments)`` for the CI task.
+    """
+    if beta is None and min(budgets) <= 0:
         raise InvalidInputError("unbiased rounds need a positive budget")
-    costs = np.asarray(grid)
     psi = _psi_from_sorted(costs)
-    phi = _pav(psi)
-    alloc, _, _ = _calibrate(phi, psi, None, budget)
-    payments = _myerson(costs, alloc)
-    return costs, alloc, payments
+    phi = _iron_rows(psi, sizes)
+    lengths = sizes.tolist()
 
+    def rows(values):
+        # copies, so a cached rule holds its own row and not the whole batch
+        return [values[r, :m].copy() for r, m in enumerate(lengths)]
 
-def _ci_round(grid: tuple[float, ...], budget: float, beta: float):
-    """Solve one CI round: allocation, deployed ignore indicator, payments."""
-    costs = np.asarray(grid)
-    psi = _psi_from_sorted(costs)
-    phi = _pav(psi)
-    alloc, _, _, u, _, _, _ = _solve_ci_arrays(phi, psi, budget, beta)
-    ignored, payments = _deployed_policy(costs, alloc, u)
-    return costs, alloc, ignored, payments
+    if beta is None:
+        alloc, _, _ = _calibrate_rows(phi, psi, None, budgets, sizes)
+        return list(zip(rows(costs), rows(alloc), rows(_myerson(costs, alloc))))
+    solved = []
+    for r, (grid, budget) in enumerate(zip(rows(costs), budgets)):
+        m = grid.size
+        alloc, _, _, u, _, _, _ = _solve_ci_arrays(phi[r, :m], psi[r, :m], budget, beta)
+        ignored, payments = _deployed_policy(grid, alloc, u)
+        solved.append((grid, alloc, ignored, payments))
+    return solved
 
 
 def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record):
@@ -151,35 +165,71 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record):
     for another budget or ``beta`` is solved again: the same grid recurs at a
     later round after a flagged arrival, and a shared cache may have served
     a run at another ``gamma``.
+
+    No round's grid depends on a purchase, so the run takes three steps: one
+    pass looks every round up; the misses are solved together by
+    ``_solve_rounds``, ``_BATCH_ROWS`` at a time, and enter the cache in
+    round order; a last pass makes the offers with one draw of ``n``
+    purchase coins.
     """
     n = costs_seq.size
     ci = gamma is not None
     beta = ci_parameters(gamma, n).beta if ci else None
-    solve_round = partial(_ci_round, beta=beta) if ci else _unbiased_round
     grid: list[float] = [cap]
+    # Per round: (grid key, position of the cost on it, cache entry), where
+    # the entry is None on a flagged round and an index into ``misses`` on a
+    # round still to be solved.  Every round not flagged adds its cost to the
+    # grid, so no grid is missed twice in one run.
+    plan: list[tuple] = []
+    misses: list[tuple] = []  # (grid key, budget, grid size)
+    for i, cost in enumerate(costs_seq.tolist(), 1):
+        if cost > cap:
+            plan.append((tuple(grid) if record else None, 0, None))
+            continue
+        key = tuple(grid)
+        budget = schedule.per_round(i)
+        entry = cache.get(key)
+        if entry is None or entry[-2:] != (budget, beta):
+            entry = len(misses)
+            misses.append((key, budget, len(grid)))
+        plan.append((key, bisect.bisect_left(grid, cost), entry))
+        bisect.insort(grid, cost)
+    solved: list[tuple] = []
+    if misses:
+        # A grid is the sorted first k of the cap and the costs not flagged;
+        # the stable sort keeps ties in arrival order, as ``insort`` does.
+        arrivals = np.concatenate(([cap], costs_seq[~(costs_seq > cap)]))
+        order = np.argsort(arrivals, kind="stable")
+        sorted_arrivals = arrivals[order]
+        for lo in range(0, len(misses), _BATCH_ROWS):
+            batch = misses[lo:lo + _BATCH_ROWS]
+            sizes = np.array([k for _, _, k in batch])
+            taken = order < sizes[:, None]
+            costs = np.full((len(batch), int(sizes.max())), cap)
+            costs[np.arange(costs.shape[1]) < sizes[:, None]] = np.broadcast_to(
+                sorted_arrivals, taken.shape)[taken]
+            solved += _solve_rounds(costs, sizes, [b for _, b, _ in batch], beta)
+    for j, (key, budget, _) in enumerate(misses):
+        solved[j] += (budget, beta)
+        cache[key] = solved[j]
+    coins = rng.random(n).tolist()
     y = np.zeros(n)
     total_paid = 0.0
     flagged = 0
     ignored_count = 0
     transcripts: list[RoundTranscript] = []
-    for i in range(1, n + 1):
-        cost = float(costs_seq[i - 1])
-        budget = schedule.per_round(i)
-        coin = rng.random()
-        if cost > cap:
+    for i, (key, idx, entry) in enumerate(plan, 1):
+        if entry is None:
             flagged += 1
             if record:
                 transcripts.append(RoundTranscript(
-                    round_index=i, cost=cost, grid=tuple(grid), alloc=0.0,
+                    round_index=i, cost=float(costs_seq[i - 1]), grid=key, alloc=0.0,
                     payment_offer=float("nan"), ignored=False, purchased=False,
                     observed=0.0, y=0.0, paid=0.0, flagged=True,
                 ))
             continue
-        key = tuple(grid)
-        entry = cache.get(key)
-        if entry is None or entry[-2:] != (budget, beta):
-            entry = cache[key] = solve_round(key, budget) + (budget, beta)
-        idx = int(np.searchsorted(entry[0], cost, side="left"))
+        if type(entry) is int:
+            entry = solved[entry]
         a = float(entry[1][idx])
         ignored = ci and bool(entry[2][idx])
         if ignored:
@@ -189,18 +239,17 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record):
             observed = 0.0
         else:
             p = float(entry[-3][idx])
-            purchased = coin < a
+            purchased = coins[i - 1] < a
             observed = float(data_seq[i - 1]) if purchased else 0.0
             y[i - 1] = observed / a
         paid = p if purchased else 0.0
         total_paid += paid
         if record:
             transcripts.append(RoundTranscript(
-                round_index=i, cost=cost, grid=key, alloc=a, payment_offer=p,
-                ignored=ignored, purchased=purchased, observed=observed,
+                round_index=i, cost=float(costs_seq[i - 1]), grid=key, alloc=a,
+                payment_offer=p, ignored=ignored, purchased=purchased, observed=observed,
                 y=float(y[i - 1]), paid=paid,
             ))
-        bisect.insort(grid, cost)
     mean = float(np.mean(y))
     if not ci:
         return UnbiasedRunResult(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -41,6 +42,33 @@ __all__ = [
 ]
 
 _TASKS = ("unbiased", "ci")
+
+# Grid points the Monte Carlo round cache keeps, about 8 MB of entries.
+_CACHE_POINTS = 2**18
+
+
+class _RoundCache(OrderedDict):
+    """Round cache that evicts its oldest entries beyond ``max_points`` grid points.
+
+    A grid's points are counted when its key is first added, and the key
+    added last is never evicted; a key stored again keeps its place, as in a
+    dict.  Evicting through ``popitem`` reuses the hash ``OrderedDict`` keeps
+    for each key, so long keys are not hashed again.
+    """
+
+    def __init__(self, max_points: int):
+        super().__init__()
+        self.max_points = max_points
+        self.points = 0
+
+    def __setitem__(self, key, entry):
+        size = len(self)
+        super().__setitem__(key, entry)
+        if len(self) > size:
+            self.points += len(key)
+        while self.points > self.max_points and len(self) > 1:
+            oldest, _ = self.popitem(last=False)
+            self.points -= len(oldest)
 
 
 @dataclass(frozen=True)
@@ -91,7 +119,7 @@ def _mc_batch(task, costs, data, cap, budget, gamma, master_seed, run_lo, run_hi
     covered = np.zeros(count)
     flagged = np.zeros(count, dtype=np.int64)
     pop_mean = float(np.mean(data))
-    cache: dict = {}
+    cache = _RoundCache(_CACHE_POINTS)
     if task == "unbiased":
         schedule = unbiased_schedule(n, budget)
         gamma = None

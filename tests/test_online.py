@@ -10,6 +10,7 @@ from surveymech import (
     Population,
     benchmark_ci,
     benchmark_unbiased,
+    ci_parameters,
     ci_schedule,
     gen_population,
     run_ci_online,
@@ -21,6 +22,7 @@ from surveymech import (
     virtual_costs,
     worst_case_variance,
 )
+from surveymech.online_runner import _solve_rounds
 
 
 def make_pop(costs, data=None, cap=None):
@@ -103,6 +105,20 @@ class TestRunUnbiased:
         flagged = [t for t in res.transcripts if t.flagged]
         assert len(flagged) == 1 and flagged[0].y == 0.0 and not flagged[0].purchased
 
+    def test_flagged_round_transcript(self):
+        # Round 2 reports above the cap override: it is declined on the grid
+        # of round 1's report plus the cap, and round 3 meets that same grid.
+        pop = Population(costs=np.array([1.0, 5.0, 2.0]), data=np.array([0.5, 0.7, 0.9]), cap=6.0)
+        res = run_unbiased_online(pop, unbiased_schedule(3, 4.0), 0, cap=4.0)
+        t = res.transcripts[1]
+        assert (t.round_index, t.cost, t.flagged) == (2, 5.0, True)
+        assert t.grid == (1.0, 4.0)
+        assert t.alloc == 0.0 and math.isnan(t.payment_offer)
+        assert not t.purchased and not t.ignored
+        assert (t.observed, t.y, t.paid) == (0.0, 0.0, 0.0)
+        after = res.transcripts[2]
+        assert after.grid == (1.0, 4.0) and not after.flagged and after.purchased
+
     def test_transcript_reweighting(self):
         pop = make_pop([1, 2, 3], cap=4.0)
         sched = unbiased_schedule(3, 5.0)
@@ -172,6 +188,55 @@ class TestRunCI:
         assert (warm.ignored_count, warm.total_paid) == (200, 0.0)
         assert warm.interval == fresh.interval
 
+    def test_ignored_round_transcript(self):
+        pop = gen_population(
+            {"kind": "two_point", "fractions": [0.85, 0.15], "costs": [1.0, 20.0],
+             "data": [1.0, 0.3]},
+            200, 25.0, 0,
+        )
+        perm = np.random.default_rng(5).permutation(200)
+        arrived = Population(costs=pop.costs[perm], data=pop.data[perm], cap=25.0)
+        sched = ci_schedule(200, 300.0)
+        res = run_ci_online(arrived, sched, 0.95, rng_seed=11)
+        assert (res.ignored_count, sum(t.purchased for t in res.transcripts)) == (187, 13)
+        t = res.transcripts[198]
+        assert (t.round_index, t.cost, t.ignored, t.flagged) == (199, 1.0, True, False)
+        assert t.alloc == pytest.approx(0.6040363458752281, abs=1e-12)
+        assert math.isnan(t.payment_offer) and not t.purchased
+        assert (t.observed, t.y, t.paid) == (0.0, 0.0, 0.0)
+        # the offer shown is the round rule's allocation at the report
+        beta = ci_parameters(0.95, 200).beta
+        [(grid, alloc, ignored, _)] = _solve_rounds(
+            np.array([t.grid]), np.array([len(t.grid)]), [sched.per_round(199)], beta
+        )
+        idx = int(np.searchsorted(grid, t.cost))
+        assert len(t.grid) == 199 and ignored[idx] and t.alloc == alloc[idx]
+
+
+class TestUserCache:
+    @pytest.mark.parametrize("gamma", [None, 0.9])
+    def test_receives_every_solved_grid_in_round_order(self, gamma):
+        # A cap override flags some arrivals; every other round's grid is
+        # stored once, in round order, as slots 0-3 + (budget, beta).
+        pop = gen_population({"kind": "independent"}, 60, 25.0, 3)
+        cache: dict = {}
+        if gamma is None:
+            sched, beta, width = unbiased_schedule(60, 90.0), None, 3
+            res = run_unbiased_online(pop, sched, 1, cap=20.0, cache=cache)
+        else:
+            sched, beta, width = ci_schedule(60, 90.0), ci_parameters(gamma, 60).beta, 4
+            res = run_ci_online(pop, sched, gamma, 1, cap=20.0, cache=cache)
+        solved = [t for t in res.transcripts if not t.flagged]
+        assert 0 < res.flagged < 60
+        assert list(cache) == [t.grid for t in solved]
+        for t in solved:
+            entry = cache[t.grid]
+            budget = sched.per_round(t.round_index)
+            assert len(entry) == width + 2 and entry[-2:] == (budget, beta)
+            [want] = _solve_rounds(np.array([t.grid]), np.array([len(t.grid)]), [budget], beta)
+            for got, part in zip(entry[:width], want):
+                assert np.array_equal(got, part, equal_nan=True)
+
 
 class TestBenchmarks:
     def test_free_data(self):
@@ -226,19 +291,19 @@ class TestBenchmarks:
 class TestPerRoundTruthfulness:
     def test_unbiased_round_mechanisms_pass_audit(self):
         from surveymech import truthfulness_audit
-        from surveymech.online_runner import _unbiased_round
 
         pop = make_pop([1, 5, 2, 4, 3, 2.5, 1.5], cap=6.0)
         sched = unbiased_schedule(7, 12.0)
         res = run_unbiased_online(pop, sched, rng_seed=5)
         for t in res.transcripts:
-            grid, alloc, payments = _unbiased_round(t.grid, sched.per_round(t.round_index))
+            [(grid, alloc, payments)] = _solve_rounds(
+                np.array([t.grid]), np.array([len(t.grid)]), [sched.per_round(t.round_index)], None
+            )
             rep = truthfulness_audit(grid, alloc, payments, cap=float(grid[-1]))
             assert rep.passed, (t.round_index, rep)
 
     def test_ci_round_effective_mechanisms_pass_audit(self):
         from surveymech import alpha_gamma, truthfulness_audit
-        from surveymech.online_runner import _ci_round
 
         pop = make_pop([1, 1, 9, 2, 9, 1.5, 8, 3], cap=9.0)
         n = pop.n
@@ -246,8 +311,8 @@ class TestPerRoundTruthfulness:
         beta = 2 * alpha_gamma(0.9) / math.sqrt(n)
         res = run_ci_online(pop, sched, 0.9, rng_seed=5)
         for t in res.transcripts:
-            grid, alloc, ignored, payments = _ci_round(
-                t.grid, sched.per_round(t.round_index), beta
+            [(grid, alloc, ignored, payments)] = _solve_rounds(
+                np.array([t.grid]), np.array([len(t.grid)]), [sched.per_round(t.round_index)], beta
             )
             effective = np.where(ignored, 0.0, alloc)
             rep = truthfulness_audit(grid, effective, payments, cap=float(grid[-1]))

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from surveymech import (
     run_log_csv,
     truthfulness_audit,
 )
+from surveymech import simharness
 
 
 @pytest.fixture(scope="module")
@@ -148,3 +150,38 @@ class TestReports:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "run,estimate,spend,lower,upper,covered"
         assert len(lines) == 6
+
+
+class TestRoundCacheBound:
+    def test_harness_cache_never_exceeds_its_point_bound(self, monkeypatch):
+        # 4 runs of 80 rounds store 4 * 3240 grid points, all kept under the
+        # default bound; a bound of 1000 evicts most and changes no output.
+        pop = gen_population({"kind": "independent"}, 80, 25.0, 2)
+        args = ("unbiased", pop, 120.0, None, 4, 9)
+        _, unbounded = monte_carlo(*args, return_per_run=True)
+        seen = []
+
+        class Spy(simharness._RoundCache):
+            def __setitem__(self, key, entry):
+                super().__setitem__(key, entry)
+                seen.append((self.points, sum(map(len, self))))
+
+        monkeypatch.setattr(simharness, "_RoundCache", Spy)
+        monkeypatch.setattr(simharness, "_CACHE_POINTS", 1000)
+        _, bounded = monte_carlo(*args, return_per_run=True)
+        assert len(seen) > 4 * 80 / 2
+        assert all(counted == stored <= 1000 for counted, stored in seen)
+        for key, values in unbounded.items():
+            assert np.array_equal(bounded[key], values, equal_nan=True), key
+
+    def test_continuous_costs_run_in_bounded_memory(self):
+        # Every round misses with continuous costs: 6 runs at n = 600 solve
+        # 6 * 180,300 grid points; kept without a bound they peak at 35 MB.
+        pop = gen_population({"kind": "independent"}, 600, 25.0, 4)
+        tracemalloc.start()
+        try:
+            monte_carlo("unbiased", pop, 900.0, None, 6, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
