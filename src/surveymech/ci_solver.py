@@ -114,42 +114,36 @@ def _phi_blocks(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, ends
 
 
-def _fill_from_top(sizes, mass: float) -> tuple[int, float]:
-    """Spread ignored mass ``mass`` over the blocks of ``sizes`` from the top.
+def _ignore_profile(phi: np.ndarray, starts: np.ndarray, ends: np.ndarray, mass: float):
+    """Per-cost ignore probabilities of mass ``mass``, filled from the top.
 
-    Returns ``(top, fraction)``: every block above ``top`` is ignored in full
-    and block ``top`` in ``fraction`` of its size, with ``0 < fraction <= 1``;
-    ``top == len(sizes)`` (fraction 1) when nothing is ignored.
+    Blocks are ignored in full from the top down until less mass is left
+    than the next block holds; that block is ignored in the fraction of its
+    size that is left.  Nothing is ignored at mass zero.
     """
+    sizes = (ends - starts).tolist()
+    u = np.zeros(phi.size)
     top = len(sizes)
     rem = mass
     while rem > 0 and top > 0:
         top -= 1
         if rem < sizes[top]:
-            return top, rem / sizes[top]
+            u[starts[top]:ends[top]] = rem / sizes[top]
+            u[ends[top]:] = 1.0
+            return u
         rem -= sizes[top]
-    return top, 1.0
-
-
-def _ignore_profile(phi: np.ndarray, starts: np.ndarray, ends: np.ndarray, mass: float):
-    """Per-cost ignore probabilities of mass ``mass``, with threshold and fraction."""
-    top, fraction = _fill_from_top((ends - starts).tolist(), mass)
-    u = np.zeros(phi.size)
-    if top == starts.size:
-        return u, math.inf, fraction
-    u[starts[top]:ends[top]] = fraction
-    u[ends[top]:] = 1.0
-    return u, float(phi[starts[top]]), fraction
+    if top < len(sizes):
+        u[starts[top]:] = 1.0
+    return u
 
 
 def _rule_at_mass(phi, psi, starts, ends, budget, mass):
     """The rule at ignored mass ``mass``: fill it from the top, then calibrate.
 
-    Returns ``(alloc, lam, saturated, u, threshold, fraction)``.
+    Returns ``(alloc, lam, saturated, u)``.
     """
-    u, threshold, fraction = _ignore_profile(phi, starts, ends, mass)
-    alloc, lam, saturated = _calibrate(phi, psi, 1.0 - u, budget)
-    return alloc, lam, saturated, u, threshold, fraction
+    u = _ignore_profile(phi, starts, ends, mass)
+    return _calibrate(phi, psi, 1.0 - u, budget) + (u,)
 
 
 def _optimal_mass(phi, starts, ends, budget, beta):
@@ -217,7 +211,7 @@ def _optimal_mass(phi, starts, ends, budget, beta):
 
 
 def _solve_ci_arrays(phi, psi, budget, beta):
-    """Full CI solve on raw arrays; returns (alloc, lam, saturated, u, H, p, mass)."""
+    """Full CI solve on raw arrays; returns ``(alloc, lam, saturated, u, mass)``."""
     starts, ends = _phi_blocks(phi)
     mass, slack = _optimal_mass(phi, starts, ends, budget, beta)
     rule = _rule_at_mass(phi, psi, starts, ends, budget, mass)
@@ -246,7 +240,12 @@ def solve_ci(cost_set: CostSet, budget: float, beta: float) -> tuple[AllocationR
         raise InvalidInputError("beta must be a positive finite real")
     psi = virtual_costs(cost_set)
     phi = _iron(psi)
-    alloc, lam, saturated, u, threshold, fraction, mass = _solve_ci_arrays(phi, psi, budget, beta)
+    alloc, lam, saturated, u, mass = _solve_ci_arrays(phi, psi, budget, beta)
+    # The boundary block is the lowest one with any ignore probability.
+    touched = np.flatnonzero(u > 0)
+    threshold, fraction = math.inf, 1.0
+    if touched.size:
+        threshold, fraction = float(phi[touched[0]]), float(u[touched[0]])
     rule = AllocationRule(probabilities=alloc, lam=lam, saturated=saturated)
     ignore = IgnoreRule(
         u_values=u,
@@ -281,7 +280,7 @@ def _rule_for(cost_set: CostSet, budget: float, mass: float):
     psi = virtual_costs(cost_set)
     phi = _iron(psi)
     starts, ends = _phi_blocks(phi)
-    alloc, _, saturated, u, _, _ = _rule_at_mass(phi, psi, starts, ends, budget, mass)
+    alloc, _, saturated, u = _rule_at_mass(phi, psi, starts, ends, budget, mass)
     return alloc, saturated, u
 
 

@@ -64,14 +64,25 @@ def _load_config(path: str) -> dict:
     return config
 
 
-def _merged(args: argparse.Namespace, names: list[str]) -> dict:
+def _merged(args: argparse.Namespace) -> dict:
     """Flag values overridden by any config keys of the same name."""
-    merged = {name: getattr(args, name, None) for name in names}
-    if getattr(args, "config", None):
-        config = _load_config(args.config)
-        for key, value in config.items():
-            merged[key] = value
+    merged = vars(args).copy()
+    if args.config:
+        merged.update(_load_config(args.config))
     return merged
+
+
+def _costs_from(opts: dict) -> list[float]:
+    """The costs of ``--costs`` (or a config list), else of ``--costs-file``."""
+    if opts.get("costs") is not None:
+        costs = opts["costs"] if isinstance(opts["costs"], list) else _parse_costs(opts["costs"])
+    elif opts.get("costs_file"):
+        costs = _read_costs_file(opts["costs_file"])
+    else:
+        raise ConfigError("provide --costs or --costs-file")
+    if not costs:
+        raise ConfigError("cost list is empty")
+    return costs
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -96,18 +107,11 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    opts = _merged(args, ["task", "costs", "costs_file", "budget", "gamma", "cap", "out"])
+    opts = _merged(args)
     task = opts.get("task")
     if task not in ("unbiased", "ci"):
         raise ConfigError("task must be 'unbiased' or 'ci'")
-    if opts.get("costs") is not None:
-        costs = opts["costs"] if isinstance(opts["costs"], list) else _parse_costs(opts["costs"])
-    elif opts.get("costs_file"):
-        costs = _read_costs_file(opts["costs_file"])
-    else:
-        raise ConfigError("provide --costs or --costs-file")
-    if not costs:
-        raise ConfigError("cost list is empty")
+    costs = _costs_from(opts)
     if opts.get("budget") is None:
         raise ConfigError("provide --budget")
     budget = float(opts["budget"])
@@ -154,7 +158,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _population_from(opts: dict) -> tuple[Population, float]:
+def _population_from(opts: dict) -> Population:
     cap = opts.get("cap")
     if opts.get("population") is not None:
         spec = opts["population"]
@@ -165,25 +169,17 @@ def _population_from(opts: dict) -> tuple[Population, float]:
             raise ConfigError("simulate needs n with a population spec")
         if cap is None:
             raise ConfigError("simulate needs cap with a population spec")
-        pop = gen_population(spec, int(n), float(cap), int(opts.get("pop_seed") or 0))
-        return pop, float(cap)
-    if opts.get("costs") is not None or opts.get("costs_file"):
-        if opts.get("costs") is not None:
-            costs = opts["costs"] if isinstance(opts["costs"], list) else _parse_costs(opts["costs"])
-        else:
-            costs = _read_costs_file(opts["costs_file"])
-        costs = np.asarray(costs, dtype=float)
-        cap = float(cap) if cap is not None else float(np.max(costs))
-        data = np.asarray(opts["data"], dtype=float) if opts.get("data") is not None else np.ones(costs.size)
-        return Population(costs=costs, data=data, cap=cap, correlation_tag="inline"), cap
-    raise ConfigError("simulate needs a population spec (config) or --costs")
+        return gen_population(spec, int(n), float(cap), int(opts.get("pop_seed") or 0))
+    if opts.get("costs") is None and not opts.get("costs_file"):
+        raise ConfigError("simulate needs a population spec (config) or --costs")
+    costs = np.asarray(_costs_from(opts), dtype=float)
+    cap = float(cap) if cap is not None else float(np.max(costs))
+    data = np.asarray(opts["data"], dtype=float) if opts.get("data") is not None else np.ones(costs.size)
+    return Population(costs=costs, data=data, cap=cap)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    opts = _merged(args, [
-        "task", "costs", "costs_file", "budget", "gamma", "cap", "runs", "seed",
-        "threads", "out", "population", "n", "data", "pop_seed",
-    ])
+    opts = _merged(args)
     task = opts.get("task")
     if task not in ("unbiased", "ci"):
         raise ConfigError("task must be 'unbiased' or 'ci'")
@@ -193,7 +189,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if runs < 1:
         raise ConfigError("runs must be at least 1")
     gamma = float(opts["gamma"]) if opts.get("gamma") is not None else None
-    population, _ = _population_from(opts)
+    population = _population_from(opts)
     seed = int(opts.get("seed") or 0)
     workers = int(opts.get("threads") or 1)
     budget = float(opts["budget"])
@@ -232,7 +228,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    opts = _merged(args, ["suite", "trials", "seed"])
+    opts = _merged(args)
     suite = opts.get("suite")
     if suite is None:
         raise ConfigError(f"provide --suite (one of {sorted(SUITES)})")

@@ -77,7 +77,18 @@ def unbiased_schedule(n: int, total_budget: float) -> BudgetSchedule:
 
 
 def ci_schedule(n: int, total_budget: float) -> BudgetSchedule:
-    """Schedule for the confidence-interval task: xi = 1 / (16 sqrt(n))."""
+    """Schedule for the confidence-interval task: xi = 1 / (16 sqrt(n)).
+
+    A deployed CI round spends at most twice its budget ``B``:
+    ``sum_k A_eff_k P_k <= 2 B`` over the round's grid.  The solver binds
+    ``sum_k (1 - U_k) A_k psi_k <= B``.  Deployment keeps an agent only when
+    ``U_k < 1/2`` and then buys at ``A_eff_k = A_k <= 2 (1 - U_k) A_k``;
+    ignored agents get ``A_eff_k = 0``.  Virtual costs on a sorted grid are
+    non-negative, ``psi_k = c_k + (k - 1)(c_k - c_{k-1}) >= 0``, and the
+    payment identity for the monotone ``A_eff`` gives
+    ``sum A_eff P = sum A_eff psi <= 2 sum (1 - U) A psi <= 2 B``.  This xi
+    is a quarter of the unbiased task's, which more than covers the factor 2.
+    """
     if n < 1:
         raise InvalidInputError("n must be at least 1")
     return BudgetSchedule(total_budget=float(total_budget), xi=1.0 / (16.0 * math.sqrt(n)))
@@ -125,33 +136,30 @@ def _solve_rounds(costs, sizes, budgets, beta):
     """Solve a batch of rounds, one per row of the 2-D ``costs``.
 
     Row ``r`` is a sorted grid of ``sizes[r]`` costs with round budget
-    ``budgets[r]``, padded by repeating its last cost.  Virtual costs and
-    ironing run on all rows together; the unbiased task also calibrates and
-    prices them together, while the CI task (``beta`` not None) solves each
-    row with ``_solve_ci_arrays`` and ``_deployed_policy``.  Returns one
-    tuple per row: ``(costs, A, payments)``, or ``(costs, A, ignored,
-    payments)`` for the CI task.
+    ``budgets[r]``, padded by repeating its last cost.  Virtual costs,
+    ironing and payments run on all rows together.  The unbiased task
+    calibrates them together too; the CI task (``beta`` not None) solves
+    each row's ``A`` and ``U`` with ``_solve_ci_arrays``, padded with
+    ``A = 1`` and ``U = 0``, and prices the batch with ``_deployed_policy``.
+    Returns one tuple per row: ``(costs, A, payments)``, or ``(costs, A,
+    ignored, payments)`` for the CI task.
     """
     if beta is None and min(budgets) <= 0:
         raise InvalidInputError("unbiased rounds need a positive budget")
     psi = _psi_from_sorted(costs)
     phi = _iron_rows(psi, sizes)
     lengths = sizes.tolist()
-
-    def rows(values):
-        # copies, so a cached rule holds its own row and not the whole batch
-        return [values[r, :m].copy() for r, m in enumerate(lengths)]
-
     if beta is None:
         alloc, _, _ = _calibrate_rows(phi, psi, None, budgets, sizes)
-        return list(zip(rows(costs), rows(alloc), rows(_myerson(costs, alloc))))
-    solved = []
-    for r, (grid, budget) in enumerate(zip(rows(costs), budgets)):
-        m = grid.size
-        alloc, _, _, u, _, _, _ = _solve_ci_arrays(phi[r, :m], psi[r, :m], budget, beta)
-        ignored, payments = _deployed_policy(grid, alloc, u)
-        solved.append((grid, alloc, ignored, payments))
-    return solved
+        parts = (costs, alloc, _myerson(costs, alloc))
+    else:
+        alloc = np.ones_like(phi)
+        u = np.zeros_like(phi)
+        for r, (m, budget) in enumerate(zip(lengths, budgets)):
+            alloc[r, :m], _, _, u[r, :m], _ = _solve_ci_arrays(phi[r, :m], psi[r, :m], budget, beta)
+        parts = (costs, alloc) + _deployed_policy(costs, alloc, u)
+    # copies, so a cached rule holds its own row and not the whole batch
+    return [tuple(part[r, :m].copy() for part in parts) for r, m in enumerate(lengths)]
 
 
 def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record):
@@ -221,26 +229,18 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record):
     for i, (key, idx, entry) in enumerate(plan, 1):
         if entry is None:
             flagged += 1
-            if record:
-                transcripts.append(RoundTranscript(
-                    round_index=i, cost=float(costs_seq[i - 1]), grid=key, alloc=0.0,
-                    payment_offer=float("nan"), ignored=False, purchased=False,
-                    observed=0.0, y=0.0, paid=0.0, flagged=True,
-                ))
-            continue
-        if type(entry) is int:
-            entry = solved[entry]
-        a = float(entry[1][idx])
-        ignored = ci and bool(entry[2][idx])
-        if ignored:
-            ignored_count += 1
-            p = float("nan")
-            purchased = False
-            observed = 0.0
+            a, p, ignored = 0.0, math.nan, False
         else:
+            if type(entry) is int:
+                entry = solved[entry]
+            a = float(entry[1][idx])
+            ignored = ci and bool(entry[2][idx])
+            # an ignored agent's price is NaN: its effective allocation is zero
             p = float(entry[-3][idx])
-            purchased = coins[i - 1] < a
-            observed = float(data_seq[i - 1]) if purchased else 0.0
+            ignored_count += ignored
+        purchased = not ignored and coins[i - 1] < a
+        observed = float(data_seq[i - 1]) if purchased else 0.0
+        if purchased:
             y[i - 1] = observed / a
         paid = p if purchased else 0.0
         total_paid += paid
@@ -248,7 +248,7 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record):
             transcripts.append(RoundTranscript(
                 round_index=i, cost=float(costs_seq[i - 1]), grid=key, alloc=a,
                 payment_offer=p, ignored=ignored, purchased=purchased, observed=observed,
-                y=float(y[i - 1]), paid=paid,
+                y=float(y[i - 1]), paid=paid, flagged=entry is None,
             ))
     mean = float(np.mean(y))
     if not ci:
@@ -260,6 +260,18 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record):
     return CIRunResult(
         interval=interval, total_paid=total_paid, ignored_count=ignored_count,
         flagged=flagged, transcripts=transcripts,
+    )
+
+
+def _run_population(population, schedule, gamma, rng_seed, cap, record, cache):
+    """``_run_online`` over a population in its given order, for both public runners."""
+    cap = population.cap if cap is None else float(cap)
+    if not math.isfinite(cap):
+        raise InvalidInputError("cap must be a finite real")
+    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    return _run_online(
+        population.costs, population.data, cap, schedule, gamma, rng,
+        {} if cache is None else cache, record,
     )
 
 
@@ -276,12 +288,7 @@ def run_unbiased_online(
     Reports above the cap are declined and flagged: the agent is skipped with
     y = 0, which voids unbiasedness, so the flag is surfaced in the result.
     """
-    cap = population.cap if cap is None else float(cap)
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    return _run_online(
-        population.costs, population.data, cap, schedule, None, rng,
-        {} if cache is None else cache, record_transcripts,
-    )
+    return _run_population(population, schedule, None, rng_seed, cap, record_transcripts, cache)
 
 
 def run_ci_online(
@@ -299,12 +306,7 @@ def run_ci_online(
     indicator (ties ignore); the interval's upper endpoint carries the
     resulting bias allowance ``(# ignored) / n``.
     """
-    cap = population.cap if cap is None else float(cap)
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    return _run_online(
-        population.costs, population.data, cap, schedule, gamma, rng,
-        {} if cache is None else cache, record_transcripts,
-    )
+    return _run_population(population, schedule, gamma, rng_seed, cap, record_transcripts, cache)
 
 
 def _augmented(costs, cap: float) -> CostSet:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,12 +14,11 @@ __all__ = ["Population", "gen_population"]
 
 @dataclass(frozen=True)
 class Population:
-    """Paired costs and data with the cost cap and a generator tag."""
+    """Paired costs and data with the cost cap."""
 
     costs: np.ndarray
     data: np.ndarray
     cap: float
-    correlation_tag: str = ""
 
     def __post_init__(self):
         costs = np.asarray(self.costs, dtype=float)
@@ -26,9 +26,12 @@ class Population:
         if costs.ndim != 1 or costs.size == 0 or costs.shape != data.shape:
             raise ConfigError("costs and data must be non-empty 1-D arrays of equal length")
         cap = float(self.cap)
-        if np.any(costs < 0) or np.any(costs > cap):
+        # written so that NaN fails both checks
+        if not np.all((0 <= costs) & (costs <= cap)):
             raise ConfigError("costs must lie in [0, cap]")
-        if np.any(data < 0) or np.any(data > 1):
+        if not math.isfinite(cap):
+            raise ConfigError("cap must be a finite real")
+        if not np.all((0 <= data) & (data <= 1)):
             raise ConfigError("data must lie in [0, 1]")
         costs = costs.copy()
         data = data.copy()
@@ -126,4 +129,4 @@ def gen_population(spec, n: int, cap: float, seed) -> Population:
     else:
         raise ConfigError(f"unknown population kind {kind!r}")
 
-    return Population(costs=costs, data=data, cap=cap, correlation_tag=kind)
+    return Population(costs=costs, data=data, cap=cap)

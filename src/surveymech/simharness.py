@@ -27,11 +27,9 @@ from .online_runner import (
     unbiased_bound_rhs,
     unbiased_schedule,
 )
-from .populations import Population, gen_population  # noqa: F401  (re-export)
+from .populations import Population
 
 __all__ = [
-    "Population",
-    "gen_population",
     "SimMetrics",
     "monte_carlo",
     "truthfulness_audit",
@@ -45,6 +43,10 @@ _TASKS = ("unbiased", "ci")
 
 # Grid points the Monte Carlo round cache keeps, about 8 MB of entries.
 _CACHE_POINTS = 2**18
+# Points of the uniform grid ``truthfulness_audit`` checks the extension on,
+# and the violation it tolerates.
+_AUDIT_POINTS = 201
+_AUDIT_TOL = 1e-9
 
 
 class _RoundCache(OrderedDict):
@@ -191,33 +193,25 @@ def monte_carlo(
     )
 
     n = population.n
-    est_var = float(np.var(estimates, ddof=1)) if runs > 1 else 0.0
-    if task == "unbiased":
-        rule, var_star = benchmark_unbiased(population.costs, population.cap, budget)
-        rhs = unbiased_bound_rhs(n, var_star, float(rule.probabilities[-1]))
-        metrics = SimMetrics(
-            task=task, runs=runs,
-            estimator_mean=float(np.mean(estimates)),
-            estimator_variance=est_var,
-            expected_spend=float(np.mean(spends)),
-            ci_mean_length=None, ci_coverage=None,
-            benchmark_var_star=var_star, benchmark_L_star=None,
-            bound_rhs_unbiased=rhs, bound_rhs_ci=None,
-            seed=master_seed, flagged_count=int(np.sum(flagged)),
-        )
-    else:
+    ci = task == "ci"
+    var_star = l_star = rhs_unbiased = rhs_ci = None
+    if ci:
         _, l_star = benchmark_ci(population.costs, population.cap, budget, gamma)
-        metrics = SimMetrics(
-            task=task, runs=runs,
-            estimator_mean=float(np.mean(estimates)),
-            estimator_variance=est_var,
-            expected_spend=float(np.mean(spends)),
-            ci_mean_length=float(np.mean(lengths)),
-            ci_coverage=float(np.mean(covered)),
-            benchmark_var_star=None, benchmark_L_star=l_star,
-            bound_rhs_unbiased=None, bound_rhs_ci=ci_bound_rhs(n, l_star),
-            seed=master_seed, flagged_count=int(np.sum(flagged)),
-        )
+        rhs_ci = ci_bound_rhs(n, l_star)
+    else:
+        rule, var_star = benchmark_unbiased(population.costs, population.cap, budget)
+        rhs_unbiased = unbiased_bound_rhs(n, var_star, float(rule.probabilities[-1]))
+    metrics = SimMetrics(
+        task=task, runs=runs,
+        estimator_mean=float(np.mean(estimates)),
+        estimator_variance=float(np.var(estimates, ddof=1)) if runs > 1 else 0.0,
+        expected_spend=float(np.mean(spends)),
+        ci_mean_length=float(np.mean(lengths)) if ci else None,
+        ci_coverage=float(np.mean(covered)) if ci else None,
+        benchmark_var_star=var_star, benchmark_L_star=l_star,
+        bound_rhs_unbiased=rhs_unbiased, bound_rhs_ci=rhs_ci,
+        seed=master_seed, flagged_count=int(np.sum(flagged)),
+    )
     if return_per_run:
         per_run = {
             "estimate": estimates, "spend": spends, "lower": lowers,
@@ -228,51 +222,41 @@ def monte_carlo(
     return metrics
 
 
-def truthfulness_audit(
-    costs,
-    alloc,
-    payments,
-    cap: float | None = None,
-    grid_points: int = 201,
-    tol: float = 1e-9,
-) -> AuditReport:
+def _max_gain(costs, alloc, payments):
+    """Largest gain of any of ``costs`` from reporting another over the truth.
+
+    ``util[t, r]`` is the utility of true cost ``costs[t]`` reporting
+    ``costs[r]``, which is allocated ``alloc[r]`` at price ``payments[r]``;
+    a zero-allocation report earns nothing.
+    """
+    gains = np.where(alloc > 0, alloc * payments, 0.0)
+    util = gains[None, :] - costs[:, None] * alloc[None, :]
+    return float(np.max(util.max(axis=1) - np.diag(util)))
+
+
+def truthfulness_audit(costs, alloc, payments) -> AuditReport:
     """Max truthfulness/IR violation of a discrete rule and its extension.
 
     Checks every ordered (true, reported) pair on the discrete grid and on a
-    uniform ``grid_points`` grid of [0, cap]; the utility of reporting a cost
-    with zero allocation is zero.  Passes iff no violation exceeds ``tol``.
+    uniform grid of ``_AUDIT_POINTS`` costs over [0, largest cost], each
+    taking the rule of the least grid cost at or above it; the utility of
+    reporting a cost with zero allocation is zero.  Passes iff no violation
+    exceeds ``_AUDIT_TOL``.
     """
     costs = np.asarray(costs, dtype=float)
     alloc = np.asarray(alloc, dtype=float)
     payments = np.asarray(payments, dtype=float)
     if costs.shape != alloc.shape or costs.shape != payments.shape or costs.ndim != 1:
         raise InvalidInputError("costs, alloc and payments must be aligned 1-D arrays")
-    cap = float(costs[-1]) if cap is None else float(cap)
-    if cap > costs[-1]:
-        raise InvalidInputError("extension audit needs the cap present in the grid")
-
-    def pair_violation(true_costs, report_alloc, report_pay):
-        # utility[t, r] of true cost t reporting r; zero-alloc reports pay nothing
-        gains = np.where(report_alloc > 0, report_alloc * report_pay, 0.0)
-        util = gains[None, :] - true_costs[:, None] * report_alloc[None, :]
-        truthful = np.diag(util) if util.shape[0] == util.shape[1] else None
-        return util, truthful
-
-    util, truthful = pair_violation(costs, alloc, payments)
-    max_violation = float(np.max(util.max(axis=1) - truthful))
-
-    grid = np.linspace(0.0, cap, grid_points)
+    grid = np.linspace(0.0, float(costs[-1]), _AUDIT_POINTS)
     idx = np.searchsorted(costs, grid, side="left")
-    a_ext = alloc[idx]
-    p_ext = payments[idx]
-    gains = np.where(a_ext > 0, a_ext * p_ext, 0.0)
-    util_ext = gains[None, :] - grid[:, None] * a_ext[None, :]
-    truthful_ext = np.diag(util_ext)
-    max_violation = max(max_violation, float(np.max(util_ext.max(axis=1) - truthful_ext)))
-
+    max_violation = max(
+        _max_gain(costs, alloc, payments),
+        _max_gain(grid, alloc[idx], payments[idx]),
+    )
     live = alloc > 0
     ir_violation = float(np.max(costs[live] - payments[live])) if np.any(live) else 0.0
-    passed = max_violation <= tol and ir_violation <= tol
+    passed = max_violation <= _AUDIT_TOL and ir_violation <= _AUDIT_TOL
     return AuditReport(max_violation=max_violation, ir_violation=ir_violation, passed=passed)
 
 

@@ -122,6 +122,20 @@ class TestSimulate:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--costs", "1,nan,2"],
+        ["--costs", "1,2,3", "--cap", "inf"],
+    ], ids=["nan_cost", "infinite_cap"])
+    def test_non_finite_population_usage_error(self, flags, tmp_path, capsys):
+        code = run_cli([
+            "simulate", "--task", "unbiased", *flags, "--budget", "3", "--runs", "3",
+            "--out", str(tmp_path / "rep"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_determinism_across_threads(self, tmp_path):
         args = [
             "simulate", "--task", "unbiased", "--costs", "1,1,2,2,3",

@@ -22,6 +22,7 @@ from surveymech import (
     virtual_costs,
     worst_case_variance,
 )
+from surveymech.audits import random_cost_set
 from surveymech.online_runner import _solve_rounds
 
 
@@ -96,6 +97,18 @@ class TestRunUnbiased:
         cache: dict = {}
         round_allocs([1, 2, 3], cache)
         assert round_allocs([5, 1, 2], cache) == fresh
+
+    @pytest.mark.parametrize("run", ["unbiased", "ci"])
+    @pytest.mark.parametrize("cap", [float("inf"), float("nan")])
+    def test_rejects_non_finite_cap_override(self, run, cap):
+        # An infinite override once ran to a silent estimate of 0.0, and NaN
+        # failed inside the round engine.
+        pop = make_pop([1.0, 2.0, 3.0])
+        with pytest.raises(InvalidInputError):
+            if run == "unbiased":
+                run_unbiased_online(pop, unbiased_schedule(3, 3.0), 0, cap=cap)
+            else:
+                run_ci_online(pop, ci_schedule(3, 3.0), 0.9, 0, cap=cap)
 
     def test_flagged_report_above_cap(self):
         pop = Population(costs=np.array([1.0, 2.0]), data=np.ones(2), cap=5.0)
@@ -299,7 +312,7 @@ class TestPerRoundTruthfulness:
             [(grid, alloc, payments)] = _solve_rounds(
                 np.array([t.grid]), np.array([len(t.grid)]), [sched.per_round(t.round_index)], None
             )
-            rep = truthfulness_audit(grid, alloc, payments, cap=float(grid[-1]))
+            rep = truthfulness_audit(grid, alloc, payments)
             assert rep.passed, (t.round_index, rep)
 
     def test_ci_round_effective_mechanisms_pass_audit(self):
@@ -315,8 +328,32 @@ class TestPerRoundTruthfulness:
                 np.array([t.grid]), np.array([len(t.grid)]), [sched.per_round(t.round_index)], beta
             )
             effective = np.where(ignored, 0.0, alloc)
-            rep = truthfulness_audit(grid, effective, payments, cap=float(grid[-1]))
+            rep = truthfulness_audit(grid, effective, payments)
             assert rep.passed, (t.round_index, rep)
+
+
+class TestRoundSpend:
+    def test_unbiased_within_budget_and_deployed_ci_within_twice(self):
+        # A round spends sum(A * P) over its grid.  The unbiased round binds
+        # its budget; the deployed CI round keeps U < 1/2 agents at their
+        # full A and so may spend up to twice it (see ``ci_schedule``).
+        rng = np.random.default_rng(8)
+        worst_unbiased = worst_ci = 0.0
+        for _ in range(3000):
+            cs = random_cost_set(rng, max_m=79)
+            grid = np.append(cs.costs, cs.cap)
+            psi_sum = float(np.sum(virtual_costs(CostSet(costs=grid, cap=cs.cap))))
+            budget = float(rng.uniform(0.01, 1.3)) * psi_sum
+            beta = ci_parameters(float(rng.uniform(0.05, 0.95)), int(rng.integers(2, 401))).beta
+            batch = (grid[None, :], np.array([grid.size]), [budget])
+            [(_, alloc, payments)] = _solve_rounds(*batch, None)
+            [(_, alloc_ci, ignored, payments_ci)] = _solve_rounds(*batch, beta)
+            kept = ~ignored & (alloc_ci > 0)
+            worst_unbiased = max(worst_unbiased, float(np.sum(alloc * payments)) / budget)
+            worst_ci = max(worst_ci, float(np.sum(alloc_ci[kept] * payments_ci[kept])) / budget)
+        assert worst_unbiased <= 1 + 1e-12
+        assert worst_ci <= 2 * (1 + 1e-12)
+        assert worst_ci > 1  # the deployed rounding does overspend the round budget
 
 
 class TestExports:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from surveymech import ConfigError, gen_population
+from surveymech import ConfigError, Population, gen_population
 
 
 class TestGenPopulation:
@@ -55,3 +55,20 @@ class TestGenPopulation:
         spec = {"kind": "two_point", "fractions": [0.5, 0.5], "costs": [1, 9]}
         with pytest.raises(ConfigError):
             gen_population(spec, 10, 5.0, 0)
+
+
+class TestPopulation:
+    # Each case was accepted once: comparisons with NaN are all False, so a
+    # check of the form ``any(costs < 0)`` let NaN through.
+    @pytest.mark.parametrize("costs, data, cap", [
+        ([1.0, float("nan"), 2.0], [1.0, 1.0, 1.0], 5.0),
+        ([1.0, 2.0], [0.5, float("nan")], 5.0),
+        ([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], float("inf")),
+    ], ids=["nan_cost", "nan_datum", "infinite_cap"])
+    def test_rejects_non_finite_input(self, costs, data, cap):
+        with pytest.raises(ConfigError):
+            Population(costs=costs, data=data, cap=cap)
+
+    def test_accepts_bounds(self):
+        pop = Population(costs=[0.0, 5.0], data=[0.0, 1.0], cap=5.0)
+        assert pop.n == 2

@@ -110,7 +110,7 @@ def _ci_round_ref(grid, budget, beta, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(ci_solver, "_calibrate", _calibrate_ref)
         patch.setattr(ci_solver, "_myerson", _myerson_ref)
-        alloc, _, _, u, _, _, _ = _solve_ci_arrays(phi, psi, budget, beta)
+        alloc, _, _, u, _ = _solve_ci_arrays(phi, psi, budget, beta)
         ignored, payments = _deployed_policy(costs, alloc, u)
     return costs, alloc, ignored, payments
 

@@ -107,21 +107,21 @@ class TestPermutationUniformity:
 class TestTruthfulnessAudit:
     def test_myerson_rule_passes(self):
         report = truthfulness_audit(
-            np.array([1.0, 2.0]), np.array([1.0, 0.5]), np.array([1.5, 2.0]), cap=2.0
+            np.array([1.0, 2.0]), np.array([1.0, 0.5]), np.array([1.5, 2.0])
         )
         assert report.passed
         assert report.max_violation <= 1e-9
 
     def test_corrupted_payment_detected(self):
         report = truthfulness_audit(
-            np.array([1.0, 2.0]), np.array([1.0, 0.5]), np.array([1.4, 2.0]), cap=2.0
+            np.array([1.0, 2.0]), np.array([1.0, 0.5]), np.array([1.4, 2.0])
         )
         assert not report.passed
         assert report.max_violation == pytest.approx(0.1, abs=1e-9)
 
     def test_ir_violation_detected(self):
         report = truthfulness_audit(
-            np.array([1.0, 2.0]), np.array([1.0, 1.0]), np.array([2.0, 1.5]), cap=2.0
+            np.array([1.0, 2.0]), np.array([1.0, 1.0]), np.array([2.0, 1.5])
         )
         assert not report.passed
         assert report.ir_violation == pytest.approx(0.5)
@@ -133,7 +133,7 @@ class TestTruthfulnessAudit:
         from surveymech.allocation import _myerson
 
         pay = _myerson(costs, alloc)
-        report = truthfulness_audit(costs, alloc, pay, cap=8.0)
+        report = truthfulness_audit(costs, alloc, pay)
         assert report.passed
 
 
