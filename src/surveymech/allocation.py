@@ -208,8 +208,12 @@ def extend(
     individual rationality.
 
     Raises:
+        InvalidInputError: if the rule or payments and the cost set lengths
+            differ, or ``query_cost`` is negative or not finite.
         OutOfRangeError: if ``query_cost`` exceeds the largest grid cost.
     """
+    if rule.probabilities.size != len(cost_set) or payments.payments.size != len(cost_set):
+        raise InvalidInputError("rule, payments and cost set lengths differ")
     q = float(query_cost)
     if not np.isfinite(q) or q < 0:
         raise InvalidInputError("query cost must be a finite non-negative real")

@@ -226,18 +226,26 @@ def _solve_ci_arrays(phi, psi, budget, beta):
     return rule + (mass,)
 
 
-def solve_ci(cost_set: CostSet, budget: float, beta: float) -> tuple[AllocationRule, IgnoreRule]:
-    """Jointly optimal allocation and ignore rules for interval length.
-
-    Raises:
-        InvalidInputError: for a negative budget or non-positive ``beta``.
-    """
+def _check_budget_beta(budget: float, beta: float) -> tuple[float, float]:
+    """``(budget, beta)`` as floats; the budget must be finite and >= 0 and
+    ``beta`` finite and > 0, else ``InvalidInputError``."""
     budget = float(budget)
     beta = float(beta)
     if not np.isfinite(budget) or budget < 0:
         raise InvalidInputError("budget must be a non-negative finite real")
     if not np.isfinite(beta) or beta <= 0:
         raise InvalidInputError("beta must be a positive finite real")
+    return budget, beta
+
+
+def solve_ci(cost_set: CostSet, budget: float, beta: float) -> tuple[AllocationRule, IgnoreRule]:
+    """Jointly optimal allocation and ignore rules for interval length.
+
+    Raises:
+        InvalidInputError: for a negative or non-finite budget, or a
+            non-positive or non-finite ``beta``.
+    """
+    budget, beta = _check_budget_beta(budget, beta)
     psi = virtual_costs(cost_set)
     phi = _iron(psi)
     alloc, lam, saturated, u, mass = _solve_ci_arrays(phi, psi, budget, beta)
@@ -293,17 +301,15 @@ def g_derivative(cost_set: CostSet, budget: float, beta: float, mass: float) -> 
     ``mass`` because the variance term is convex.
 
     Raises:
+        InvalidInputError: for an invalid budget, ``beta`` or ``mass``.
         SolverError: when the budget cannot support any purchase at ``mass``
             (the subproblem's allocation vanishes at ``c_r``).
     """
-    budget = float(budget)
-    beta = float(beta)
+    budget, beta = _check_budget_beta(budget, beta)
     mass = float(mass)
     m = len(cost_set)
     if not 0 <= mass < m:
         raise InvalidInputError("mass must lie in [0, m)")
-    if not np.isfinite(budget) or budget < 0:
-        raise InvalidInputError("budget must be a non-negative finite real")
     alloc, saturated, u = _rule_for(cost_set, budget, mass)
     if saturated:
         return -beta * beta / m
@@ -318,13 +324,17 @@ def objective_at_mass(cost_set: CostSet, budget: float, beta: float, mass: float
 
     Convex in ``mass``; used to audit the outer search.  Evaluates the rule
     ``solve_ci`` would return at this mass.
+
+    Raises:
+        InvalidInputError: for an invalid budget, ``beta`` or ``mass``.
     """
+    budget, beta = _check_budget_beta(budget, beta)
     mass = float(mass)
     m = len(cost_set)
     if not 0 <= mass <= m:
         raise InvalidInputError("mass must lie in [0, m]")
-    alloc, _, u = _rule_for(cost_set, float(budget), mass)
-    return float(beta) ** 2 * _variance_sum(alloc, u) / m + (mass / m) ** 2
+    alloc, _, u = _rule_for(cost_set, budget, mass)
+    return beta ** 2 * _variance_sum(alloc, u) / m + (mass / m) ** 2
 
 
 def ci_objective(rule: AllocationRule, ignore: IgnoreRule, beta: float, n: int) -> float:

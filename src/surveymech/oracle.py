@@ -22,6 +22,8 @@ __all__ = ["regularize_naive", "grid_search_unbiased", "grid_search_ci"]
 
 _MAX_M_UNBIASED = 6
 _MAX_M_CI = 4
+_CI_A_STEP = 1e-2  # grid step of the allocation A in grid_search_ci
+_CI_U_STEP = 0.1  # grid step of the ignore probability U in grid_search_ci
 
 
 _INV_COUNT_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -75,10 +77,9 @@ def grid_search_unbiased(cost_set: CostSet, budget: float, step: float):
     Entries range over ``{step, 2*step, ..., 1}`` subject to
     ``sum A_k psi_k <= budget`` and monotone non-increasing A.  Depth-first
     over non-increasing levels with the last two entries closed in vector
-    form; an initial incumbent comes from any feasible rounding of the
-    closed form (feasibility is checked, so the search result never depends
-    on it).  Returns ``(rule, objective)``; the rule is None when no grid
-    rule is feasible.
+    form.  The search starts with no incumbent and calls no solver, so it
+    stays independent of the closed form it checks.  Returns
+    ``(rule, objective)``; the rule is None when no grid rule is feasible.
 
     Raises:
         InvalidInputError: for m > 6 (combinatorial blowup) or a step
@@ -134,84 +135,6 @@ def grid_search_unbiased(cost_set: CostSet, budget: float, step: float):
                 0.0,
             )
         return np.where(rem >= 0, value, math.inf)
-
-    def levels_feasible(levels: np.ndarray) -> bool:
-        if levels.size != m or np.any(levels < 1) or np.any(levels > num_levels):
-            return False
-        if np.any(np.diff(levels) > 0):
-            return False
-        return float(np.dot(levels * step, psi)) <= budget + feas_eps
-
-    def try_candidate(levels: np.ndarray) -> None:
-        nonlocal best_obj, best_levels
-        if levels_feasible(levels):
-            obj = float(np.sum(1.0 / (levels * step)))
-            if obj < best_obj:
-                best_obj = obj
-                best_levels = levels.copy()
-
-    def polish(levels: np.ndarray) -> np.ndarray:
-        """Greedy bumps plus pairwise exchanges toward a budget-maximal rule."""
-        levels = levels.copy()
-        spent = float(np.dot(levels * step, psi))
-        while True:
-            best_gain, best_move = 0.0, None
-            for k in range(m):
-                cap_k = num_levels if k == 0 else int(levels[k - 1])
-                head = cap_k - int(levels[k])
-                if head < 1:
-                    continue
-                if psi[k] > 0:
-                    room = int((budget + feas_eps - spent) / (psi[k] * step) + 1e-12)
-                    head = min(head, room)
-                if head < 1:
-                    continue
-                new_lvl = int(levels[k]) + head
-                gain = 1.0 / (levels[k] * step) - 1.0 / (new_lvl * step)
-                if gain > best_gain:
-                    best_gain, best_move = gain, (k, new_lvl)
-            if best_move is None:
-                break
-            k, new_lvl = best_move
-            spent += (new_lvl - levels[k]) * psi[k] * step
-            levels[k] = new_lvl
-        for _ in range(40):  # exchange passes settle fast at m <= 6
-            improved = False
-            for i in range(m):
-                floor_i = int(levels[i + 1]) if i + 1 < m else 1
-                if levels[i] <= floor_i:
-                    continue
-                for j in range(m):
-                    if j == i or psi[j] <= 0:
-                        continue
-                    cap_j = num_levels if j == 0 else int(levels[j - 1])
-                    trial = levels.copy()
-                    trial[i] -= 1
-                    freed = budget + feas_eps - (spent - psi[i] * step)
-                    cap_here = cap_j if j < i else min(cap_j, int(trial[j - 1]) if j else num_levels)
-                    room = min(int(freed / (psi[j] * step) + 1e-12), cap_here)
-                    if room <= trial[j]:
-                        continue
-                    trial[j] = room
-                    if np.any(np.diff(trial) > 0):
-                        continue
-                    new_spent = float(np.dot(trial * step, psi))
-                    if new_spent > budget + feas_eps:
-                        continue
-                    if float(np.sum(1.0 / (trial * step))) < float(np.sum(1.0 / (levels * step))) - 1e-15:
-                        levels, spent, improved = trial, new_spent, True
-            if not improved:
-                break
-        return levels
-
-    from .allocation import solve_unbiased  # incumbent seed only; exactness unaffected
-
-    seed = np.floor(solve_unbiased(cost_set, budget).probabilities / step + 1e-12).astype(np.int64)
-    seed = np.maximum(seed, 1)
-    seed = np.minimum.accumulate(seed)
-    if levels_feasible(seed):
-        try_candidate(polish(seed))
-        try_candidate(seed)
 
     def close_last(levels: np.ndarray, partial: np.ndarray, spent: np.ndarray):
         """Best final entry for each candidate prefix, vectorized."""
@@ -298,11 +221,11 @@ def _ignore_combos(m: int, u_grid: np.ndarray):
             yield np.array(combo)
 
 
-def grid_search_ci(cost_set: CostSet, budget: float, beta: float, steps=(1e-2, 0.1)):
+def grid_search_ci(cost_set: CostSet, budget: float, beta: float):
     """Exact grid optimum of the joint length objective over (A, U).
 
-    ``U`` ranges per entry over ``{0, u_step, ..., 1}`` and ``A`` over the
-    monotone grid ``{a_step, ..., 1}``; both A and the effective allocation
+    ``U`` ranges per entry over ``{0, 0.1, ..., 1}`` and ``A`` over the
+    monotone grid ``{0.01, 0.02, ..., 1}``; both A and the effective allocation
     ``(1-U) A`` must be monotone non-increasing, and full discards must form
     a suffix (a zero effective allocation cannot be followed by a positive
     one).  Returns ``((A, U), objective)``.
@@ -319,7 +242,7 @@ def grid_search_ci(cost_set: CostSet, budget: float, beta: float, steps=(1e-2, 0
         raise InvalidInputError("budget must be a non-negative finite real")
     if beta <= 0:
         raise InvalidInputError("beta must be positive")
-    a_step, u_step = steps
+    a_step, u_step = _CI_A_STEP, _CI_U_STEP
     num_levels = round(1.0 / a_step)
     u_grid = np.round(np.arange(0.0, 1.0 + u_step / 2, u_step), 12)
     psi = virtual_costs(cost_set)

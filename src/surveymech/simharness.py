@@ -117,10 +117,7 @@ def _mc_batch(task, costs, data, cap, budget, gamma, master_seed, run_lo, run_hi
     spends = np.empty(count)
     lowers = np.full(count, np.nan)
     uppers = np.full(count, np.nan)
-    lengths = np.full(count, np.nan)
-    covered = np.zeros(count)
     flagged = np.zeros(count, dtype=np.int64)
-    pop_mean = float(np.mean(data))
     cache = _RoundCache(_CACHE_POINTS)
     if task == "unbiased":
         schedule = unbiased_schedule(n, budget)
@@ -141,11 +138,9 @@ def _mc_batch(task, costs, data, cap, budget, gamma, master_seed, run_lo, run_hi
             estimates[k] = interval.sample_mean
             lowers[k] = interval.lower
             uppers[k] = interval.upper
-            lengths[k] = interval.length
-            covered[k] = 1.0 if interval.contains(pop_mean) else 0.0
         spends[k] = result.total_paid
         flagged[k] = result.flagged
-    return estimates, spends, lowers, uppers, lengths, covered, flagged
+    return estimates, spends, lowers, uppers, flagged
 
 
 def monte_carlo(
@@ -188,9 +183,13 @@ def monte_carlo(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_mc_batch, *args, lo, hi) for lo, hi in bounds]
             parts = [f.result() for f in futures]
-    estimates, spends, lowers, uppers, lengths, covered, flagged = (
-        np.concatenate([p[j] for p in parts]) for j in range(7)
+    estimates, spends, lowers, uppers, flagged = (
+        np.concatenate([p[j] for p in parts]) for j in range(5)
     )
+    # Interval length and coverage of the population mean, as CIOutput has them.
+    pop_mean = float(np.mean(population.data))
+    lengths = uppers - lowers
+    covered = ((lowers <= pop_mean) & (pop_mean <= uppers)).astype(float)
 
     n = population.n
     ci = task == "ci"
@@ -242,12 +241,18 @@ def truthfulness_audit(costs, alloc, payments) -> AuditReport:
     taking the rule of the least grid cost at or above it; the utility of
     reporting a cost with zero allocation is zero.  Passes iff no violation
     exceeds ``_AUDIT_TOL``.
+
+    Raises:
+        InvalidInputError: unless the three arrays are aligned and 1-D, and
+            the costs non-empty and sorted non-decreasing.
     """
     costs = np.asarray(costs, dtype=float)
     alloc = np.asarray(alloc, dtype=float)
     payments = np.asarray(payments, dtype=float)
     if costs.shape != alloc.shape or costs.shape != payments.shape or costs.ndim != 1:
         raise InvalidInputError("costs, alloc and payments must be aligned 1-D arrays")
+    if costs.size == 0 or np.any(np.diff(costs) < 0):
+        raise InvalidInputError("costs must be non-empty and sorted non-decreasing")
     grid = np.linspace(0.0, float(costs[-1]), _AUDIT_POINTS)
     idx = np.searchsorted(costs, grid, side="left")
     max_violation = max(

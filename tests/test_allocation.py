@@ -157,6 +157,17 @@ class TestExtend:
         with pytest.raises(InvalidInputError):
             extend(self.cs, self.rule, self.pay, -0.1)
 
+    def test_rejects_short_rule(self):
+        short = AllocationRule(probabilities=np.array([1.0]), lam=1.0)
+        with pytest.raises(InvalidInputError):
+            extend(self.cs, short, self.pay, 5.0)
+
+    def test_rejects_short_payments(self):
+        single = AllocationRule(probabilities=np.array([1.0]), lam=1.0)
+        short = myerson_payments(make_set([1]), single)
+        with pytest.raises(InvalidInputError):
+            extend(self.cs, self.rule, short, 5.0)
+
 
 class TestWorstCaseVariance:
     def test_full_collection_zero(self):

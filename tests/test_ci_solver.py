@@ -222,6 +222,18 @@ class TestGDerivative:
             g_derivative(cs, 1.0, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("func", [g_derivative, objective_at_mass])
+@pytest.mark.parametrize(
+    "budget, beta",
+    [(-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+     (1.0, math.nan), (1.0, 0.0), (1.0, -1.0), (1.0, math.inf)],
+)
+def test_evaluations_reject_bad_budget_or_beta(func, budget, beta):
+    cs = make_set([1, 2, 4], cap=4.0)
+    with pytest.raises(InvalidInputError):
+        func(cs, budget, beta, 0.5)
+
+
 class TestCIObjective:
     def test_full_ignore_is_one(self):
         cs = make_set([1, 2, 3])

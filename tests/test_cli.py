@@ -159,6 +159,14 @@ class TestAudit:
         code = run_cli(["audit", "--suite", "foo"])
         assert code == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_non_positive_trials_usage_error(self, trials, capsys):
+        code = run_cli(["audit", "--suite", "oracle", "--trials", trials])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "PASS" not in captured.out
+
     def test_truthfulness_suite(self, capsys):
         code = run_cli(["audit", "--suite", "truthfulness", "--trials", "20"])
         assert code == 0

@@ -1,6 +1,11 @@
+import ast
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from surveymech import oracle
 from surveymech import (
     CostSet,
     InvalidInputError,
@@ -124,3 +129,26 @@ class TestGridSearchCI:
         assert np.all(np.diff(eff) <= 1e-12)
         assert np.all(np.diff(alloc) <= 1e-12)
         assert float(np.dot(eff, psi)) <= 4.0 * (1 + 1e-9)
+
+
+def test_oracle_imports_no_solver():
+    # The oracle checks the closed-form solvers, so it may use only the
+    # error types and the cost-set primitives, never solver code, not even
+    # through an import inside a function.
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    allowed_local = {"errors", "virtual_cost"}
+    allowed_external = set(sys.stdlib_module_names) | {"numpy"}
+    seen = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names, allowed = [node.module], allowed_local
+        elif isinstance(node, ast.ImportFrom):
+            names, allowed = [node.module.split(".")[0]], allowed_external
+        elif isinstance(node, ast.Import):
+            names, allowed = [a.name.split(".")[0] for a in node.names], allowed_external
+        else:
+            continue
+        for name in names:
+            assert name in allowed, f"line {node.lineno}: import of {name}"
+        seen.update(names)
+    assert {"errors", "virtual_cost", "numpy"} <= seen

@@ -136,6 +136,14 @@ class TestTruthfulnessAudit:
         report = truthfulness_audit(costs, alloc, pay)
         assert report.passed
 
+    def test_rejects_empty_costs(self):
+        with pytest.raises(InvalidInputError):
+            truthfulness_audit([], [], [])
+
+    def test_rejects_unsorted_costs(self):
+        with pytest.raises(InvalidInputError):
+            truthfulness_audit([2.0, 1.0], [0.5, 1.0], [2.0, 1.5])
+
 
 class TestReports:
     def test_metrics_json_deterministic(self, small_pop):
