@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, OutOfRangeError, SolverError
-from .virtual_cost import CostSet, _iron, virtual_costs
+from .virtual_cost import CostSet, _iron_rows, virtual_costs
 
 __all__ = [
     "AllocationRule",
@@ -140,15 +140,6 @@ def _calibrate_rows(phi, psi, weights, budgets, sizes):
     return alloc, lam, saturated
 
 
-def _calibrate(phi: np.ndarray, psi: np.ndarray, weights: np.ndarray | None, budget: float):
-    """``_calibrate_rows`` on one 1-D row; returns ``(A, lam, saturated)``."""
-    alloc, lam, saturated = _calibrate_rows(
-        phi[None, :], psi[None, :], None if weights is None else weights[None, :],
-        (budget,), np.array([phi.size]),
-    )
-    return alloc[0], float(lam[0]), bool(saturated[0])
-
-
 def solve_unbiased(cost_set: CostSet, budget: float) -> AllocationRule:
     """Variance-minimizing allocation under the expected-budget constraint.
 
@@ -162,10 +153,10 @@ def solve_unbiased(cost_set: CostSet, budget: float) -> AllocationRule:
     budget = float(budget)
     if not np.isfinite(budget) or budget <= 0:
         raise InvalidInputError("budget must be a positive finite real")
-    psi = virtual_costs(cost_set)
-    phi = _iron(psi)
-    alloc, lam, saturated = _calibrate(phi, psi, None, budget)
-    return AllocationRule(probabilities=alloc, lam=lam, saturated=saturated)
+    psi = virtual_costs(cost_set)[None, :]
+    sizes = np.array([psi.size])
+    alloc, lam, saturated = _calibrate_rows(_iron_rows(psi, sizes), psi, None, (budget,), sizes)
+    return AllocationRule(probabilities=alloc[0], lam=lam[0], saturated=bool(saturated[0]))
 
 
 def _myerson(costs: np.ndarray, alloc: np.ndarray) -> np.ndarray:

@@ -14,18 +14,21 @@ objective is convex in the ignored mass ``M`` and a convex quadratic between
 block events, so one upward sweep over those pieces finds its minimizer in
 closed form; the rule at that mass comes from the same fill-from-the-top
 step and calibration that ``objective_at_mass`` and ``g_derivative`` use.
+Every step works on the rows of a padded batch: the online runner solves a
+batch of rounds in one call, and ``solve_ci`` a batch of one.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import AllocationRule, _calibrate, _myerson
+from .allocation import AllocationRule, _calibrate_rows, _myerson
 from .errors import InvalidInputError, SolverError
-from .virtual_cost import CostSet, _iron, virtual_costs
+from .virtual_cost import CostSet, _iron_rows, virtual_costs
 
 __all__ = [
     "IgnoreRule",
@@ -106,49 +109,51 @@ def ci_parameters(gamma: float, n: int) -> CIParameters:
     return CIParameters(gamma=float(gamma), alpha_gamma=alpha, beta=2.0 * alpha / math.sqrt(n))
 
 
-def _phi_blocks(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start/end (exclusive) indices of maximal equal-phi blocks."""
-    change = np.flatnonzero(np.diff(phi) != 0) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [phi.size]))
-    return starts, ends
+def _block_rows(phi, sizes):
+    """``(edges, counts)`` of the maximal equal-phi blocks of each row of a
+    padded 2-D ``phi``: the block starts, then the row size, padded with it,
+    and the number of blocks."""
+    cols = np.arange(phi.shape[1] + 1)
+    m = sizes[:, None]
+    first = np.ones((phi.shape[0], cols.size), dtype=bool)
+    np.not_equal(phi[:, 1:], phi[:, :-1], out=first[:, 1:-1])
+    first &= cols < m
+    edges = np.where(first, cols, m)
+    edges.sort(axis=1)
+    counts = np.add.reduce(first, axis=1)
+    return edges[:, :max(counts.tolist()) + 1], counts
 
 
-def _ignore_profile(phi: np.ndarray, starts: np.ndarray, ends: np.ndarray, mass: float):
-    """Per-cost ignore probabilities of mass ``mass``, filled from the top.
+def _rule_at_mass(phi, psi, sizes, budgets, edges, counts, mass):
+    """Each row's ``(alloc, lam, saturated, u)`` at ignored mass ``mass[r]``.
 
-    Blocks are ignored in full from the top down until less mass is left
-    than the next block holds; that block is ignored in the fraction of its
-    size that is left.  Nothing is ignored at mass zero.
+    The mass is filled from the top: blocks are ignored in full from the top
+    down until less mass is left than the next block holds, and that block
+    in the fraction of its size that is left.  Nothing is ignored at mass
+    zero, nor on the padding (a row of ``edges`` ends in the row size).  The
+    rows are then calibrated together with weights ``1 - u``.
     """
-    sizes = (ends - starts).tolist()
-    u = np.zeros(phi.size)
-    top = len(sizes)
-    rem = mass
-    while rem > 0 and top > 0:
-        top -= 1
-        if rem < sizes[top]:
-            u[starts[top]:ends[top]] = rem / sizes[top]
-            u[ends[top]:] = 1.0
-            return u
-        rem -= sizes[top]
-    if top < len(sizes):
-        u[starts[top]:] = 1.0
-    return u
+    u = np.zeros(phi.shape)
+    for row, ends, top, rem in zip(u, edges.tolist(), counts.tolist(), mass.tolist()):
+        while rem > 0 and top > 0:
+            top -= 1
+            size = ends[top + 1] - ends[top]
+            if rem < size:
+                row[ends[top]:ends[top + 1]] = rem / size
+                row[ends[top + 1]:ends[-1]] = 1.0
+                break
+            rem -= size
+        else:
+            row[ends[top]:ends[-1]] = 1.0
+    return _calibrate_rows(phi, psi, 1.0 - u, budgets, sizes) + (u,)
 
 
-def _rule_at_mass(phi, psi, starts, ends, budget, mass):
-    """The rule at ignored mass ``mass``: fill it from the top, then calibrate.
-
-    Returns ``(alloc, lam, saturated, u)``.
-    """
-    u = _ignore_profile(phi, starts, ends, mass)
-    return _calibrate(phi, psi, 1.0 - u, budget) + (u,)
-
-
-def _optimal_mass(phi, starts, ends, budget, beta):
+def _optimal_mass(sizes, block_phi, block_sqrt, spend_below, sqrt_below, j, m, budget, beta):
     """Smallest minimizer of the outer objective over ignored mass in [0, m].
 
+    Takes a row's blocks as lists (sizes, phi, sqrt(phi), and the sums of
+    ``size * phi`` and ``size * sqrt(phi)`` below each) and the lowest block
+    ``j`` not clipped at M = 0.
     ``F(M) = s V(M) + (M/m)^2`` with ``s = beta^2/m``.  While the budget
     binds, the live blocks below ``j`` are clipped at A = 1 and
     ``V = K + S1^2 / (B - C)``: ``K`` and ``C`` are the size and spend of the
@@ -161,17 +166,6 @@ def _optimal_mass(phi, starts, ends, budget, beta):
     ``(mass, slack)``: the first point whose right slope is >= 0, and whether
     the budget is slack there.
     """
-    m = phi.size
-    sizes = ends - starts
-    block_phi = phi[starts]
-    block_sqrt = np.sqrt(block_phi)
-    spend_below = np.concatenate(([0.0], np.cumsum(sizes * block_phi)))
-    sqrt_below = np.concatenate(([0.0], np.cumsum(sizes * block_sqrt)))
-    # lowest block not clipped at M = 0, as in the calibration's breakpoint scan
-    spend_at_breakpoints = spend_below[:-1] + block_sqrt * (sqrt_below[-1] - sqrt_below[:-1])
-    j = int(np.searchsorted(spend_at_breakpoints, budget))
-    sizes, block_phi, block_sqrt = sizes.tolist(), block_phi.tolist(), block_sqrt.tolist()
-    spend_below, sqrt_below = spend_below.tolist(), sqrt_below.tolist()
     s = beta * beta / m
     inv_m2 = 1.0 / (m * m)
     slack_root = min(float(m), 0.5 * beta * beta * m)  # zero of -s + 2M/m^2
@@ -210,20 +204,44 @@ def _optimal_mass(phi, starts, ends, budget, beta):
     return float(m), True
 
 
-def _solve_ci_arrays(phi, psi, budget, beta):
-    """Full CI solve on raw arrays; returns ``(alloc, lam, saturated, u, mass)``."""
-    starts, ends = _phi_blocks(phi)
-    mass, slack = _optimal_mass(phi, starts, ends, budget, beta)
-    rule = _rule_at_mass(phi, psi, starts, ends, budget, mass)
-    # On the saturation kink the calibration's own spend sum decides: step up
-    # until it agrees the budget is slack (rule[2], ``saturated``), so the
-    # rule is the right-hand one.
-    step = math.ulp(float(phi.size))
-    while slack and not rule[2] and mass < phi.size:
-        mass = min(float(phi.size), mass + step)
-        step *= 2.0
-        rule = _rule_at_mass(phi, psi, starts, ends, budget, mass)
-    return rule + (mass,)
+def _solve_ci_rows(phi, psi, sizes, budgets, beta):
+    """The CI solve of each row of a padded batch: ``(A, lam, saturated, U, mass)``.
+
+    Row ``r`` holds ``sizes[r]`` ironed and raw virtual costs, padded with
+    ``phi = 0`` as for ``_calibrate_rows``, and has budget ``budgets[r]``.
+    The block split, the sweep's set-up and the calibration run on all rows
+    at once; ``np.add.accumulate`` adds along a row in order, so each row
+    gets the bits of a batch of one.  ``A`` is 1 and ``U`` 0 on the padding."""
+    edges, counts = _block_rows(phi, sizes)
+    block_size = edges[:, 1:] - edges[:, :-1]  # 0 past a row's last block
+    # each block's phi, read at its last entry through a flat index
+    block_phi = phi.ravel()[edges[:, 1:] + np.arange(-1, phi.size - 1, phi.shape[1])[:, None]]
+    block_sqrt = np.sqrt(block_phi)
+    spend_below, sqrt_below = sums = np.zeros((2, phi.shape[0], edges.shape[1]))
+    np.add.accumulate(block_size * np.array((block_phi, block_sqrt)), axis=2, out=sums[:, :, 1:])
+    # spend with lam at each breakpoint, as in the calibration's breakpoint
+    # scan; ``bisect_left`` probes as ``searchsorted`` does, sorted or not
+    spend_bp = spend_below[:, :-1] + block_sqrt * (sqrt_below[:, -1:] - sqrt_below[:, :-1])
+    per_row = zip(sizes.tolist(), counts.tolist(), budgets, block_size.tolist(), block_phi.tolist(),
+                  block_sqrt.tolist(), spend_below.tolist(), sqrt_below.tolist(), spend_bp.tolist())
+    mass, slack = map(np.array, zip(*[
+        _optimal_mass(size[:k], bphi[:k], bsqrt[:k], below[:k + 1], sqrt_b[:k + 1],
+                      bisect.bisect_left(bp, budget, 0, k), m, budget, beta)
+        for m, k, budget, size, bphi, bsqrt, below, sqrt_b, bp in per_row]))
+    alloc, lam, saturated, u = _rule_at_mass(phi, psi, sizes, budgets, edges, counts, mass)
+    # On the saturation kink the calibration's own spend sum decides: step a row up from
+    # ulp(m), doubling, until it agrees the budget is slack (as it does at mass m).
+    todo = (slack & ~saturated).nonzero()[0]
+    scale = 1.0
+    while todo.size:
+        rows = slice(None) if todo.size == mass.size else todo  # a view while every row steps
+        mass[rows] = np.minimum(sizes[rows], mass[rows] + np.spacing(sizes[rows].astype(float)) * scale)
+        scale *= 2.0
+        alloc[rows], lam[rows], saturated[rows], u[rows] = _rule_at_mass(
+            phi[rows], psi[rows], sizes[rows], [budgets[r] for r in todo.tolist()], edges[rows],
+            counts[rows], mass[rows])
+        todo = todo[~saturated[rows] & (mass[rows] < sizes[rows])]
+    return alloc, lam, saturated, u, mass
 
 
 def _check_budget_beta(budget: float, beta: float) -> tuple[float, float]:
@@ -246,20 +264,21 @@ def solve_ci(cost_set: CostSet, budget: float, beta: float) -> tuple[AllocationR
             non-positive or non-finite ``beta``.
     """
     budget, beta = _check_budget_beta(budget, beta)
-    psi = virtual_costs(cost_set)
-    phi = _iron(psi)
-    alloc, lam, saturated, u, mass = _solve_ci_arrays(phi, psi, budget, beta)
+    psi = virtual_costs(cost_set)[None, :]
+    sizes = np.array([psi.size])
+    phi = _iron_rows(psi, sizes)
+    alloc, lam, saturated, u, mass = _solve_ci_rows(phi, psi, sizes, (budget,), beta)
     # The boundary block is the lowest one with any ignore probability.
-    touched = np.flatnonzero(u > 0)
+    touched = (u[0] > 0).nonzero()[0]
     threshold, fraction = math.inf, 1.0
     if touched.size:
-        threshold, fraction = float(phi[touched[0]]), float(u[touched[0]])
-    rule = AllocationRule(probabilities=alloc, lam=lam, saturated=saturated)
+        threshold, fraction = float(phi[0, touched[0]]), float(u[0, touched[0]])
+    rule = AllocationRule(probabilities=alloc[0], lam=lam[0], saturated=bool(saturated[0]))
     ignore = IgnoreRule(
-        u_values=u,
+        u_values=u[0],
         threshold_phi=threshold,
         boundary_fraction=fraction,
-        total_mass=mass,
+        total_mass=mass[0],
     )
     return rule, ignore
 
@@ -285,11 +304,12 @@ def _deployed_policy(costs: np.ndarray, alloc: np.ndarray, u: np.ndarray):
 
 def _rule_for(cost_set: CostSet, budget: float, mass: float):
     """``_rule_at_mass`` on a cost set; returns ``(alloc, saturated, u)``."""
-    psi = virtual_costs(cost_set)
-    phi = _iron(psi)
-    starts, ends = _phi_blocks(phi)
-    alloc, _, saturated, u = _rule_at_mass(phi, psi, starts, ends, budget, mass)
-    return alloc, saturated, u
+    psi = virtual_costs(cost_set)[None, :]
+    sizes = np.array([psi.size])
+    phi = _iron_rows(psi, sizes)
+    alloc, _, saturated, u = _rule_at_mass(
+        phi, psi, sizes, (budget,), *_block_rows(phi, sizes), np.array([mass]))
+    return alloc[0], bool(saturated[0]), u[0]
 
 
 def g_derivative(cost_set: CostSet, budget: float, beta: float, mass: float) -> float:

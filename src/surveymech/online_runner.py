@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import AllocationRule, _calibrate_rows, _myerson, solve_unbiased, worst_case_variance
-from .ci_solver import _deployed_policy, _solve_ci_arrays, _variance_sum, ci_parameters, solve_ci
+from .ci_solver import _deployed_policy, _solve_ci_rows, _variance_sum, ci_parameters, solve_ci
 from .errors import InvalidInputError
 from .estimation import CIOutput, bernstein_interval, sample_variance
 from .populations import Population
@@ -136,11 +136,9 @@ def _solve_rounds(costs, sizes, budgets, beta):
     """Solve a batch of rounds, one per row of the 2-D ``costs``.
 
     Row ``r`` is a sorted grid of ``sizes[r]`` costs with round budget
-    ``budgets[r]``, padded by repeating its last cost.  Virtual costs,
-    ironing and payments run on all rows together.  The unbiased task
-    calibrates them together too; the CI task (``beta`` not None) solves
-    each row's ``A`` and ``U`` with ``_solve_ci_arrays``, padded with
-    ``A = 1`` and ``U = 0``, and prices the batch with ``_deployed_policy``.
+    ``budgets[r]``, padded by repeating its last cost.  Every step runs on
+    all rows together: virtual costs, ironing, the solve (``_calibrate_rows``,
+    or ``_solve_ci_rows`` for the CI task, ``beta`` not None) and payments.
     Returns one tuple per row: ``(costs, A, payments)``, or ``(costs, A,
     ignored, payments)`` for the CI task.
     """
@@ -148,18 +146,14 @@ def _solve_rounds(costs, sizes, budgets, beta):
         raise InvalidInputError("unbiased rounds need a positive budget")
     psi = _psi_from_sorted(costs)
     phi = _iron_rows(psi, sizes)
-    lengths = sizes.tolist()
     if beta is None:
         alloc, _, _ = _calibrate_rows(phi, psi, None, budgets, sizes)
         parts = (costs, alloc, _myerson(costs, alloc))
     else:
-        alloc = np.ones_like(phi)
-        u = np.zeros_like(phi)
-        for r, (m, budget) in enumerate(zip(lengths, budgets)):
-            alloc[r, :m], _, _, u[r, :m], _ = _solve_ci_arrays(phi[r, :m], psi[r, :m], budget, beta)
+        alloc, _, _, u, _ = _solve_ci_rows(phi, psi, sizes, budgets, beta)
         parts = (costs, alloc) + _deployed_policy(costs, alloc, u)
     # copies, so a cached rule holds its own row and not the whole batch
-    return [tuple(part[r, :m].copy() for part in parts) for r, m in enumerate(lengths)]
+    return [tuple(part[r, :m].copy() for part in parts) for r, m in enumerate(sizes.tolist())]
 
 
 def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record):

@@ -119,11 +119,6 @@ def _iron_rows(psi: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return phi
 
 
-def _iron(psi: np.ndarray) -> np.ndarray:
-    """Ironed profile of one 1-D ``psi``: ``_iron_rows`` on a single row."""
-    return _iron_rows(psi[None, :], np.array([psi.size]))[0]
-
-
 def virtual_costs(cost_set: CostSet) -> np.ndarray:
     """Virtual costs of the uniform distribution over ``cost_set``.
 
@@ -146,4 +141,4 @@ def regularize(psi) -> np.ndarray:
         raise InvalidInputError("psi must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(psi)):
         raise InvalidInputError("psi must be finite")
-    return _iron(psi)
+    return _iron_rows(psi[None, :], np.array([psi.size]))[0]

@@ -1,18 +1,20 @@
 """The batched round solver against the per-grid code it replaced.
 
-``_pav_loop``, ``_calibrate_ref``, ``_myerson_ref`` and the two round
-functions below are the former single-grid implementations, kept verbatim as
-references: a batch of rounds must give every round the same bits as
-solving its grid alone did.
+``_pav_loop``, ``_calibrate_ref``, ``_myerson_ref``, the per-grid CI solve
+(``_phi_blocks`` to ``_solve_ci_arrays``) and the two round functions below
+are the former single-grid implementations, kept verbatim as references: a
+batch of rounds must give every round the same bits as solving its grid
+alone did.
 """
 
 import bisect
+import math
 
 import numpy as np
 import pytest
 
-from surveymech import ci_solver, regularize
-from surveymech.ci_solver import _deployed_policy, _solve_ci_arrays, ci_parameters
+from surveymech import CostSet, ci_solver, regularize, solve_ci
+from surveymech.ci_solver import _deployed_policy, _solve_ci_rows, ci_parameters
 from surveymech.errors import SolverError
 from surveymech.online_runner import _BATCH_ROWS, _solve_rounds
 from surveymech.virtual_cost import _iron_rows, _psi_from_sorted
@@ -83,6 +85,130 @@ def _calibrate_ref(phi, psi, weights, budget):
     return alloc, float(lam), False
 
 
+# The per-grid CI solve calibrates with the per-grid reference.
+_calibrate = _calibrate_ref
+
+
+def _phi_blocks(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start/end (exclusive) indices of maximal equal-phi blocks."""
+    change = np.flatnonzero(np.diff(phi) != 0) + 1
+    starts = np.concatenate(([0], change))
+    ends = np.concatenate((change, [phi.size]))
+    return starts, ends
+
+
+def _ignore_profile(phi: np.ndarray, starts: np.ndarray, ends: np.ndarray, mass: float):
+    """Per-cost ignore probabilities of mass ``mass``, filled from the top.
+
+    Blocks are ignored in full from the top down until less mass is left
+    than the next block holds; that block is ignored in the fraction of its
+    size that is left.  Nothing is ignored at mass zero.
+    """
+    sizes = (ends - starts).tolist()
+    u = np.zeros(phi.size)
+    top = len(sizes)
+    rem = mass
+    while rem > 0 and top > 0:
+        top -= 1
+        if rem < sizes[top]:
+            u[starts[top]:ends[top]] = rem / sizes[top]
+            u[ends[top]:] = 1.0
+            return u
+        rem -= sizes[top]
+    if top < len(sizes):
+        u[starts[top]:] = 1.0
+    return u
+
+
+def _rule_at_mass(phi, psi, starts, ends, budget, mass):
+    """The rule at ignored mass ``mass``: fill it from the top, then calibrate.
+
+    Returns ``(alloc, lam, saturated, u)``.
+    """
+    u = _ignore_profile(phi, starts, ends, mass)
+    return _calibrate(phi, psi, 1.0 - u, budget) + (u,)
+
+
+def _optimal_mass(phi, starts, ends, budget, beta):
+    """Smallest minimizer of the outer objective over ignored mass in [0, m].
+
+    ``F(M) = s V(M) + (M/m)^2`` with ``s = beta^2/m``.  While the budget
+    binds, the live blocks below ``j`` are clipped at A = 1 and
+    ``V = K + S1^2 / (B - C)``: ``K`` and ``C`` are the size and spend of the
+    clipped blocks and ``S1`` the sum of ``w * size * sqrt(phi)`` over the
+    rest, linear in ``M``.  So ``F`` is a convex quadratic on each piece, with
+    right slope ``-2s / A_top + 2M/m^2``.  A piece ends when the top live
+    block runs out, when ``lam = (B - C)/S1`` reaches ``sqrt(phi_j)``, or when
+    the live spend reaches ``B``; from there on the budget is slack and
+    ``F = s (m - M) + (M/m)^2``.  Walks the pieces upward and returns
+    ``(mass, slack)``: the first point whose right slope is >= 0, and whether
+    the budget is slack there.
+    """
+    m = phi.size
+    sizes = ends - starts
+    block_phi = phi[starts]
+    block_sqrt = np.sqrt(block_phi)
+    spend_below = np.concatenate(([0.0], np.cumsum(sizes * block_phi)))
+    sqrt_below = np.concatenate(([0.0], np.cumsum(sizes * block_sqrt)))
+    # lowest block not clipped at M = 0, as in the calibration's breakpoint scan
+    spend_at_breakpoints = spend_below[:-1] + block_sqrt * (sqrt_below[-1] - sqrt_below[:-1])
+    j = int(np.searchsorted(spend_at_breakpoints, budget))
+    sizes, block_phi, block_sqrt = sizes.tolist(), block_phi.tolist(), block_sqrt.tolist()
+    spend_below, sqrt_below = spend_below.tolist(), sqrt_below.tolist()
+    s = beta * beta / m
+    inv_m2 = 1.0 / (m * m)
+    slack_root = min(float(m), 0.5 * beta * beta * m)  # zero of -s + 2M/m^2
+    top = len(sizes) - 1
+    live = float(sizes[top])
+    above = 0  # mass of the blocks above ``top``, all ignored
+    while top >= 0:
+        mass = above + (sizes[top] - live)
+        live_spend = spend_below[top] + live * block_phi[top]
+        if live_spend <= budget or j > top:
+            return max(mass, slack_root), True
+        to_slack = (live_spend - budget) / block_phi[top]
+        event = min(live, to_slack)
+        room = budget - spend_below[j]
+        if room > 0:  # else lam = 0 and the slope is -inf up to the event
+            s1 = sqrt_below[top] - sqrt_below[j] + live * block_sqrt[top]
+            a = s * block_sqrt[top] / room
+            if mass * inv_m2 >= a * s1:
+                return mass, False
+            step = (a * s1 - mass * inv_m2) / (a * block_sqrt[top] + inv_m2)
+            if j < top:
+                event = min(event, (s1 - room / block_sqrt[j]) / block_sqrt[top])
+            if step < event:
+                return mass + step, False
+        if event == to_slack:
+            return max(mass + event, slack_root), True
+        if event < live:
+            # lam reached sqrt(phi_j): advance j explicitly, since recomputing
+            # lam at this point can stall on rounding
+            live -= event
+            j += 1
+        else:
+            above += sizes[top]
+            top -= 1
+            live = float(sizes[top])
+    return float(m), True
+
+
+def _solve_ci_arrays(phi, psi, budget, beta):
+    """Full CI solve on raw arrays; returns ``(alloc, lam, saturated, u, mass)``."""
+    starts, ends = _phi_blocks(phi)
+    mass, slack = _optimal_mass(phi, starts, ends, budget, beta)
+    rule = _rule_at_mass(phi, psi, starts, ends, budget, mass)
+    # On the saturation kink the calibration's own spend sum decides: step up
+    # until it agrees the budget is slack (rule[2], ``saturated``), so the
+    # rule is the right-hand one.
+    step = math.ulp(float(phi.size))
+    while slack and not rule[2] and mass < phi.size:
+        mass = min(float(phi.size), mass + step)
+        step *= 2.0
+        rule = _rule_at_mass(phi, psi, starts, ends, budget, mass)
+    return rule + (mass,)
+
+
 def _myerson_ref(costs, alloc):
     m = costs.size
     tail = np.empty(m)
@@ -102,17 +228,17 @@ def _unbiased_round_ref(grid, budget):
 
 
 def _ci_round_ref(grid, budget, beta, monkeypatch):
-    # The CI solver itself is unchanged; only its calibration and payment
-    # helpers are swapped back for the per-grid ones.
+    """The round's ``(costs, A, ignored, payments)`` and whether the per-grid
+    solve stepped up from the sweep's mass onto the saturation kink."""
     costs = np.asarray(grid)
     psi = _psi_ref(costs)
     phi = _pav_loop(psi)
     with monkeypatch.context() as patch:
-        patch.setattr(ci_solver, "_calibrate", _calibrate_ref)
         patch.setattr(ci_solver, "_myerson", _myerson_ref)
-        alloc, _, _, u, _ = _solve_ci_arrays(phi, psi, budget, beta)
+        alloc, _, _, u, mass = _solve_ci_arrays(phi, psi, budget, beta)
         ignored, payments = _deployed_policy(costs, alloc, u)
-    return costs, alloc, ignored, payments
+    stepped = mass != _optimal_mass(phi, *_phi_blocks(phi), budget, beta)[0]
+    return (costs, alloc, ignored, payments), stepped
 
 
 def _run_grids(costs):
@@ -192,13 +318,127 @@ def test_ci_batch_matches_per_grid_rounds(family, monkeypatch):
     # CI round budgets run 16x below the unbiased schedule; keep a few at 0.
     budgets = [0.0 if k % 17 == 0 else b / 4.0 for k, b in enumerate(budgets)]
     step = 3 if len(grids) > 500 else 1  # the per-grid reference is slow at m ~ 1000
+    stepped = 0
     for batch, costs, sizes, batch_budgets in _batches(grids, budgets):
         solved = _solve_rounds(costs, sizes, batch_budgets, beta)
         for k in range(0, len(batch), step):
-            ref = _ci_round_ref(batch[k], batch_budgets[k], beta, monkeypatch)
+            ref, ref_stepped = _ci_round_ref(batch[k], batch_budgets[k], beta, monkeypatch)
+            stepped += ref_stepped
             assert len(solved[k]) == 4
             for part, want in zip(solved[k], ref):
                 assert np.array_equal(part, want, equal_nan=True), (family, len(batch[k]))
+    if family == "continuous_small":
+        # the kink passes are exercised, so the comparison covers them
+        assert stepped > 0
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _padded(rows):
+    """A padded batch of ``(phi, psi)`` rows: phi 0 and psi junk past each row."""
+    sizes = np.array([phi.size for phi, _ in rows])
+    phi = np.zeros((len(rows), int(sizes.max())))
+    psi = np.full(phi.shape, 7.0)
+    for r, (row_phi, row_psi) in enumerate(rows):
+        phi[r, :row_phi.size] = row_phi
+        psi[r, :row_psi.size] = row_psi
+    return phi, psi, sizes
+
+
+def _rows_solved(rows, budgets, beta):
+    """``_solve_ci_rows`` on a padded batch, split into one tuple per row."""
+    phi, psi, sizes = _padded(rows)
+    alloc, lam, saturated, u, mass = _solve_ci_rows(phi, psi, sizes, budgets, beta)
+    pad = np.arange(phi.shape[1]) >= sizes[:, None]
+    assert np.all(alloc[pad] == 1.0) and np.all(u[pad] == 0.0)
+    return [(alloc[r, :m], lam[r], saturated[r], u[r, :m], mass[r]) for r, m in enumerate(sizes.tolist())]
+
+
+def _same_row(got, want):
+    alloc, lam, saturated, u, mass = got
+    return (_bits(alloc) == _bits(want[0]) and _bits(lam) == _bits(want[1])
+            and bool(saturated) == bool(want[2]) and _bits(u) == _bits(want[3])
+            and _bits(mass) == _bits(want[4]))
+
+
+def _ci_instances(seed, count):
+    """Seeded cost sets with ties, zero costs and single costs, and budgets, a
+    seventh of them 0, from below the cheapest purchase to above saturation."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        m = int(rng.integers(1, 60))
+        kind = k % 4
+        if kind == 0:
+            costs = rng.uniform(0.0, CAP, m)
+        elif kind == 1:
+            costs = rng.integers(0, 6, m).astype(float)
+        elif kind == 2:
+            costs = np.where(rng.random(m) < 0.4, 0.0, rng.uniform(0.0, 3.0, m))
+        else:
+            costs = np.full(m, float(rng.integers(0, 4)))
+        costs = np.sort(costs)
+        share = rng.uniform(0.01, 1.5)
+        budget = 0.0 if k % 7 == 0 else float(share * np.sum(_psi_ref(costs)))
+        yield costs, budget
+
+
+def test_ci_rows_match_alone_batched_reversed_and_reference():
+    instances = list(_ci_instances(seed=21, count=4000))
+    betas = [ci_parameters(g, n).beta for g, n in ((0.9, 100), (0.95, 20), (0.9, 1000), (0.5, 5))]
+    chunk = len(instances) // len(betas)
+    for g, beta in enumerate(betas):
+        group = instances[g * chunk:(g + 1) * chunk]
+        rows = []
+        for costs, budget in group:
+            psi = _psi_from_sorted(costs)
+            rows.append((regularize(psi), psi))
+        budgets = [b for _, b in group]
+        alone = [_rows_solved([row], [b], beta)[0] for row, b in zip(rows, budgets)]
+        batched = []
+        for lo in range(0, len(rows), _BATCH_ROWS):
+            batched += _rows_solved(rows[lo:lo + _BATCH_ROWS], budgets[lo:lo + _BATCH_ROWS], beta)
+        # reversed and chunked afresh: other neighbours, another batch width
+        rows_back, budgets_back, backwards = rows[::-1], budgets[::-1], []
+        for lo in range(0, len(rows), _BATCH_ROWS):
+            backwards += _rows_solved(rows_back[lo:lo + _BATCH_ROWS], budgets_back[lo:lo + _BATCH_ROWS], beta)
+        backwards.reverse()
+        for k, ((costs, budget), (phi, psi)) in enumerate(zip(group, rows)):
+            want = _solve_ci_arrays(phi, psi, budget, beta)
+            assert _same_row(alone[k], want), (g, k)
+            assert _same_row(batched[k], want), (g, k)
+            assert _same_row(backwards[k], want), (g, k)
+            rule, ignore = solve_ci(CostSet(costs=costs, cap=CAP), budget, beta)
+            touched = np.flatnonzero(want[3] > 0)
+            threshold = float(phi[touched[0]]) if touched.size else math.inf
+            fraction = float(want[3][touched[0]]) if touched.size else 1.0
+            assert _same_row((rule.probabilities, rule.lam, rule.saturated, ignore.u_values,
+                              ignore.total_mass), want), (g, k)
+            assert _bits(ignore.threshold_phi) == _bits(threshold), (g, k)
+            assert _bits(ignore.boundary_fraction) == _bits(fraction), (g, k)
+
+
+def test_ci_rows_kink_row_between_binding_and_zero_budget():
+    beta = ci_parameters(0.9, 1000).beta
+    # a binding row, a row the per-grid solve steps onto the saturation
+    # kink, and a row with no budget, of three widths
+    cases = [((1.0, 2.0, 3.0, 25.0), 1.0), ((2.0, 19.0, 25.0), 68.54), ((0.0, 25.0), 0.0)]
+    rows = []
+    for grid, _ in cases:
+        psi = _psi_from_sorted(np.array(grid))
+        rows.append((regularize(psi), psi))
+    budgets = [b for _, b in cases]
+    batched = _rows_solved(rows, budgets, beta)
+    for k, ((phi, psi), budget) in enumerate(zip(rows, budgets)):
+        want = _solve_ci_arrays(phi, psi, budget, beta)
+        assert _same_row(batched[k], want), k
+        assert _same_row(_rows_solved([(phi, psi)], [budget], beta)[0], want), k
+    (phi0, _), (phi1, _) = rows[:2]
+    assert not _optimal_mass(phi0, *_phi_blocks(phi0), budgets[0], beta)[1]  # binding
+    assert not batched[0][2]
+    mass1, slack1 = _optimal_mass(phi1, *_phi_blocks(phi1), budgets[1], beta)
+    assert slack1 and batched[1][4] > mass1 and batched[1][2]  # stepped up, saturated
 
 
 def test_float_rounded_ties_iron_within_rounding():
