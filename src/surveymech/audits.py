@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import _myerson, myerson_payments, solve_unbiased
-from .ci_solver import objective_at_mass, solve_ci
+from .ci_solver import _objective_rows, solve_ci
 from .errors import InvalidInputError
 from .oracle import grid_search_unbiased, regularize_naive
 from .simharness import truthfulness_audit
@@ -238,7 +238,7 @@ def audit_convexity(trials: int = 100, seed: int = 0) -> AuditOutcome:
         beta = float(rng.uniform(0.1, 3.0))
         m = len(cs)
         grid = np.linspace(0.0, m, 101)
-        values = np.array([objective_at_mass(cs, budget, beta, x) for x in grid])
+        values = np.array(_objective_rows(cs, budget, beta, grid))
         second = np.diff(values, 2)
         worst = max(worst, float(np.max(-second)) if second.size else 0.0)
         _, ignore = solve_ci(cs, budget, beta)

@@ -302,14 +302,27 @@ def _deployed_policy(costs: np.ndarray, alloc: np.ndarray, u: np.ndarray):
     return ignored, _myerson(costs, np.where(ignored, 0.0, alloc))
 
 
-def _rule_for(cost_set: CostSet, budget: float, mass: float):
-    """``_rule_at_mass`` on a cost set; returns ``(alloc, saturated, u)``."""
+def _rule_for(cost_set: CostSet, budget: float, masses):
+    """``_rule_at_mass`` on a cost set at each of ``masses``, one row per mass
+    of a batch ironed and split into blocks once; ``(alloc, saturated, u)``."""
     psi = virtual_costs(cost_set)[None, :]
     sizes = np.array([psi.size])
     phi = _iron_rows(psi, sizes)
+    rows = len(masses)
+    phi, psi, sizes, edges, counts = (
+        np.repeat(a, rows, axis=0) for a in (phi, psi, sizes, *_block_rows(phi, sizes)))
     alloc, _, saturated, u = _rule_at_mass(
-        phi, psi, sizes, (budget,), *_block_rows(phi, sizes), np.array([mass]))
-    return alloc[0], bool(saturated[0]), u[0]
+        phi, psi, sizes, (budget,) * rows, edges, counts, np.array(masses, dtype=float))
+    return alloc, saturated, u
+
+
+def _objective_rows(cost_set: CostSet, budget: float, beta: float, masses) -> list[float]:
+    """The outer objective at each of ``masses``, from one ``_rule_for`` batch."""
+    m = len(cost_set)
+    masses = np.array(masses, dtype=float)
+    alloc, _, u = _rule_for(cost_set, budget, masses)
+    return [beta ** 2 * _variance_sum(a, w) / m + (mass / m) ** 2
+            for a, w, mass in zip(alloc, u, masses.tolist())]
 
 
 def g_derivative(cost_set: CostSet, budget: float, beta: float, mass: float) -> float:
@@ -330,7 +343,7 @@ def g_derivative(cost_set: CostSet, budget: float, beta: float, mass: float) -> 
     m = len(cost_set)
     if not 0 <= mass < m:
         raise InvalidInputError("mass must lie in [0, m)")
-    alloc, saturated, u = _rule_for(cost_set, budget, mass)
+    [alloc], [saturated], [u] = _rule_for(cost_set, budget, (mass,))
     if saturated:
         return -beta * beta / m
     a_r = float(alloc[np.flatnonzero(u < 1.0)[-1]])
@@ -353,8 +366,7 @@ def objective_at_mass(cost_set: CostSet, budget: float, beta: float, mass: float
     m = len(cost_set)
     if not 0 <= mass <= m:
         raise InvalidInputError("mass must lie in [0, m]")
-    alloc, _, u = _rule_for(cost_set, budget, mass)
-    return beta ** 2 * _variance_sum(alloc, u) / m + (mass / m) ** 2
+    return _objective_rows(cost_set, budget, beta, (mass,))[0]
 
 
 def ci_objective(rule: AllocationRule, ignore: IgnoreRule, beta: float, n: int) -> float:

@@ -156,15 +156,19 @@ def _solve_rounds(costs, sizes, budgets, beta):
     return [tuple(part[r, :m].copy() for part in parts) for r, m in enumerate(sizes.tolist())]
 
 
-def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record):
+def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record, keys=None):
     """One online run in arrival order: the unbiased task if ``gamma`` is None,
     else the confidence-interval task at confidence ``gamma``.
 
     Every round not flagged solves its rule on the grid of earlier reports
-    plus the cap, or takes it from ``cache``, keyed by the grid.  An entry is
-    the round solver's tuple (slots 0-3) followed by the budget and the CI
-    ``beta`` (None for the unbiased task) it was solved for.  A hit solved
-    for another budget or ``beta`` is solved again: the same grid recurs at a
+    plus the cap, or takes it from ``cache``.  Round ``i`` is keyed by
+    ``keys[i - 1]``, which the caller supplies and which must be equal for
+    two rounds exactly when their grids are; with ``keys`` None it is keyed
+    by the grid tuple, as user caches and transcripts read it (a run that
+    records transcripts keeps ``keys`` None).  An entry is the round
+    solver's tuple (slots 0-3) followed by the budget and the CI ``beta``
+    (None for the unbiased task) it was solved for.  A hit solved for
+    another budget or ``beta`` is solved again: the same grid recurs at a
     later round after a flagged arrival, and a shared cache may have served
     a run at another ``gamma``.
 
@@ -188,7 +192,7 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record):
         if cost > cap:
             plan.append((tuple(grid) if record else None, 0, None))
             continue
-        key = tuple(grid)
+        key = tuple(grid) if keys is None else keys[i - 1]
         budget = schedule.per_round(i)
         entry = cache.get(key)
         if entry is None or entry[-2:] != (budget, beta):

@@ -11,9 +11,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -41,7 +42,9 @@ __all__ = [
 
 _TASKS = ("unbiased", "ci")
 
-# Grid points the Monte Carlo round cache keeps, about 8 MB of entries.
+# Grid points the Monte Carlo round cache keeps.  An entry holds three float
+# arrays of its grid's size (and a bool one on the CI task) under an int key:
+# at the bound about 6 MB of arrays, 6-9 MB with the per-entry overhead.
 _CACHE_POINTS = 2**18
 # Points of the uniform grid ``truthfulness_audit`` checks the extension on,
 # and the violation it tolerates.
@@ -52,10 +55,10 @@ _AUDIT_TOL = 1e-9
 class _RoundCache(OrderedDict):
     """Round cache that evicts its oldest entries beyond ``max_points`` grid points.
 
-    A grid's points are counted when its key is first added, and the key
-    added last is never evicted; a key stored again keeps its place, as in a
-    dict.  Evicting through ``popitem`` reuses the hash ``OrderedDict`` keeps
-    for each key, so long keys are not hashed again.
+    A grid's points are counted from its entry (slot 0 is the grid) when its
+    key is first added, and the key added last is never evicted; a key
+    stored again keeps its place, as in a dict.  Every entry stored under a
+    key holds the same grid, so eviction subtracts what was added.
     """
 
     def __init__(self, max_points: int):
@@ -67,10 +70,10 @@ class _RoundCache(OrderedDict):
         size = len(self)
         super().__setitem__(key, entry)
         if len(self) > size:
-            self.points += len(key)
+            self.points += entry[0].size
         while self.points > self.max_points and len(self) > 1:
-            oldest, _ = self.popitem(last=False)
-            self.points -= len(oldest)
+            _, oldest = self.popitem(last=False)
+            self.points -= oldest[0].size
 
 
 @dataclass(frozen=True)
@@ -109,9 +112,29 @@ def draw_permutation(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.permutation(n)
 
 
+def _count_weights(costs):
+    """Each cost's weight in a mixed radix over the distinct values of ``costs``.
+
+    Distinct value ``j`` of multiplicity ``mult_j`` weighs ``W_j``, with
+    ``W_0 = 1`` and ``W_{j+1} = W_j * (mult_j + 1)``.  The weights of any
+    sub-multiset of ``costs`` sum to ``sum_j count_j * W_j`` with
+    ``count_j <= mult_j``: an exact key of its counts, for any number of
+    distinct values, because Python ints do not overflow.
+    """
+    _, classes, mult = np.unique(costs, return_inverse=True, return_counts=True)
+    weights = list(accumulate((mult[:-1] + 1).tolist(), operator.mul, initial=1))
+    return [weights[j] for j in classes.tolist()]
+
+
 def _mc_batch(task, costs, data, cap, budget, gamma, master_seed, run_lo, run_hi):
-    """Per-run outputs for run indices [run_lo, run_hi); order-independent."""
+    """Per-run outputs for run indices [run_lo, run_hi); order-independent.
+
+    A round's grid is the cap and the costs that arrived before it (a
+    population has no cost above its cap, so none is flagged), so the
+    running sum of ``_count_weights`` keys it in the round cache exactly.
+    """
     n = costs.size
+    weight_of = _count_weights(costs)
     count = run_hi - run_lo
     estimates = np.empty(count)
     spends = np.empty(count)
@@ -130,7 +153,8 @@ def _mc_batch(task, costs, data, cap, budget, gamma, master_seed, run_lo, run_hi
         perm = draw_permutation(rng, n)
         cseq = costs[perm]
         zseq = data[perm]
-        result = _run_online(cseq, zseq, cap, schedule, gamma, rng, cache, False)
+        keys = list(accumulate(map(weight_of.__getitem__, perm.tolist()), initial=0))
+        result = _run_online(cseq, zseq, cap, schedule, gamma, rng, cache, False, keys)
         if task == "unbiased":
             estimates[k] = result.estimate
         else:
@@ -178,6 +202,10 @@ def monte_carlo(
     if workers == 1 or runs < 2 * workers:
         parts = [_mc_batch(*args, 0, runs)]
     else:
+        # Imported here: the pool's multiprocessing modules add about 1.5 MB
+        # to the resident memory of every process that imports them.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = math.ceil(runs / workers)
         bounds = [(lo, min(lo + chunk, runs)) for lo in range(0, runs, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -20,6 +20,7 @@ from surveymech import (
     virtual_costs,
 )
 from surveymech.audits import random_cost_set
+from surveymech.ci_solver import _objective_rows
 
 
 def make_set(costs, cap=None):
@@ -299,6 +300,23 @@ class TestOuterSearch:
         expected = ci_objective(rule, ignore, beta, len(cs))
         got = objective_at_mass(cs, budget, beta, ignore.total_mass)
         assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_objective_rows_match_per_call_objective_bit_for_bit(self):
+        # The convexity audit evaluates its 101 masses as rows of one batch;
+        # each must carry the bits of a single-mass call.  Every third set
+        # has integer costs (ties, zeros), and every seventh a zero budget.
+        rng = np.random.default_rng(29)
+        for t in range(60):
+            cs = random_cost_set(rng, max_m=30, min_m=1)
+            if t % 3 == 0:
+                cs = make_set(np.minimum(np.round(cs.costs), cs.cap), cap=cs.cap)
+            budget = 0.0 if t % 7 == 0 else float(rng.uniform(0.05, 1.1)) * max(
+                float(np.sum(virtual_costs(cs))), 1e-9)
+            beta = float(rng.uniform(0.1, 3.0))
+            masses = np.linspace(0.0, len(cs), 101)
+            single = [objective_at_mass(cs, budget, beta, x) for x in masses]
+            batched = _objective_rows(cs, budget, beta, masses)
+            assert [v.hex() for v in batched] == [v.hex() for v in single]
 
     @pytest.mark.parametrize(
         "seed, mass",

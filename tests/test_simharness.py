@@ -4,18 +4,25 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from surveymech import (
     InvalidInputError,
+    Population,
+    ci_schedule,
     draw_permutation,
     gen_population,
     metrics_json,
     monte_carlo,
+    run_ci_online,
     run_log_csv,
+    run_unbiased_online,
     truthfulness_audit,
+    unbiased_schedule,
 )
-from surveymech import simharness
+from surveymech import online_runner, simharness
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +179,7 @@ class TestRoundCacheBound:
         class Spy(simharness._RoundCache):
             def __setitem__(self, key, entry):
                 super().__setitem__(key, entry)
-                seen.append((self.points, sum(map(len, self))))
+                seen.append((self.points, sum(e[0].size for e in self.values())))
 
         monkeypatch.setattr(simharness, "_RoundCache", Spy)
         monkeypatch.setattr(simharness, "_CACHE_POINTS", 1000)
@@ -193,3 +200,106 @@ class TestRoundCacheBound:
         finally:
             tracemalloc.stop()
         assert peak < 24 * 2**20
+
+
+def _pop(costs, cap):
+    costs = np.asarray(costs, dtype=float)
+    data = np.random.default_rng(costs.size).uniform(0.0, 1.0, costs.size)
+    return Population(costs=costs, data=data, cap=cap)
+
+
+def _spread(k=5, top=20.0):
+    return {"kind": "worst_case", "cost_law": {"dist": "choice", "values": list(np.linspace(0.5, top, k))}}
+
+
+# (population, budget): the edge cases of a round grid, and the acceptance shapes at n = 30.
+COUNT_KEY_POPULATIONS = {
+    "ties": (_pop([3.0, 1.0, 2.0, 1.0, 3.0, 2.0, 1.0, 3.0], 4.0), 6.0),
+    "zero_costs": (_pop([0.0, 2.0, 0.0, 5.0, 0.0, 1.0, 2.0], 6.0), 5.0),
+    "cost_at_cap": (_pop([5.0, 1.0, 5.0, 2.0, 5.0, 3.0], 5.0), 4.0),
+    "one_agent": (_pop([2.0], 3.0), 1.5),
+    "continuous": (gen_population({"kind": "independent"}, 25, 25.0, 3), 37.5),
+    "two_point": (gen_population(
+        {"kind": "two_point", "fractions": [0.9, 0.1], "costs": [1.0, 20.0]}, 30, 25.0, 4), 45.0),
+    "spread": (gen_population(_spread(), 30, 25.0, 5), 45.0),
+    "correlated": (gen_population(
+        {"kind": "correlated", "cost_law": {"dist": "choice", "values": [0.5, 5.0, 12.0, 20.0]}},
+        30, 25.0, 6), 45.0),
+}
+
+
+class TestCountKeys:
+    """The harness keys its round cache by counts over the distinct costs;
+    the public runners key a plain dict by grid tuples."""
+
+    RUNS = 40
+    SEED = 17
+
+    def _reference(self, task, pop, budget, gamma):
+        # One plain dict shared by every run, the harness's per-run generators.
+        cache: dict = {}
+        out = {name: np.full(self.RUNS, np.nan) for name in ("estimate", "spend", "lower", "upper")}
+        out["flagged"] = np.zeros(self.RUNS, dtype=np.int64)
+        for r in range(self.RUNS):
+            rng = np.random.default_rng([self.SEED, r])
+            perm = draw_permutation(rng, pop.n)
+            arrived = Population(costs=pop.costs[perm], data=pop.data[perm], cap=pop.cap)
+            if task == "unbiased":
+                res = run_unbiased_online(arrived, unbiased_schedule(pop.n, budget), rng,
+                                          record_transcripts=False, cache=cache)
+                out["estimate"][r] = res.estimate
+            else:
+                res = run_ci_online(arrived, ci_schedule(pop.n, budget), gamma, rng,
+                                    record_transcripts=False, cache=cache)
+                interval = res.interval
+                out["estimate"][r] = interval.sample_mean
+                out["lower"][r], out["upper"][r] = interval.lower, interval.upper
+            out["spend"][r] = res.total_paid
+            out["flagged"][r] = res.flagged
+        return out
+
+    @pytest.mark.parametrize("task", ["unbiased", "ci"])
+    @pytest.mark.parametrize("name", sorted(COUNT_KEY_POPULATIONS))
+    def test_monte_carlo_matches_public_runners_bit_for_bit(self, monkeypatch, name, task):
+        pop, budget = COUNT_KEY_POPULATIONS[name]
+        gamma = 0.9 if task == "ci" else None
+        rows = []
+        solve = online_runner._solve_rounds
+
+        def spy(costs, sizes, budgets, beta):
+            rows.append(len(sizes))
+            return solve(costs, sizes, budgets, beta)
+
+        monkeypatch.setattr(online_runner, "_solve_rounds", spy)
+        _, per_run = monte_carlo(task, pop, budget, gamma, self.RUNS, self.SEED, return_per_run=True)
+        harness_rows = sum(rows)
+        rows.clear()
+        want = self._reference(task, pop, budget, gamma)
+        assert harness_rows == sum(rows) > 0
+        for key, values in want.items():
+            assert per_run[key].tobytes() == values.tobytes(), key
+
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=8).flatmap(
+        lambda mult: st.tuples(*(st.tuples(st.just(m), st.integers(0, m), st.integers(0, m))
+                                 for m in mult))))
+    @settings(max_examples=300, deadline=None)
+    def test_count_keys_equal_only_for_equal_counts(self, classes):
+        # Distinct cost j appears mult_j times, in shuffled order; two
+        # sub-multisets take the first count_j copies of each.
+        costs = np.repeat(np.arange(len(classes), dtype=float), [m for m, _, _ in classes])
+        costs = np.random.default_rng(costs.size).permutation(costs)
+        weights = simharness._count_weights(costs)
+        where = [np.flatnonzero(costs == j).tolist() for j in range(len(classes))]
+
+        def key(which):
+            return sum(weights[i] for j, c in enumerate(classes) for i in where[j][:c[which]])
+
+        first = [c[1] for c in classes]
+        second = [c[2] for c in classes]
+        assert (key(1) == key(2)) == (first == second)
+        # the key is the counts' mixed-radix numeral: it decodes back to them
+        decoded, rest = [], key(1)
+        for m, _, _ in classes:
+            rest, count = divmod(rest, m + 1)
+            decoded.append(count)
+        assert decoded == first and rest == 0
