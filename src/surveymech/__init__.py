@@ -38,8 +38,6 @@ from .online_runner import (
     ci_schedule,
     run_ci_online,
     run_unbiased_online,
-    run_summary_json,
-    transcripts_to_csv,
     unbiased_bound_rhs,
     unbiased_schedule,
 )
@@ -99,12 +97,10 @@ __all__ = [
     "regularize_naive",
     "run_ci_online",
     "run_log_csv",
-    "run_summary_json",
     "run_unbiased_online",
     "sample_variance",
     "solve_ci",
     "solve_unbiased",
-    "transcripts_to_csv",
     "truthfulness_audit",
     "unbiased_bound_rhs",
     "unbiased_schedule",

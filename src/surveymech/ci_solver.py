@@ -257,7 +257,16 @@ def _check_budget_beta(budget: float, beta: float) -> tuple[float, float]:
 
 
 def solve_ci(cost_set: CostSet, budget: float, beta: float) -> tuple[AllocationRule, IgnoreRule]:
-    """Jointly optimal allocation and ignore rules for interval length.
+    """Jointly optimal allocation and ignore rules for the CI task.
+
+    Minimises the squared surrogate ``beta^2 (1/m) sum (1-U)/A + (sum U / m)^2``
+    of the module docstring, the value ``ci_objective`` and
+    ``oracle.grid_search_ci`` compute, over relaxed rules (``U`` fractional).
+    That is not the interval length ``beta sqrt((1/m) sum (1-U)/A) + sum U / m``,
+    which ``online_runner.benchmark_ci`` reports as ``L*``.  With ``x`` and
+    ``y`` the length's two terms, ``x^2 + y^2 <= (x + y)^2 <= 2 (x^2 + y^2)``,
+    so the surrogate's minimiser is at most ``sqrt(2)`` times longer than the
+    shortest relaxed rule.
 
     Raises:
         InvalidInputError: for a negative or non-finite budget, or a
@@ -370,7 +379,12 @@ def objective_at_mass(cost_set: CostSet, budget: float, beta: float, mass: float
 
 
 def ci_objective(rule: AllocationRule, ignore: IgnoreRule, beta: float, n: int) -> float:
-    """Objective ``beta^2 (1/n) sum (1-U_k)/A_k + (sum U_k / n)^2`` at z = 1."""
+    """Squared surrogate ``beta^2 (1/n) sum (1-U_k)/A_k + (sum U_k / n)^2`` at z = 1.
+
+    This is what ``solve_ci`` minimises, not the interval length
+    ``beta sqrt((1/n) sum (1-U_k)/A_k) + sum U_k / n``; see ``solve_ci`` for
+    how the two bound each other.
+    """
     alloc = rule.probabilities
     u = ignore.u_values
     if alloc.size != u.size or alloc.size != n:

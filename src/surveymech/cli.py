@@ -64,6 +64,27 @@ def _load_config(path: str) -> dict:
     return config
 
 
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
+
+
+def _value(opts: dict, key: str, convert, default=None):
+    """``convert(opts[key])``, or ``default`` if the key is unset.
+
+    Config values skip argparse's ``type=`` conversion, so a value that
+    ``convert`` rejects raises ``ConfigError`` naming the key.
+    """
+    value = opts.get(key)
+    if value is None:
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid {key} {value!r}: {exc}") from exc
+
+
 def _merged(args: argparse.Namespace) -> dict:
     """Flag values overridden by any config keys of the same name."""
     merged = vars(args).copy()
@@ -74,10 +95,12 @@ def _merged(args: argparse.Namespace) -> dict:
 
 def _costs_from(opts: dict) -> list[float]:
     """The costs of ``--costs`` (or a config list), else of ``--costs-file``."""
-    if opts.get("costs") is not None:
-        costs = opts["costs"] if isinstance(opts["costs"], list) else _parse_costs(opts["costs"])
+    if isinstance(opts.get("costs"), str):
+        costs = _parse_costs(opts["costs"])
+    elif opts.get("costs") is not None:
+        costs = _value(opts, "costs", lambda v: [float(c) for c in v])
     elif opts.get("costs_file"):
-        costs = _read_costs_file(opts["costs_file"])
+        costs = _read_costs_file(_value(opts, "costs_file", _text))
     else:
         raise ConfigError("provide --costs or --costs-file")
     if not costs:
@@ -112,11 +135,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if task not in ("unbiased", "ci"):
         raise ConfigError("task must be 'unbiased' or 'ci'")
     costs = _costs_from(opts)
-    if opts.get("budget") is None:
+    budget = _value(opts, "budget", float)
+    if budget is None:
         raise ConfigError("provide --budget")
-    budget = float(opts["budget"])
     costs_arr = np.sort(np.asarray(costs, dtype=float))
-    cap = float(opts["cap"]) if opts.get("cap") is not None else float(costs_arr[-1])
+    cap = _value(opts, "cap", float, float(costs_arr[-1]))
     cost_set = CostSet(costs=costs_arr, cap=cap)
 
     if task == "unbiased":
@@ -133,9 +156,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "objective": worst_case_variance(rule, cost_set),
         }
     else:
-        if opts.get("gamma") is None:
+        gamma = _value(opts, "gamma", float)
+        if gamma is None:
             raise ConfigError("ci task needs --gamma")
-        params = ci_parameters(float(opts["gamma"]), len(cost_set))
+        params = ci_parameters(gamma, len(cost_set))
         rule, ignore = solve_ci(cost_set, budget, params.beta)
         _, payments = _deployed_policy(cost_set.costs, rule.probabilities, ignore.u_values)
         payload = {
@@ -154,27 +178,27 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "saturated": rule.saturated,
             "objective": ci_objective(rule, ignore, params.beta, len(cost_set)),
         }
-    _emit(payload, opts.get("out"))
+    _emit(payload, _value(opts, "out", _text))
     return 0
 
 
 def _population_from(opts: dict) -> Population:
-    cap = opts.get("cap")
+    cap = _value(opts, "cap", float)
     if opts.get("population") is not None:
         spec = opts["population"]
         if not isinstance(spec, dict):
             raise ConfigError("population must be a JSON object")
-        n = opts.get("n")
+        n = _value(opts, "n", int)
         if n is None:
             raise ConfigError("simulate needs n with a population spec")
         if cap is None:
             raise ConfigError("simulate needs cap with a population spec")
-        return gen_population(spec, int(n), float(cap), int(opts.get("pop_seed") or 0))
+        return gen_population(spec, n, cap, _value(opts, "pop_seed", int) or 0)
     if opts.get("costs") is None and not opts.get("costs_file"):
         raise ConfigError("simulate needs a population spec (config) or --costs")
     costs = np.asarray(_costs_from(opts), dtype=float)
-    cap = float(cap) if cap is not None else float(np.max(costs))
-    data = np.asarray(opts["data"], dtype=float) if opts.get("data") is not None else np.ones(costs.size)
+    cap = float(np.max(costs)) if cap is None else cap
+    data = _value(opts, "data", lambda v: np.asarray(v, dtype=float), np.ones(costs.size))
     return Population(costs=costs, data=data, cap=cap)
 
 
@@ -183,22 +207,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     task = opts.get("task")
     if task not in ("unbiased", "ci"):
         raise ConfigError("task must be 'unbiased' or 'ci'")
-    if opts.get("budget") is None:
+    budget = _value(opts, "budget", float)
+    if budget is None:
         raise ConfigError("provide --budget")
-    runs = int(opts.get("runs") or 0)
+    runs = _value(opts, "runs", int) or 0
     if runs < 1:
         raise ConfigError("runs must be at least 1")
-    gamma = float(opts["gamma"]) if opts.get("gamma") is not None else None
+    gamma = _value(opts, "gamma", float)
     population = _population_from(opts)
-    seed = int(opts.get("seed") or 0)
-    workers = int(opts.get("threads") or 1)
-    budget = float(opts["budget"])
+    seed = _value(opts, "seed", int) or 0
+    workers = _value(opts, "threads", int) or 1
+    out = _value(opts, "out", _text) or "simrun"
 
     metrics, per_run = monte_carlo(
         task, population, budget, gamma, runs, seed,
         workers=workers, return_per_run=True,
     )
-    out = opts.get("out") or "simrun"
     with open(out + ".json", "w", encoding="utf-8") as handle:
         handle.write(metrics_json(metrics))
     run_log_csv(per_run, out + ".csv")
@@ -232,8 +256,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
     suite = opts.get("suite")
     if suite is None:
         raise ConfigError(f"provide --suite (one of {sorted(SUITES)})")
-    trials = int(opts["trials"]) if opts.get("trials") is not None else None
-    outcome = run_suite(suite, trials=trials, seed=int(opts.get("seed") or 0))
+    trials = _value(opts, "trials", int)
+    outcome = run_suite(suite, trials=trials, seed=_value(opts, "seed", int) or 0)
     print(outcome.line())
     return 0 if outcome.passed else AUDIT_ERROR
 

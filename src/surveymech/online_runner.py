@@ -16,8 +16,6 @@ fair comparison point carries one extra agent at the cap).
 from __future__ import annotations
 
 import bisect
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -43,8 +41,6 @@ __all__ = [
     "benchmark_ci",
     "unbiased_bound_rhs",
     "ci_bound_rhs",
-    "transcripts_to_csv",
-    "run_summary_json",
 ]
 
 # Rows per batch of ``_solve_rounds``: keeps its padded temporaries at a few
@@ -139,8 +135,9 @@ def _solve_rounds(costs, sizes, budgets, beta):
     ``budgets[r]``, padded by repeating its last cost.  Every step runs on
     all rows together: virtual costs, ironing, the solve (``_calibrate_rows``,
     or ``_solve_ci_rows`` for the CI task, ``beta`` not None) and payments.
-    Returns one tuple per row: ``(costs, A, payments)``, or ``(costs, A,
-    ignored, payments)`` for the CI task.
+    Returns one tuple per row of the arrays its offers read, each of the
+    row's size: ``(A, payments)``, or ``(A, ignored, payments)`` for the CI
+    task.
     """
     if beta is None and min(budgets) <= 0:
         raise InvalidInputError("unbiased rounds need a positive budget")
@@ -148,10 +145,10 @@ def _solve_rounds(costs, sizes, budgets, beta):
     phi = _iron_rows(psi, sizes)
     if beta is None:
         alloc, _, _ = _calibrate_rows(phi, psi, None, budgets, sizes)
-        parts = (costs, alloc, _myerson(costs, alloc))
+        parts = (alloc, _myerson(costs, alloc))
     else:
         alloc, _, _, u, _ = _solve_ci_rows(phi, psi, sizes, budgets, beta)
-        parts = (costs, alloc) + _deployed_policy(costs, alloc, u)
+        parts = (alloc,) + _deployed_policy(costs, alloc, u)
     # copies, so a cached rule holds its own row and not the whole batch
     return [tuple(part[r, :m].copy() for part in parts) for r, m in enumerate(sizes.tolist())]
 
@@ -165,12 +162,13 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record, k
     ``keys[i - 1]``, which the caller supplies and which must be equal for
     two rounds exactly when their grids are; with ``keys`` None it is keyed
     by the grid tuple, as user caches and transcripts read it (a run that
-    records transcripts keeps ``keys`` None).  An entry is the round
-    solver's tuple (slots 0-3) followed by the budget and the CI ``beta``
-    (None for the unbiased task) it was solved for.  A hit solved for
-    another budget or ``beta`` is solved again: the same grid recurs at a
-    later round after a flagged arrival, and a shared cache may have served
-    a run at another ``gamma``.
+    records transcripts keeps ``keys`` None).  An entry is the round's key
+    (slot 0), ``_solve_rounds``' arrays for the round (slots 1-3: ``A``,
+    then ``ignored`` on the CI task, then the payments), and the budget and
+    the CI ``beta`` (None for the unbiased task) it was solved for.  A hit
+    solved for another budget or ``beta`` is solved again: the same grid
+    recurs at a later round after a flagged arrival, and a shared cache may
+    have served a run at another ``gamma``.
 
     No round's grid depends on a purchase, so the run takes three steps: one
     pass looks every round up; the misses are solved together by
@@ -216,8 +214,7 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record, k
                 sorted_arrivals, taken.shape)[taken]
             solved += _solve_rounds(costs, sizes, [b for _, b, _ in batch], beta)
     for j, (key, budget, _) in enumerate(misses):
-        solved[j] += (budget, beta)
-        cache[key] = solved[j]
+        solved[j] = cache[key] = (key, *solved[j], budget, beta)
     coins = rng.random(n).tolist()
     y = np.zeros(n)
     total_paid = 0.0
@@ -329,8 +326,11 @@ def benchmark_ci(costs, cap: float, budget: float, gamma: float):
     """Known-costs CI benchmark on the cap-augmented set.
 
     Returns ``((rule, ignore), l_star)`` where ``l_star`` is the worst-case
-    expected-length objective ``beta * sqrt((1/m) sum (1-U)/A) + M/m`` with
-    ``beta = 2 alpha_gamma / sqrt(m)`` and m = n + 1.
+    expected length ``beta * sqrt((1/m) sum (1-U)/A) + M/m`` of ``solve_ci``'s
+    rule, with ``beta = 2 alpha_gamma / sqrt(m)`` and m = n + 1.  That rule
+    minimises the squared surrogate ``beta^2 (1/m) sum (1-U)/A + (M/m)^2``,
+    not this length, so ``l_star`` is at most ``sqrt(2)`` times the shortest
+    relaxed rule's length (see ``solve_ci``).
     """
     aug = _augmented(costs, cap)
     m = len(aug)
@@ -358,45 +358,3 @@ def ci_bound_rhs(n: int, l_star: float) -> float:
     """
     root10 = math.sqrt(10.0)
     return 8.0 * root10 * l_star + 2.0 * root10 / math.sqrt(n) + 1.0 / math.sqrt(n)
-
-
-def transcripts_to_csv(transcripts, target) -> None:
-    """Write one CSV row per round: i, cost, A, P, ignored, purchased, y, paid."""
-    own = isinstance(target, (str, bytes))
-    handle = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["i", "cost", "A", "P", "ignored", "purchased", "y", "paid"])
-        for t in transcripts:
-            writer.writerow([
-                t.round_index, repr(t.cost), repr(t.alloc), repr(t.payment_offer),
-                int(t.ignored), int(t.purchased), repr(t.y), repr(t.paid),
-            ])
-    finally:
-        if own:
-            handle.close()
-
-
-def run_summary_json(result) -> str:
-    """Machine-readable one-run summary for either task."""
-    if isinstance(result, UnbiasedRunResult):
-        payload = {
-            "task": "unbiased",
-            "estimate": result.estimate,
-            "total_paid": result.total_paid,
-            "flagged": result.flagged,
-        }
-    elif isinstance(result, CIRunResult):
-        payload = {
-            "task": "ci",
-            "estimate": result.interval.sample_mean,
-            "lower": result.interval.lower,
-            "upper": result.interval.upper,
-            "bias_term": result.interval.bias_term,
-            "total_paid": result.total_paid,
-            "ignored": result.ignored_count,
-            "flagged": result.flagged,
-        }
-    else:
-        raise InvalidInputError(f"unknown run result type {type(result)!r}")
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

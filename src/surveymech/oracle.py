@@ -222,7 +222,8 @@ def _ignore_combos(m: int, u_grid: np.ndarray):
 
 
 def grid_search_ci(cost_set: CostSet, budget: float, beta: float):
-    """Exact grid optimum of the joint length objective over (A, U).
+    """Exact grid optimum over (A, U) of the squared surrogate that ``solve_ci``
+    minimises, ``beta^2 (1/m) sum (1-U)/A + (sum U / m)^2`` (not the length).
 
     ``U`` ranges per entry over ``{0, 0.1, ..., 1}`` and ``A`` over the
     monotone grid ``{0.01, 0.02, ..., 1}``; both A and the effective allocation

@@ -42,9 +42,10 @@ __all__ = [
 
 _TASKS = ("unbiased", "ci")
 
-# Grid points the Monte Carlo round cache keeps.  An entry holds three float
+# Grid points the Monte Carlo round cache keeps.  An entry holds two float
 # arrays of its grid's size (and a bool one on the CI task) under an int key:
-# at the bound about 6 MB of arrays, 6-9 MB with the per-entry overhead.
+# at the bound 4.0-4.25 MB of arrays, and 4.2-7.1 MB with the per-entry
+# overhead on continuous costs at n = 100 to 1000 (10.5 MB at n = 30).
 _CACHE_POINTS = 2**18
 # Points of the uniform grid ``truthfulness_audit`` checks the extension on,
 # and the violation it tolerates.
@@ -55,10 +56,11 @@ _AUDIT_TOL = 1e-9
 class _RoundCache(OrderedDict):
     """Round cache that evicts its oldest entries beyond ``max_points`` grid points.
 
-    A grid's points are counted from its entry (slot 0 is the grid) when its
-    key is first added, and the key added last is never evicted; a key
-    stored again keeps its place, as in a dict.  Every entry stored under a
-    key holds the same grid, so eviction subtracts what was added.
+    A grid's points are counted from its entry (slot 1, ``A``, has the
+    grid's size) when its key is first added, and the key added last is
+    never evicted; a key stored again keeps its place, as in a dict.  Every
+    entry stored under a key is for the same grid, so eviction subtracts
+    what was added.
     """
 
     def __init__(self, max_points: int):
@@ -70,17 +72,20 @@ class _RoundCache(OrderedDict):
         size = len(self)
         super().__setitem__(key, entry)
         if len(self) > size:
-            self.points += entry[0].size
+            self.points += entry[1].size
         while self.points > self.max_points and len(self) > 1:
             _, oldest = self.popitem(last=False)
-            self.points -= oldest[0].size
+            self.points -= oldest[1].size
 
 
 @dataclass(frozen=True)
 class SimMetrics:
     """Aggregated Monte Carlo outputs plus benchmark comparison targets.
 
-    Fields that do not apply to the task at hand are None.
+    Fields that do not apply to the task at hand are None.  ``flagged_count``
+    is 0 in every ``monte_carlo`` report: a population holds no cost above
+    its cap, and the runs use that cap.  Flagged arrivals come only from the
+    ``cap`` override of the public runners.
     """
 
     task: str

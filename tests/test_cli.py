@@ -149,7 +149,48 @@ class TestSimulate:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+# (command, config, key): a config value argparse never sees and that the
+# command cannot convert; each must be a usage error that names its key.
+_SIMULATE = {"task": "unbiased", "costs": [1, 2, 3], "budget": 5, "runs": 3}
+MALFORMED_CONFIGS = [
+    ("simulate", {**_SIMULATE, "budget": "abc"}, "budget"),
+    ("simulate", {**_SIMULATE, "runs": "x"}, "runs"),
+    ("simulate", {**_SIMULATE, "task": "ci", "gamma": "0.9x"}, "gamma"),
+    ("simulate", {**_SIMULATE, "threads": "two"}, "threads"),
+    ("simulate", {**_SIMULATE, "costs": [1, 2, "q"]}, "costs"),
+    ("simulate", {**_SIMULATE, "data": "x"}, "data"),
+    ("simulate", {"task": "unbiased", "population": {"kind": "independent"}, "n": "ten",
+                  "cap": 5.0, "budget": 5, "runs": 3}, "n"),
+    ("simulate", {**_SIMULATE, "out": 5}, "out"),
+    ("audit", {"suite": "oracle", "trials": "many"}, "trials"),
+    ("solve", {"task": "unbiased", "costs": [1, 2, 3], "budget": "abc"}, "budget"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, config, key", MALFORMED_CONFIGS,
+    ids=[f"{command}-{key}" for command, _, key in MALFORMED_CONFIGS],
+)
+def test_malformed_config_value_is_a_usage_error(
+        command, config, key, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where a simulate that ran would write its report
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = run_cli([command, "--config", str(path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert key in captured.err
+    assert "PASS" not in captured.out
+
+
 class TestAudit:
+    def test_oracle_suite_at_its_default_trials(self, capsys):
+        # ``audit --suite X`` without ``--trials`` runs the suite's own default
+        code = run_cli(["audit", "--suite", "oracle"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("PASS oracle: trials=100 ")
+
     def test_ironing_suite_passes(self, capsys):
         code = run_cli(["audit", "--suite", "ironing", "--trials", "50", "--seed", "2"])
         assert code == 0

@@ -224,11 +224,11 @@ def _unbiased_round_ref(grid, budget):
     psi = _psi_ref(costs)
     phi = _pav_loop(psi)
     alloc, _, _ = _calibrate_ref(phi, psi, None, budget)
-    return costs, alloc, _myerson_ref(costs, alloc)
+    return alloc, _myerson_ref(costs, alloc)
 
 
 def _ci_round_ref(grid, budget, beta, monkeypatch):
-    """The round's ``(costs, A, ignored, payments)`` and whether the per-grid
+    """The round's ``(A, ignored, payments)`` and whether the per-grid
     solve stepped up from the sweep's mass onto the saturation kink."""
     costs = np.asarray(grid)
     psi = _psi_ref(costs)
@@ -238,7 +238,7 @@ def _ci_round_ref(grid, budget, beta, monkeypatch):
         alloc, _, _, u, mass = _solve_ci_arrays(phi, psi, budget, beta)
         ignored, payments = _deployed_policy(costs, alloc, u)
     stepped = mass != _optimal_mass(phi, *_phi_blocks(phi), budget, beta)[0]
-    return (costs, alloc, ignored, payments), stepped
+    return (alloc, ignored, payments), stepped
 
 
 def _run_grids(costs):
@@ -306,7 +306,7 @@ def test_unbiased_batch_matches_per_grid_rounds(family):
         solved = _solve_rounds(costs, sizes, batch_budgets, None)
         for grid, budget, got in zip(batch, batch_budgets, solved):
             ref = _unbiased_round_ref(grid, budget)
-            assert len(got) == 3
+            assert len(got) == 2
             for part, want in zip(got, ref):
                 assert np.array_equal(part, want, equal_nan=True), (family, len(grid), budget)
 
@@ -324,7 +324,7 @@ def test_ci_batch_matches_per_grid_rounds(family, monkeypatch):
         for k in range(0, len(batch), step):
             ref, ref_stepped = _ci_round_ref(batch[k], batch_budgets[k], beta, monkeypatch)
             stepped += ref_stepped
-            assert len(solved[k]) == 4
+            assert len(solved[k]) == 3
             for part, want in zip(solved[k], ref):
                 assert np.array_equal(part, want, equal_nan=True), (family, len(batch[k]))
     if family == "continuous_small":

@@ -76,13 +76,11 @@ class TestMonteCarlo:
         run_log_csv(r8, buf8)
         assert buf1.getvalue() == buf8.getvalue()
 
-    def test_flagged_costs_surface_in_metrics(self):
-        from surveymech import Population
-
+    def test_harness_report_has_no_flagged_arrivals(self):
+        # A population holds no cost above its cap and the harness runs at
+        # that cap, so even a cost equal to the cap is offered, not flagged.
         pop = Population(costs=np.array([1.0, 5.0]), data=np.ones(2), cap=5.0)
-        # run with a tighter cap by rebuilding the population
-        tight = Population(costs=pop.costs, data=pop.data, cap=5.0)
-        metrics = monte_carlo("unbiased", tight, 10.0, None, 4, 0)
+        metrics = monte_carlo("unbiased", pop, 10.0, None, 4, 0)
         assert metrics.flagged_count == 0
 
     def test_different_seeds_move_metrics_not_verdicts(self, small_pop):
@@ -179,7 +177,8 @@ class TestRoundCacheBound:
         class Spy(simharness._RoundCache):
             def __setitem__(self, key, entry):
                 super().__setitem__(key, entry)
-                seen.append((self.points, sum(e[0].size for e in self.values())))
+                # slot 1, the round's allocations, has its grid's size
+                seen.append((self.points, sum(e[1].size for e in self.values())))
 
         monkeypatch.setattr(simharness, "_RoundCache", Spy)
         monkeypatch.setattr(simharness, "_CACHE_POINTS", 1000)
