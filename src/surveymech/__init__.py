@@ -9,7 +9,6 @@ online random-arrival variants, and a Monte Carlo verification harness.
 from .allocation import (
     AllocationRule,
     PaymentRule,
-    expected_spend,
     extend,
     myerson_payments,
     solve_unbiased,
@@ -83,7 +82,6 @@ __all__ = [
     "ci_parameters",
     "ci_schedule",
     "draw_permutation",
-    "expected_spend",
     "extend",
     "g_derivative",
     "gen_population",

@@ -12,7 +12,7 @@ monotone non-increasing allocation rule:
     P_i = c_i + (1 / A_i) * sum_{j > i} A_j * (c_j - c_{j-1})
 
 so the highest cost is paid exactly its cost.  The expected payment equals
-the expected virtual cost, an identity used as a runtime self-check.
+the expected virtual cost, ``sum_k A_k P_k = sum_k A_k psi_k``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "myerson_payments",
     "extend",
     "worst_case_variance",
-    "expected_spend",
 ]
 
 _MONOTONE_SLACK = 1e-12
@@ -229,22 +228,3 @@ def worst_case_variance(rule: AllocationRule, cost_set: CostSet) -> float:
         return float("inf")
     return float((np.sum(1.0 / alloc) - n) / n**2)
 
-
-def expected_spend(rule: AllocationRule, payments: PaymentRule, cost_set: CostSet) -> float:
-    """Expected payment ``(1/m) sum_k A_k P_k`` under the uniform cost draw.
-
-    Asserts the identity with the expected virtual cost
-    ``(1/m) sum_k A_k psi_k`` to 1e-9 relative.
-    """
-    alloc = rule.probabilities
-    pay = payments.payments
-    if alloc.size != len(cost_set) or pay.size != len(cost_set):
-        raise InvalidInputError("rule, payments and cost set lengths differ")
-    m = alloc.size
-    spend = float(np.dot(alloc, pay)) / m
-    virt = float(np.dot(alloc, virtual_costs(cost_set))) / m
-    if abs(spend - virt) > max(1e-9 * abs(virt), 1e-12):
-        raise SolverError(
-            f"payment identity violated: spend {spend!r} vs virtual {virt!r}"
-        )
-    return spend

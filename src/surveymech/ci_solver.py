@@ -59,7 +59,7 @@ class IgnoreRule:
         u = np.asarray(self.u_values, dtype=float)
         if u.ndim != 1 or u.size == 0:
             raise InvalidInputError("u_values must be a non-empty 1-D sequence")
-        if np.any(u < 0) or np.any(u > 1):
+        if not np.all((0 <= u) & (u <= 1)):  # NaN fails too
             raise InvalidInputError("u_values must lie in [0, 1]")
         if np.any(np.diff(u) < -1e-12):
             raise InvalidInputError("u_values must be monotone non-decreasing")
@@ -124,27 +124,19 @@ def _block_rows(phi, sizes):
     return edges[:, :max(counts.tolist()) + 1], counts
 
 
-def _rule_at_mass(phi, psi, sizes, budgets, edges, counts, mass):
+def _rule_at_mass(phi, psi, sizes, budgets, edges, mass):
     """Each row's ``(alloc, lam, saturated, u)`` at ignored mass ``mass[r]``.
 
-    The mass is filled from the top: blocks are ignored in full from the top
-    down until less mass is left than the next block holds, and that block
-    in the fraction of its size that is left.  Nothing is ignored at mass
-    zero, nor on the padding (a row of ``edges`` ends in the row size).  The
-    rows are then calibrated together with weights ``1 - u``.
+    Block ``b`` gets ``u = clip((M - mass of the blocks above b) / size_b, 0, 1)``,
+    so the mass fills from the top; the padding gets none.  The rows are then
+    calibrated together with weights ``1 - u``.
     """
+    block_size = edges[:, 1:] - edges[:, :-1]
+    # exact while non-negative: the remainder left by ignoring the blocks above one by one
+    left = mass[:, None] - (sizes[:, None] - edges[:, 1:])
+    share = np.clip(left / np.maximum(block_size, 1), 0.0, 1.0)  # padding blocks span no entry
     u = np.zeros(phi.shape)
-    for row, ends, top, rem in zip(u, edges.tolist(), counts.tolist(), mass.tolist()):
-        while rem > 0 and top > 0:
-            top -= 1
-            size = ends[top + 1] - ends[top]
-            if rem < size:
-                row[ends[top]:ends[top + 1]] = rem / size
-                row[ends[top + 1]:ends[-1]] = 1.0
-                break
-            rem -= size
-        else:
-            row[ends[top]:ends[-1]] = 1.0
+    u[np.arange(phi.shape[1]) < sizes[:, None]] = np.repeat(share.ravel(), block_size.ravel())
     return _calibrate_rows(phi, psi, 1.0 - u, budgets, sizes) + (u,)
 
 
@@ -209,13 +201,12 @@ def _solve_ci_rows(phi, psi, sizes, budgets, beta):
 
     Row ``r`` holds ``sizes[r]`` ironed and raw virtual costs, padded with
     ``phi = 0`` as for ``_calibrate_rows``, and has budget ``budgets[r]``.
-    The block split, the sweep's set-up and the calibration run on all rows
-    at once; ``np.add.accumulate`` adds along a row in order, so each row
+    The block split, the sweep's set-up, the fill and the calibration run on
+    all rows at once; ``np.add.accumulate`` adds along a row in order, so each row
     gets the bits of a batch of one.  ``A`` is 1 and ``U`` 0 on the padding."""
     edges, counts = _block_rows(phi, sizes)
     block_size = edges[:, 1:] - edges[:, :-1]  # 0 past a row's last block
-    # each block's phi, read at its last entry through a flat index
-    block_phi = phi.ravel()[edges[:, 1:] + np.arange(-1, phi.size - 1, phi.shape[1])[:, None]]
+    block_phi = np.take_along_axis(phi, edges[:, 1:] - 1, axis=1)  # read at each block's last entry
     block_sqrt = np.sqrt(block_phi)
     spend_below, sqrt_below = sums = np.zeros((2, phi.shape[0], edges.shape[1]))
     np.add.accumulate(block_size * np.array((block_phi, block_sqrt)), axis=2, out=sums[:, :, 1:])
@@ -228,19 +219,18 @@ def _solve_ci_rows(phi, psi, sizes, budgets, beta):
         _optimal_mass(size[:k], bphi[:k], bsqrt[:k], below[:k + 1], sqrt_b[:k + 1],
                       bisect.bisect_left(bp, budget, 0, k), m, budget, beta)
         for m, k, budget, size, bphi, bsqrt, below, sqrt_b, bp in per_row]))
-    alloc, lam, saturated, u = _rule_at_mass(phi, psi, sizes, budgets, edges, counts, mass)
+    alloc, lam, saturated, u = _rule_at_mass(phi, psi, sizes, budgets, edges, mass)
     # On the saturation kink the calibration's own spend sum decides: step a row up from
     # ulp(m), doubling, until it agrees the budget is slack (as it does at mass m).
     todo = (slack & ~saturated).nonzero()[0]
     scale = 1.0
     while todo.size:
-        rows = slice(None) if todo.size == mass.size else todo  # a view while every row steps
-        mass[rows] = np.minimum(sizes[rows], mass[rows] + np.spacing(sizes[rows].astype(float)) * scale)
+        mass[todo] = np.minimum(sizes[todo], mass[todo] + np.spacing(sizes[todo].astype(float)) * scale)
         scale *= 2.0
-        alloc[rows], lam[rows], saturated[rows], u[rows] = _rule_at_mass(
-            phi[rows], psi[rows], sizes[rows], [budgets[r] for r in todo.tolist()], edges[rows],
-            counts[rows], mass[rows])
-        todo = todo[~saturated[rows] & (mass[rows] < sizes[rows])]
+        alloc[todo], lam[todo], saturated[todo], u[todo] = _rule_at_mass(
+            phi[todo], psi[todo], sizes[todo], [budgets[r] for r in todo.tolist()], edges[todo],
+            mass[todo])
+        todo = todo[~saturated[todo] & (mass[todo] < sizes[todo])]
     return alloc, lam, saturated, u, mass
 
 
@@ -318,10 +308,10 @@ def _rule_for(cost_set: CostSet, budget: float, masses):
     sizes = np.array([psi.size])
     phi = _iron_rows(psi, sizes)
     rows = len(masses)
-    phi, psi, sizes, edges, counts = (
-        np.repeat(a, rows, axis=0) for a in (phi, psi, sizes, *_block_rows(phi, sizes)))
+    phi, psi, sizes, edges = (
+        np.repeat(a, rows, axis=0) for a in (phi, psi, sizes, _block_rows(phi, sizes)[0]))
     alloc, _, saturated, u = _rule_at_mass(
-        phi, psi, sizes, (budget,) * rows, edges, counts, np.array(masses, dtype=float))
+        phi, psi, sizes, (budget,) * rows, edges, np.array(masses, dtype=float))
     return alloc, saturated, u
 
 

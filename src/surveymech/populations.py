@@ -50,30 +50,52 @@ class Population:
         return float(np.mean(self.data))
 
 
+def _floats(value) -> list[float]:
+    if isinstance(value, str):  # else "12" would read as [1.0, 2.0]
+        raise TypeError("expected a list of numbers")
+    return [float(v) for v in value]
+
+
+def _field(spec: dict, name: str, key: str, convert, default=None):
+    """``convert(spec[key])``, or ``convert(default)`` when the key is unset.
+
+    Descriptors come from JSON configs, so a field that is missing (with no
+    default) or that ``convert`` rejects raises ``ConfigError`` naming
+    ``name`` and the field.
+    """
+    value = spec.get(key, default)
+    if value is None:
+        raise ConfigError(f"{name} needs {key}")
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: invalid {key} {value!r}: {exc}") from exc
+
+
 def _draw_law(law, n: int, rng: np.random.Generator, upper: float) -> np.ndarray:
     """Sample n values from a small law descriptor, bounded by ``upper``."""
     if not isinstance(law, dict) or "dist" not in law:
         raise ConfigError(f"malformed law descriptor: {law!r}")
     dist = law["dist"]
     if dist == "uniform":
-        low = float(law.get("low", 0.0))
-        high = float(law.get("high", upper))
+        low = _field(law, "uniform law", "low", float, 0.0)
+        high = _field(law, "uniform law", "high", float, upper)
         if not 0 <= low <= high <= upper:
             raise ConfigError("uniform law bounds must satisfy 0 <= low <= high <= upper")
         return rng.uniform(low, high, size=n)
     if dist == "constant":
-        value = float(law["value"])
+        value = _field(law, "constant law", "value", float)
         if not 0 <= value <= upper:
             raise ConfigError("constant law value out of range")
         return np.full(n, value)
     if dist == "choice":
-        values = np.asarray(law["values"], dtype=float)
-        if values.size == 0 or np.any(values < 0) or np.any(values > upper):
+        values = _field(law, "choice law", "values", _floats)
+        if not values or not all(0 <= v <= upper for v in values):
             raise ConfigError("choice law values out of range")
         probs = law.get("probs")
         if probs is not None:
-            probs = np.asarray(probs, dtype=float)
-            if probs.size != values.size or np.any(probs < 0) or abs(probs.sum() - 1) > 1e-9:
+            probs = _field(law, "choice law", "probs", _floats)
+            if len(probs) != len(values) or min(probs) < 0 or not abs(sum(probs) - 1) <= 1e-9:
                 raise ConfigError("choice law probs must be a distribution over values")
         return rng.choice(values, size=n, p=probs)
     raise ConfigError(f"unknown law distribution {dist!r}")
@@ -112,12 +134,9 @@ def gen_population(spec, n: int, cap: float, seed) -> Population:
         costs = _draw_law(spec.get("cost_law", default_cost_law), n, rng, cap)
         data = costs / cap if cap > 0 else np.zeros(n)
     elif kind == "two_point":
-        try:
-            fractions = [float(f) for f in spec["fractions"]]
-            cost_values = [float(c) for c in spec["costs"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"two_point spec needs fractions and costs: {exc}") from exc
-        data_values = [float(z) for z in spec.get("data", [1.0, 1.0])]
+        fractions = _field(spec, "two_point population", "fractions", _floats)
+        cost_values = _field(spec, "two_point population", "costs", _floats)
+        data_values = _field(spec, "two_point population", "data", _floats, [1.0, 1.0])
         if len(fractions) != 2 or len(cost_values) != 2 or len(data_values) != 2:
             raise ConfigError("two_point spec needs exactly two types")
         if abs(sum(fractions) - 1.0) > 1e-9 or min(fractions) < 0:

@@ -8,7 +8,7 @@ from surveymech import (
     CostSet,
     InvalidInputError,
     OutOfRangeError,
-    expected_spend,
+    PaymentRule,
     extend,
     myerson_payments,
     solve_unbiased,
@@ -82,6 +82,22 @@ class TestSolveUnbiased:
             assert total <= budget * (1 + 1e-12)
         else:
             assert abs(spend - budget) <= max(1e-9 * budget, 1e-12)
+
+
+@pytest.mark.parametrize("probs, lam", [
+    ([], 1.0), ([[1.0, 0.5]], 1.0), ([1.0, 1.5], 1.0), ([1.0, -0.5], 1.0), ([1.0, np.nan], 1.0),
+    ([0.5, 1.0], 1.0), ([1.0, 0.5], -1.0), ([1.0, 0.5], np.nan), ([1.0, 0.5], np.inf),
+], ids=["empty", "2-d", "above_one", "negative", "nan", "increasing",
+        "negative_lam", "nan_lam", "infinite_lam"])
+def test_allocation_rule_rejects_malformed_input(probs, lam):
+    with pytest.raises(InvalidInputError):
+        AllocationRule(probabilities=np.array(probs), lam=lam)
+
+
+@pytest.mark.parametrize("payments", [[], [[1.0, 2.0]]], ids=["empty", "2-d"])
+def test_payment_rule_rejects_malformed_input(payments):
+    with pytest.raises(InvalidInputError):
+        PaymentRule(payments=np.array(payments))
 
 
 class TestMyersonPayments:
@@ -193,29 +209,3 @@ class TestWorstCaseVariance:
         object.__setattr__(rule, "saturated", False)
         assert worst_case_variance(rule, cs) == float("inf")
 
-
-class TestExpectedSpend:
-    def test_water_filling_spend(self):
-        cs = make_set([1, 10, 11])
-        rule = solve_unbiased(cs, 3.0)
-        pay = myerson_payments(cs, rule)
-        assert expected_spend(rule, pay, cs) == pytest.approx(1.0)
-
-    def test_saturated_spend(self):
-        cs = make_set([1, 1, 1, 1])
-        rule = solve_unbiased(cs, 4.0)
-        pay = myerson_payments(cs, rule)
-        assert expected_spend(rule, pay, cs) == pytest.approx(1.0)
-
-    def test_constant_allocation(self):
-        cs = make_set([1, 4, 9])
-        rule = AllocationRule(probabilities=np.full(3, 0.25), lam=1.0)
-        pay = myerson_payments(cs, rule)
-        assert expected_spend(rule, pay, cs) == pytest.approx(0.25 * 9.0)
-
-    def test_rejects_misaligned(self):
-        cs = make_set([1, 4, 9])
-        rule = solve_unbiased(cs, 3.0)
-        pay = myerson_payments(cs, rule)
-        with pytest.raises(InvalidInputError):
-            expected_spend(rule, pay, make_set([1, 4]))

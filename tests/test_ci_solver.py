@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from surveymech import (
     CostSet,
+    IgnoreRule,
     InvalidInputError,
     SolverError,
     alpha_gamma,
@@ -20,7 +21,7 @@ from surveymech import (
     virtual_costs,
 )
 from surveymech.audits import random_cost_set
-from surveymech.ci_solver import _objective_rows
+from surveymech.ci_solver import _deployed_policy, _objective_rows, _variance_sum
 
 
 def make_set(costs, cap=None):
@@ -159,6 +160,51 @@ class TestSolveCI:
         length = beta * math.sqrt(var_term / m) + ignore.total_mass / m
         assert math.sqrt(quad) <= length + 1e-9
         assert length <= math.sqrt(2.0) * math.sqrt(quad) + 1e-9
+
+
+class TestDeployedRule:
+    @staticmethod
+    def length_and_surrogate(alloc, u, beta):
+        m = u.size
+        var_term, mass = _variance_sum(alloc, u), float(np.sum(u))
+        return beta * math.sqrt(var_term / m) + mass / m, beta ** 2 * var_term / m + (mass / m) ** 2
+
+    def test_within_factor_two_of_the_relaxed_rule(self):
+        # The deployed rule ignores an agent iff U >= 1/2.  A kept agent has
+        # 1/A <= 2 (1-U)/A and an ignored one 1 <= 2U, so its variance sum and
+        # ignored mass are at most twice the relaxed rule's: at most 2x the
+        # length and 4x the squared surrogate.
+        rng = np.random.default_rng(2018)
+        fractional = 0
+        for _ in range(1000):
+            m = int(rng.integers(1, 41))
+            costs = np.sort(rng.uniform(0.0, 10.0, m))
+            if rng.random() < 1 / 3:
+                costs = np.round(costs)  # ties and zeros
+            cs = make_set(costs, cap=10.0)
+            budget = 0.0
+            if rng.random() >= 0.1:
+                budget = float(rng.uniform(0.02, 1.2)) * float(np.sum(virtual_costs(cs)))
+            beta = float(rng.uniform(0.05, 3.0))
+            rule, ignore = solve_ci(cs, budget, beta)
+            alloc, u = rule.probabilities, ignore.u_values
+            ignored, _ = _deployed_policy(cs.costs, alloc, u)
+            relaxed_len, relaxed_sq = self.length_and_surrogate(alloc, u, beta)
+            deployed_len, deployed_sq = self.length_and_surrogate(alloc, ignored.astype(float), beta)
+            assert deployed_len <= 2.0 * relaxed_len * (1 + 1e-12)
+            assert deployed_sq <= 4.0 * relaxed_sq * (1 + 1e-12)
+            fractional += bool(np.any((u > 0) & (u < 1)))
+        # the rounding is exercised: many relaxed rules ignore a block in part
+        assert fractional >= 300
+
+
+@pytest.mark.parametrize("u, fraction", [
+    ([], 1.0), ([[0.0, 1.0]], 1.0), ([0.0, 1.5], 1.0), ([0.0, math.nan], 1.0),
+    ([1.0, 0.0], 1.0), ([0.0, 1.0], 0.0), ([0.0, 1.0], 1.5),
+], ids=["empty", "2-d", "above_one", "nan", "decreasing", "zero_fraction", "fraction_above_one"])
+def test_ignore_rule_rejects_malformed_input(u, fraction):
+    with pytest.raises(InvalidInputError):
+        IgnoreRule(u_values=np.array(u), threshold_phi=1.0, boundary_fraction=fraction, total_mass=1.0)
 
 
 class TestGDerivative:

@@ -68,6 +68,30 @@ class TestSolve:
         assert lines[0] == "cost,A,P"
         assert len(lines) == 4
 
+    def test_json_file_output(self, tmp_path, capsys):
+        out = tmp_path / "rule.json"
+        code = run_cli([
+            "solve", "--task", "unbiased", "--costs", "1,10,11",
+            "--budget", "3", "--out", str(out),
+        ])
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert np.allclose(payload["A"], [1 / 3, 1 / 12, 1 / 12])
+
+    def test_ci_csv_output_has_ignore_column(self, tmp_path, capsys):
+        out = tmp_path / "rule.csv"
+        args = ["solve", "--task", "ci", "--costs", "1,1,100,100", "--budget", "2", "--gamma", "0.1"]
+        assert run_cli(args) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert run_cli(args + ["--out", str(out)]) == 0
+        header, *rows = out.read_text(encoding="utf-8").splitlines()
+        assert header == "cost,A,P,U"
+        assert [float(row.split(",")[3]) for row in rows] == payload["U"]
+        # an ignored agent is never offered a price: its P cell is empty
+        for row, u in zip(rows, payload["U"]):
+            assert (row.split(",")[2] == "") == (u >= 0.5)
+
     def test_config_overrides_flags(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"budget": 3.0}), encoding="utf-8")
@@ -181,6 +205,41 @@ def test_malformed_config_value_is_a_usage_error(
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert key in captured.err
+    assert "PASS" not in captured.out
+
+
+# (population spec, law, field): a descriptor field that is missing or not a
+# number; each must be a usage error naming the law and the field.
+MALFORMED_DESCRIPTORS = [
+    ({"kind": "worst_case", "cost_law": {"dist": "uniform", "low": "abc"}}, "uniform", "low"),
+    ({"kind": "worst_case", "cost_law": {"dist": "uniform", "high": [2]}}, "uniform", "high"),
+    ({"kind": "worst_case", "cost_law": {"dist": "constant"}}, "constant", "value"),
+    ({"kind": "worst_case", "cost_law": {"dist": "constant", "value": "x"}}, "constant", "value"),
+    ({"kind": "worst_case", "cost_law": {"dist": "choice"}}, "choice", "values"),
+    ({"kind": "worst_case", "cost_law": {"dist": "choice", "values": [1, "q"]}}, "choice", "values"),
+    ({"kind": "worst_case", "cost_law": {"dist": "choice", "values": "1"}}, "choice", "values"),
+    ({"kind": "worst_case", "cost_law": {"dist": "choice", "values": [1, 2], "probs": ["a", "b"]}},
+     "choice", "probs"),
+    ({"kind": "two_point", "fractions": [0.5, 0.5], "costs": [1, 2], "data": ["x", 1]},
+     "two_point", "data"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, law, field", MALFORMED_DESCRIPTORS,
+    ids=[f"{law}-{field}-{i}" for i, (_, law, field) in enumerate(MALFORMED_DESCRIPTORS)],
+)
+def test_malformed_population_descriptor_is_a_usage_error(
+        spec, law, field, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where a simulate that ran would write its report
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"task": "unbiased", "population": spec, "n": 10, "cap": 5.0,
+                                "budget": 5, "runs": 3}), encoding="utf-8")
+    code = run_cli(["simulate", "--config", str(path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert law in captured.err and field in captured.err
     assert "PASS" not in captured.out
 
 

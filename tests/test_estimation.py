@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from surveymech import (
+    CIOutput,
     InvalidInputError,
     alpha_gamma,
     bernstein_interval,
@@ -55,6 +56,16 @@ class TestBernsteinInterval:
     def test_rejects_bad_bias(self):
         with pytest.raises(InvalidInputError):
             bernstein_interval(0.5, 0.1, 10, 0.5, 1.5)
+
+    @pytest.mark.parametrize("sigma, n", [(0.1, 1), (0.1, 0), (-0.1, 10), (math.nan, 10)],
+                             ids=["one_sample", "no_sample", "negative_sigma", "nan_sigma"])
+    def test_rejects_bad_n_or_sigma(self, sigma, n):
+        with pytest.raises(InvalidInputError):
+            bernstein_interval(0.5, sigma, n, 0.5, 0.0)
+
+    def test_output_rejects_reversed_endpoints(self):
+        with pytest.raises(InvalidInputError):
+            CIOutput(lower=0.6, upper=0.4, sample_mean=0.5, sample_sigma=0.1, bias_term=0.0, gamma=0.5)
 
     def test_contains(self):
         out = bernstein_interval(0.5, 0.1, 10, 0.5, 0.0)

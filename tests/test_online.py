@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from surveymech import (
+    BudgetSchedule,
     CostSet,
     InvalidInputError,
     Population,
@@ -43,6 +44,14 @@ class TestSchedules:
     def test_rejects_bad_n(self):
         with pytest.raises(InvalidInputError):
             unbiased_schedule(0, 1.0)
+
+    @pytest.mark.parametrize("budget, xi", [
+        (-1.0, 0.1), (math.nan, 0.1), (math.inf, 0.1), (1.0, 0.0), (1.0, -0.1), (1.0, math.nan),
+        (1.0, math.inf),
+    ])
+    def test_rejects_bad_budget_or_xi(self, budget, xi):
+        with pytest.raises(InvalidInputError):
+            BudgetSchedule(total_budget=budget, xi=xi)
 
 
 class TestRunUnbiased:

@@ -51,6 +51,13 @@ class TestVirtualCosts:
         with pytest.raises(InvalidInputError):
             CostSet(costs=np.array([1.0, 3.0]), cap=2.0)
 
+    @pytest.mark.parametrize("costs, cap", [
+        ([1.0, np.nan], 2.0), ([np.nan], 2.0), ([1.0, 2.0], np.inf), ([1.0, 2.0], np.nan),
+    ], ids=["nan_cost", "nan_only", "infinite_cap", "nan_cap"])
+    def test_rejects_non_finite_input(self, costs, cap):
+        with pytest.raises(InvalidInputError):
+            CostSet(costs=np.array(costs), cap=cap)
+
 
 class TestRegularize:
     def test_ironed_example(self):
