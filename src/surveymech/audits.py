@@ -258,12 +258,14 @@ SUITES = {
 
 
 def run_suite(name: str, trials: int | None = None, seed: int = 0) -> AuditOutcome:
-    """Run one named suite; an unknown name or ``trials < 1`` raises
-    ``InvalidInputError``."""
+    """Run one named suite; an unknown name, ``trials < 1`` or a negative
+    ``seed`` raises ``InvalidInputError``."""
     if name not in SUITES:
         raise InvalidInputError(f"unknown audit suite {name!r}; choose from {sorted(SUITES)}")
     if trials is not None and trials < 1:
         raise InvalidInputError("trials must be at least 1")
+    if seed < 0:
+        raise InvalidInputError("seed must be non-negative")
     func = SUITES[name]
     if trials is None:
         return func(seed=seed)

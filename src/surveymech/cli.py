@@ -1,8 +1,10 @@
 """Command-line entry point: solve, simulate and audit workflows.
 
-Exit codes: 0 success, 1 audit failure, 2 usage/config error.  All randomness
-is seeded explicitly; reports are deterministic for a fixed seed regardless
-of the worker count.
+Exit codes: 0 success, 1 audit failure, 2 usage/config error.  argparse only
+collects each flag's text; a command converts flag values and config keys
+alike through ``errors._value``, so each value has one meaning.  All
+randomness is seeded explicitly; reports are deterministic for a fixed seed
+regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -18,20 +20,13 @@ import numpy as np
 from .allocation import myerson_payments, solve_unbiased, worst_case_variance
 from .audits import SUITES, run_suite
 from .ci_solver import _deployed_policy, ci_objective, ci_parameters, solve_ci
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, _floats, _real, _required, _value, _whole
 from .populations import Population, gen_population
 from .simharness import metrics_json, monte_carlo, run_log_csv
 from .virtual_cost import CostSet
 
 USAGE_ERROR = 2
 AUDIT_ERROR = 1
-
-
-def _parse_costs(arg: str) -> list[float]:
-    try:
-        return [float(tok) for tok in arg.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"could not parse costs {arg!r}: {exc}") from exc
 
 
 def _read_costs_file(path: str) -> list[float]:
@@ -65,24 +60,20 @@ def _load_config(path: str) -> dict:
 
 
 def _text(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError("expected a string")
+    if not isinstance(value, str) or not value:
+        raise TypeError("expected a non-empty string")
     return value
 
 
-def _value(opts: dict, key: str, convert, default=None):
-    """``convert(opts[key])``, or ``default`` if the key is unset.
+def _task(value) -> str:
+    if value not in ("unbiased", "ci"):
+        raise ValueError("expected 'unbiased' or 'ci'")
+    return value
 
-    Config values skip argparse's ``type=`` conversion, so a value that
-    ``convert`` rejects raises ``ConfigError`` naming the key.
-    """
-    value = opts.get(key)
-    if value is None:
-        return default
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid {key} {value!r}: {exc}") from exc
+
+def _costs(value) -> list[float]:
+    """A comma- or space-separated string of costs, or a list of numbers."""
+    return _floats(value.replace(",", " ").split() if isinstance(value, str) else value)
 
 
 def _merged(args: argparse.Namespace) -> dict:
@@ -95,14 +86,11 @@ def _merged(args: argparse.Namespace) -> dict:
 
 def _costs_from(opts: dict) -> list[float]:
     """The costs of ``--costs`` (or a config list), else of ``--costs-file``."""
-    if isinstance(opts.get("costs"), str):
-        costs = _parse_costs(opts["costs"])
-    elif opts.get("costs") is not None:
-        costs = _value(opts, "costs", lambda v: [float(c) for c in v])
-    elif opts.get("costs_file"):
+    costs = _value(opts, "costs", _costs)
+    if costs is None:
+        if opts.get("costs_file") is None:
+            raise ConfigError("provide --costs or --costs-file")
         costs = _read_costs_file(_value(opts, "costs_file", _text))
-    else:
-        raise ConfigError("provide --costs or --costs-file")
     if not costs:
         raise ConfigError("cost list is empty")
     return costs
@@ -131,15 +119,10 @@ def _emit(payload: dict, out: str | None) -> None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     opts = _merged(args)
-    task = opts.get("task")
-    if task not in ("unbiased", "ci"):
-        raise ConfigError("task must be 'unbiased' or 'ci'")
-    costs = _costs_from(opts)
-    budget = _value(opts, "budget", float)
-    if budget is None:
-        raise ConfigError("provide --budget")
-    costs_arr = np.sort(np.asarray(costs, dtype=float))
-    cap = _value(opts, "cap", float, float(costs_arr[-1]))
+    task = _required(opts, "task", _task)
+    costs_arr = np.sort(np.asarray(_costs_from(opts), dtype=float))
+    budget = _required(opts, "budget", _real)
+    cap = _value(opts, "cap", _real, float(costs_arr[-1]))
     cost_set = CostSet(costs=costs_arr, cap=cap)
 
     if task == "unbiased":
@@ -156,10 +139,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "objective": worst_case_variance(rule, cost_set),
         }
     else:
-        gamma = _value(opts, "gamma", float)
-        if gamma is None:
-            raise ConfigError("ci task needs --gamma")
-        params = ci_parameters(gamma, len(cost_set))
+        params = ci_parameters(_required(opts, "gamma", _real), len(cost_set))
         rule, ignore = solve_ci(cost_set, budget, params.beta)
         _, payments = _deployed_policy(cost_set.costs, rule.probabilities, ignore.u_values)
         payload = {
@@ -183,41 +163,26 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _population_from(opts: dict) -> Population:
-    cap = _value(opts, "cap", float)
+    """The config's population spec, drawn, else the inline costs (data 1)."""
     if opts.get("population") is not None:
-        spec = opts["population"]
-        if not isinstance(spec, dict):
-            raise ConfigError("population must be a JSON object")
-        n = _value(opts, "n", int)
-        if n is None:
-            raise ConfigError("simulate needs n with a population spec")
-        if cap is None:
-            raise ConfigError("simulate needs cap with a population spec")
-        return gen_population(spec, n, cap, _value(opts, "pop_seed", int) or 0)
-    if opts.get("costs") is None and not opts.get("costs_file"):
-        raise ConfigError("simulate needs a population spec (config) or --costs")
+        return gen_population(opts["population"], _required(opts, "n", _whole),
+                              _required(opts, "cap", _real), _value(opts, "pop_seed", _whole, 0))
     costs = np.asarray(_costs_from(opts), dtype=float)
-    cap = float(np.max(costs)) if cap is None else cap
-    data = _value(opts, "data", lambda v: np.asarray(v, dtype=float), np.ones(costs.size))
+    cap = _value(opts, "cap", _real, float(np.max(costs)))
+    data = _value(opts, "data", _floats, np.ones(costs.size))
     return Population(costs=costs, data=data, cap=cap)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     opts = _merged(args)
-    task = opts.get("task")
-    if task not in ("unbiased", "ci"):
-        raise ConfigError("task must be 'unbiased' or 'ci'")
-    budget = _value(opts, "budget", float)
-    if budget is None:
-        raise ConfigError("provide --budget")
-    runs = _value(opts, "runs", int) or 0
-    if runs < 1:
-        raise ConfigError("runs must be at least 1")
-    gamma = _value(opts, "gamma", float)
+    task = _required(opts, "task", _task)
+    budget = _required(opts, "budget", _real)
+    runs = _required(opts, "runs", _whole)
+    gamma = _value(opts, "gamma", _real)
     population = _population_from(opts)
-    seed = _value(opts, "seed", int) or 0
-    workers = _value(opts, "threads", int) or 1
-    out = _value(opts, "out", _text) or "simrun"
+    seed = _value(opts, "seed", _whole, 0)
+    workers = _value(opts, "threads", _whole, 1)
+    out = _value(opts, "out", _text, "simrun")
 
     metrics, per_run = monte_carlo(
         task, population, budget, gamma, runs, seed,
@@ -225,7 +190,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     with open(out + ".json", "w", encoding="utf-8") as handle:
         handle.write(metrics_json(metrics))
-    run_log_csv(per_run, out + ".csv")
+    with open(out + ".csv", "w", encoding="utf-8", newline="") as handle:
+        run_log_csv(per_run, handle)
 
     spends = per_run["spend"]
     spend_se = float(np.std(spends, ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
@@ -253,11 +219,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     opts = _merged(args)
-    suite = opts.get("suite")
-    if suite is None:
-        raise ConfigError(f"provide --suite (one of {sorted(SUITES)})")
-    trials = _value(opts, "trials", int)
-    outcome = run_suite(suite, trials=trials, seed=_value(opts, "seed", int) or 0)
+    outcome = run_suite(_required(opts, "suite", _text), trials=_value(opts, "trials", _whole),
+                        seed=_value(opts, "seed", _whole, 0))
     print(outcome.line())
     return 0 if outcome.passed else AUDIT_ERROR
 
@@ -268,36 +231,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Budget-feasible data-acquisition mechanisms: solve, simulate, audit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags stay text: each command converts them, like config keys, with errors._value.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--task", help="unbiased or ci")
+    shared.add_argument("--costs", help="comma- or space-separated costs "
+                                        "(simulate: the population, each datum 1)")
+    shared.add_argument("--costs-file", help="CSV file of costs")
+    shared.add_argument("--budget")
+    shared.add_argument("--gamma")
+    shared.add_argument("--cap")
+    shared.add_argument("--config", help="JSON config; overrides flags it names")
+    shared.add_argument("--out", help="solve: output path (.json or .csv); "
+                                      "simulate: prefix of the .json and .csv reports")
 
-    solve = sub.add_parser("solve", help="solve a known-costs rule")
-    solve.add_argument("--task", choices=["unbiased", "ci"])
-    solve.add_argument("--costs", help="comma- or space-separated cost list")
-    solve.add_argument("--costs-file", dest="costs_file", help="CSV file of costs")
-    solve.add_argument("--budget", type=float)
-    solve.add_argument("--gamma", type=float)
-    solve.add_argument("--cap", type=float)
-    solve.add_argument("--config", help="JSON config; overrides flags it names")
-    solve.add_argument("--out", help="output path (.json or .csv)")
+    solve = sub.add_parser("solve", parents=[shared], help="solve a known-costs rule")
     solve.set_defaults(func=cmd_solve)
 
-    sim = sub.add_parser("simulate", help="Monte Carlo an online mechanism")
-    sim.add_argument("--task", choices=["unbiased", "ci"])
-    sim.add_argument("--costs", help="inline population costs (data defaults to 1)")
-    sim.add_argument("--costs-file", dest="costs_file", help="CSV file of population costs")
-    sim.add_argument("--budget", type=float)
-    sim.add_argument("--gamma", type=float)
-    sim.add_argument("--cap", type=float)
-    sim.add_argument("--runs", type=int)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--threads", type=int, default=1)
-    sim.add_argument("--config", help="JSON config; overrides flags it names")
-    sim.add_argument("--out", help="output prefix (writes .json and .csv)")
+    sim = sub.add_parser("simulate", parents=[shared], help="Monte Carlo an online mechanism")
+    sim.add_argument("--runs")
+    sim.add_argument("--seed", help="master seed (default 0)")
+    sim.add_argument("--threads", help="worker processes (default 1)")
     sim.set_defaults(func=cmd_simulate)
 
     audit = sub.add_parser("audit", help="run a property suite")
-    audit.add_argument("--suite", choices=sorted(SUITES))
-    audit.add_argument("--trials", type=int)
-    audit.add_argument("--seed", type=int, default=0)
+    audit.add_argument("--suite", help="one of " + ", ".join(sorted(SUITES)))
+    audit.add_argument("--trials", help="default: the suite's own")
+    audit.add_argument("--seed", help="default 0")
     audit.add_argument("--config", help="JSON config; overrides flags it names")
     audit.set_defaults(func=cmd_audit)
     return parser

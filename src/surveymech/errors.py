@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one conversion of
+user-supplied values (CLI flags, config keys, descriptor fields) that raises
+``ConfigError`` on a value it cannot convert."""
 
 
 class InvalidInputError(ValueError):
@@ -15,3 +17,46 @@ class SolverError(RuntimeError):
 
 class ConfigError(ValueError):
     """A configuration mapping or generator descriptor is malformed."""
+
+
+def _value(opts: dict, key: str, convert, default=None):
+    """``convert(opts[key])``, or ``default`` when the key is unset (None).
+
+    A flag's text and a config's JSON value take this same path, so a value
+    that ``convert`` rejects raises ``ConfigError`` naming the key.
+    """
+    value = opts.get(key)
+    if value is None:
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid {key} {value!r}: {exc}") from exc
+
+
+def _required(opts: dict, key: str, convert):
+    """``_value`` for a key that must be set."""
+    value = _value(opts, key, convert)
+    if value is None:
+        raise ConfigError(f"missing {key}")
+    return value
+
+
+def _real(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError("expected a number, not a boolean")
+    return float(value)
+
+
+def _whole(value) -> int:
+    if isinstance(value, bool):
+        raise TypeError("expected a whole number, not a boolean")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("expected a whole number")
+    return int(value)
+
+
+def _floats(value) -> list[float]:
+    if isinstance(value, str):  # else "12" would read as [1.0, 2.0]
+        raise TypeError("expected a list of numbers")
+    return [_real(v) for v in value]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _floats, _real, _required, _value
 
 __all__ = ["Population", "gen_population"]
 
@@ -50,54 +50,34 @@ class Population:
         return float(np.mean(self.data))
 
 
-def _floats(value) -> list[float]:
-    if isinstance(value, str):  # else "12" would read as [1.0, 2.0]
-        raise TypeError("expected a list of numbers")
-    return [float(v) for v in value]
-
-
-def _field(spec: dict, name: str, key: str, convert, default=None):
-    """``convert(spec[key])``, or ``convert(default)`` when the key is unset.
-
-    Descriptors come from JSON configs, so a field that is missing (with no
-    default) or that ``convert`` rejects raises ``ConfigError`` naming
-    ``name`` and the field.
-    """
-    value = spec.get(key, default)
-    if value is None:
-        raise ConfigError(f"{name} needs {key}")
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: invalid {key} {value!r}: {exc}") from exc
-
-
 def _draw_law(law, n: int, rng: np.random.Generator, upper: float) -> np.ndarray:
     """Sample n values from a small law descriptor, bounded by ``upper``."""
     if not isinstance(law, dict) or "dist" not in law:
         raise ConfigError(f"malformed law descriptor: {law!r}")
     dist = law["dist"]
-    if dist == "uniform":
-        low = _field(law, "uniform law", "low", float, 0.0)
-        high = _field(law, "uniform law", "high", float, upper)
-        if not 0 <= low <= high <= upper:
-            raise ConfigError("uniform law bounds must satisfy 0 <= low <= high <= upper")
-        return rng.uniform(low, high, size=n)
-    if dist == "constant":
-        value = _field(law, "constant law", "value", float)
-        if not 0 <= value <= upper:
-            raise ConfigError("constant law value out of range")
-        return np.full(n, value)
-    if dist == "choice":
-        values = _field(law, "choice law", "values", _floats)
-        if not values or not all(0 <= v <= upper for v in values):
-            raise ConfigError("choice law values out of range")
-        probs = law.get("probs")
-        if probs is not None:
-            probs = _field(law, "choice law", "probs", _floats)
-            if len(probs) != len(values) or min(probs) < 0 or not abs(sum(probs) - 1) <= 1e-9:
-                raise ConfigError("choice law probs must be a distribution over values")
-        return rng.choice(values, size=n, p=probs)
+    try:
+        if dist == "uniform":
+            low = _value(law, "low", _real, 0.0)
+            high = _value(law, "high", _real, upper)
+            if not 0 <= low <= high <= upper:
+                raise ConfigError("bounds must satisfy 0 <= low <= high <= upper")
+            return rng.uniform(low, high, size=n)
+        if dist == "constant":
+            value = _required(law, "value", _real)
+            if not 0 <= value <= upper:
+                raise ConfigError("value out of range")
+            return np.full(n, value)
+        if dist == "choice":
+            values = _required(law, "values", _floats)
+            if not values or not all(0 <= v <= upper for v in values):
+                raise ConfigError("values out of range")
+            probs = _value(law, "probs", _floats)
+            if probs is not None and (len(probs) != len(values) or min(probs) < 0
+                                      or not abs(sum(probs) - 1) <= 1e-9):
+                raise ConfigError("probs must be a distribution over values")
+            return rng.choice(values, size=n, p=probs)
+    except ConfigError as exc:
+        raise ConfigError(f"{dist} law: {exc}") from exc
     raise ConfigError(f"unknown law distribution {dist!r}")
 
 
@@ -111,7 +91,7 @@ def gen_population(spec, n: int, cap: float, seed) -> Population:
       two_point    exact fractions of two (cost, datum) types
 
     Raises:
-        ConfigError: on malformed descriptors.
+        ConfigError: on malformed descriptors or a seed numpy rejects.
     """
     if n < 1:
         raise ConfigError("population size must be at least 1")
@@ -120,7 +100,10 @@ def gen_population(spec, n: int, cap: float, seed) -> Population:
         raise ConfigError("cap must be a non-negative finite real")
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"malformed population spec: {spec!r}")
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid population seed {seed!r}: {exc}") from exc
     kind = spec["kind"]
     default_cost_law = {"dist": "uniform", "low": 0.0, "high": cap}
 
@@ -134,13 +117,16 @@ def gen_population(spec, n: int, cap: float, seed) -> Population:
         costs = _draw_law(spec.get("cost_law", default_cost_law), n, rng, cap)
         data = costs / cap if cap > 0 else np.zeros(n)
     elif kind == "two_point":
-        fractions = _field(spec, "two_point population", "fractions", _floats)
-        cost_values = _field(spec, "two_point population", "costs", _floats)
-        data_values = _field(spec, "two_point population", "data", _floats, [1.0, 1.0])
-        if len(fractions) != 2 or len(cost_values) != 2 or len(data_values) != 2:
-            raise ConfigError("two_point spec needs exactly two types")
-        if abs(sum(fractions) - 1.0) > 1e-9 or min(fractions) < 0:
-            raise ConfigError("two_point fractions must be non-negative and sum to 1")
+        try:
+            fractions = _required(spec, "fractions", _floats)
+            cost_values = _required(spec, "costs", _floats)
+            data_values = _value(spec, "data", _floats, [1.0, 1.0])
+            if len(fractions) != 2 or len(cost_values) != 2 or len(data_values) != 2:
+                raise ConfigError("needs exactly two types")
+            if abs(sum(fractions) - 1.0) > 1e-9 or min(fractions) < 0:
+                raise ConfigError("fractions must be non-negative and sum to 1")
+        except ConfigError as exc:
+            raise ConfigError(f"two_point population: {exc}") from exc
         n_first = int(round(fractions[0] * n))
         counts = [n_first, n - n_first]
         costs = np.repeat(cost_values, counts)

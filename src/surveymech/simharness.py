@@ -310,25 +310,19 @@ def metrics_json(metrics: SimMetrics) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def run_log_csv(per_run: dict, target) -> None:
-    """Per-run CSV log: run, estimate, spend, lower, upper, covered."""
-    own = isinstance(target, (str, bytes))
-    handle = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["run", "estimate", "spend", "lower", "upper", "covered"])
-        runs = len(per_run["estimate"])
-        for r in range(runs):
-            lower = per_run["lower"][r]
-            upper = per_run["upper"][r]
-            writer.writerow([
-                r,
-                repr(float(per_run["estimate"][r])),
-                repr(float(per_run["spend"][r])),
-                "" if math.isnan(lower) else repr(float(lower)),
-                "" if math.isnan(upper) else repr(float(upper)),
-                "" if math.isnan(lower) else int(per_run["covered"][r]),
-            ])
-    finally:
-        if own:
-            handle.close()
+def run_log_csv(per_run: dict, handle) -> None:
+    """Per-run CSV log to an open text handle: run, estimate, spend, lower, upper, covered."""
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(["run", "estimate", "spend", "lower", "upper", "covered"])
+    runs = len(per_run["estimate"])
+    for r in range(runs):
+        lower = per_run["lower"][r]
+        upper = per_run["upper"][r]
+        writer.writerow([
+            r,
+            repr(float(per_run["estimate"][r])),
+            repr(float(per_run["spend"][r])),
+            "" if math.isnan(lower) else repr(float(lower)),
+            "" if math.isnan(upper) else repr(float(upper)),
+            "" if math.isnan(lower) else int(per_run["covered"][r]),
+        ])

@@ -122,8 +122,8 @@ def _iron_rows(psi: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 def virtual_costs(cost_set: CostSet) -> np.ndarray:
     """Virtual costs of the uniform distribution over ``cost_set``.
 
-    Raises:
-        InvalidInputError: if the cost set is empty or malformed.
+    Raises nothing: the ``CostSet`` constructor has already rejected an
+    empty or malformed cost set with ``InvalidInputError``.
     """
     return _psi_from_sorted(cost_set.costs)
 

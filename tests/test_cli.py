@@ -172,29 +172,74 @@ class TestSimulate:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_seed_and_threads_defaults(self, tmp_path):
+        # no --seed/--threads means seed 0 on one worker
+        args = [
+            "simulate", "--task", "unbiased", "--costs", "1,1,2,2,3",
+            "--budget", "10", "--runs", "40",
+        ]
+        assert run_cli(args + ["--out", str(tmp_path / "a")]) == 0
+        assert run_cli(args + ["--seed", "0", "--threads", "1", "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-# (command, config, key): a config value argparse never sees and that the
-# command cannot convert; each must be a usage error that names its key.
-_SIMULATE = {"task": "unbiased", "costs": [1, 2, 3], "budget": 5, "runs": 3}
-MALFORMED_CONFIGS = [
-    ("simulate", {**_SIMULATE, "budget": "abc"}, "budget"),
-    ("simulate", {**_SIMULATE, "runs": "x"}, "runs"),
-    ("simulate", {**_SIMULATE, "task": "ci", "gamma": "0.9x"}, "gamma"),
-    ("simulate", {**_SIMULATE, "threads": "two"}, "threads"),
-    ("simulate", {**_SIMULATE, "costs": [1, 2, "q"]}, "costs"),
-    ("simulate", {**_SIMULATE, "data": "x"}, "data"),
-    ("simulate", {"task": "unbiased", "population": {"kind": "independent"}, "n": "ten",
-                  "cap": 5.0, "budget": 5, "runs": 3}, "n"),
-    ("simulate", {**_SIMULATE, "out": 5}, "out"),
-    ("audit", {"suite": "oracle", "trials": "many"}, "trials"),
-    ("solve", {"task": "unbiased", "costs": [1, 2, 3], "budget": "abc"}, "budget"),
+
+# (args, option): a flag value its command rejects; a one-line usage error
+# naming the option, not argparse's usage block or a traceback.
+MALFORMED_FLAGS = [
+    (["simulate", "--task", "unbiased", "--costs", "1,2", "--budget", "1", "--runs", "2.5"],
+     "runs"),
+    (["solve", "--task", "unbiased", "--costs", "1,2", "--budget", "abc"], "budget"),
+    (["simulate", "--task", "foo", "--costs", "1,2", "--budget", "1", "--runs", "2"], "task"),
+    (["audit", "--suite", "oracle", "--trials", "x"], "trials"),
+    (["audit", "--suite", "oracle", "--trials", "2", "--seed", "-1"], "seed"),
 ]
 
 
+@pytest.mark.parametrize("args, option", MALFORMED_FLAGS,
+                         ids=[f"{args[0]}-{option}" for args, option in MALFORMED_FLAGS])
+def test_malformed_flag_value_is_a_one_line_usage_error(
+        args, option, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where a simulate that ran would write its report
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert option in captured.err
+    assert "PASS" not in captured.out
+
+
+# {id: (command, config, key)}: a config value that its command's converter
+# (or, for the population seed, numpy) rejects; each must be a usage error
+# that names its key.
+_SIMULATE = {"task": "unbiased", "costs": [1, 2, 3], "budget": 5, "runs": 3}
+_DRAWN = {"task": "unbiased", "population": {"kind": "independent"}, "n": 10,
+          "cap": 5.0, "budget": 5, "runs": 3}
+MALFORMED_CONFIGS = {
+    "simulate-budget": ("simulate", {**_SIMULATE, "budget": "abc"}, "budget"),
+    "simulate-runs": ("simulate", {**_SIMULATE, "runs": "x"}, "runs"),
+    "simulate-gamma": ("simulate", {**_SIMULATE, "task": "ci", "gamma": "0.9x"}, "gamma"),
+    "simulate-threads": ("simulate", {**_SIMULATE, "threads": "two"}, "threads"),
+    "simulate-costs": ("simulate", {**_SIMULATE, "costs": [1, 2, "q"]}, "costs"),
+    "simulate-data": ("simulate", {**_SIMULATE, "data": "x"}, "data"),
+    "simulate-n": ("simulate", {**_DRAWN, "n": "ten"}, "n"),
+    "simulate-out": ("simulate", {**_SIMULATE, "out": 5}, "out"),
+    "audit-trials": ("audit", {"suite": "oracle", "trials": "many"}, "trials"),
+    "solve-budget": ("solve", {"task": "unbiased", "costs": [1, 2, 3], "budget": "abc"}, "budget"),
+    # a fraction or a boolean is not a whole number, and a boolean is not a real
+    "simulate-runs-fraction": ("simulate", {**_SIMULATE, "runs": 2.7}, "runs"),
+    "simulate-runs-bool": ("simulate", {**_SIMULATE, "runs": True}, "runs"),
+    "simulate-seed-fraction": ("simulate", {**_SIMULATE, "seed": 3.9}, "seed"),
+    "simulate-budget-bool": ("simulate", {**_SIMULATE, "budget": True}, "budget"),
+    "simulate-n-bool": ("simulate", {**_DRAWN, "n": True}, "n"),
+    "simulate-pop_seed-fraction": ("simulate", {**_DRAWN, "pop_seed": 2.5}, "pop_seed"),
+    "simulate-pop_seed-negative": ("simulate", {**_DRAWN, "pop_seed": -1}, "population seed"),
+    "audit-trials-fraction": ("audit", {"suite": "oracle", "trials": 2.5}, "trials"),
+    "simulate-task": ("simulate", {**_SIMULATE, "task": "foo"}, "task"),
+}
+
+
 @pytest.mark.parametrize(
-    "command, config, key", MALFORMED_CONFIGS,
-    ids=[f"{command}-{key}" for command, _, key in MALFORMED_CONFIGS],
-)
+    "command, config, key", list(MALFORMED_CONFIGS.values()), ids=list(MALFORMED_CONFIGS))
 def test_malformed_config_value_is_a_usage_error(
         command, config, key, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # where a simulate that ran would write its report
@@ -204,7 +249,7 @@ def test_malformed_config_value_is_a_usage_error(
     assert code == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert key in captured.err
+    assert f"invalid {key} " in captured.err
     assert "PASS" not in captured.out
 
 
@@ -222,6 +267,7 @@ MALFORMED_DESCRIPTORS = [
      "choice", "probs"),
     ({"kind": "two_point", "fractions": [0.5, 0.5], "costs": [1, 2], "data": ["x", 1]},
      "two_point", "data"),
+    ({"kind": "worst_case", "cost_law": {"dist": "uniform", "low": True}}, "uniform", "low"),
 ]
 
 
