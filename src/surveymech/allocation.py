@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, OutOfRangeError, SolverError
+from .errors import InvalidInputError, OutOfRangeError, SolverError, _vector
 from .virtual_cost import CostSet, _iron_rows, virtual_costs
 
 __all__ = [
@@ -52,17 +52,11 @@ class AllocationRule:
     saturated: bool = False
 
     def __post_init__(self):
-        probs = np.asarray(self.probabilities, dtype=float)
-        if probs.ndim != 1 or probs.size == 0:
-            raise InvalidInputError("probabilities must be a non-empty 1-D sequence")
-        if np.any(probs < 0) or np.any(probs > 1) or not np.all(np.isfinite(probs)):
-            raise InvalidInputError("probabilities must lie in [0, 1]")
+        probs = _vector(self.probabilities, "probabilities", 0.0, 1.0)
         if np.any(np.diff(probs) > _MONOTONE_SLACK):
             raise InvalidInputError("probabilities must be monotone non-increasing")
         if not np.isfinite(self.lam) or self.lam < 0:
             raise InvalidInputError("lam must be a non-negative real")
-        probs = probs.copy()
-        probs.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "lam", float(self.lam))
 
@@ -77,12 +71,7 @@ class PaymentRule:
     payments: np.ndarray
 
     def __post_init__(self):
-        pay = np.asarray(self.payments, dtype=float)
-        if pay.ndim != 1 or pay.size == 0:
-            raise InvalidInputError("payments must be a non-empty 1-D sequence")
-        pay = pay.copy()
-        pay.setflags(write=False)
-        object.__setattr__(self, "payments", pay)
+        object.__setattr__(self, "payments", _vector(self.payments, "payments"))
 
     def __len__(self) -> int:
         return int(self.payments.size)

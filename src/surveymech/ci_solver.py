@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import AllocationRule, _calibrate_rows, _myerson
-from .errors import InvalidInputError, SolverError
+from .errors import InvalidInputError, SolverError, _vector
 from .virtual_cost import CostSet, _iron_rows, virtual_costs
 
 __all__ = [
@@ -56,17 +56,16 @@ class IgnoreRule:
     total_mass: float
 
     def __post_init__(self):
-        u = np.asarray(self.u_values, dtype=float)
-        if u.ndim != 1 or u.size == 0:
-            raise InvalidInputError("u_values must be a non-empty 1-D sequence")
-        if not np.all((0 <= u) & (u <= 1)):  # NaN fails too
-            raise InvalidInputError("u_values must lie in [0, 1]")
+        u = _vector(self.u_values, "u_values", 0.0, 1.0)
         if np.any(np.diff(u) < -1e-12):
             raise InvalidInputError("u_values must be monotone non-decreasing")
+        # each test below is written so that NaN fails it
+        if not -math.inf < self.threshold_phi <= math.inf:
+            raise InvalidInputError("threshold_phi must be a real or +inf")
         if not 0 < self.boundary_fraction <= 1:
             raise InvalidInputError("boundary_fraction must lie in (0, 1]")
-        u = u.copy()
-        u.setflags(write=False)
+        if not 0 <= self.total_mass <= u.size:
+            raise InvalidInputError("total_mass must lie in [0, len(u_values)]")
         object.__setattr__(self, "u_values", u)
         object.__setattr__(self, "threshold_phi", float(self.threshold_phi))
         object.__setattr__(self, "boundary_fraction", float(self.boundary_fraction))
@@ -374,9 +373,15 @@ def ci_objective(rule: AllocationRule, ignore: IgnoreRule, beta: float, n: int) 
     This is what ``solve_ci`` minimises, not the interval length
     ``beta sqrt((1/n) sum (1-U_k)/A_k) + sum U_k / n``; see ``solve_ci`` for
     how the two bound each other.
+
+    Raises:
+        InvalidInputError: for rules not of length ``n``, or an invalid ``beta``.
     """
     alloc = rule.probabilities
     u = ignore.u_values
     if alloc.size != u.size or alloc.size != n:
         raise InvalidInputError("rule, ignore rule and n must agree in length")
-    return float(beta) ** 2 * _variance_sum(alloc, u) / n + (float(np.sum(u)) / n) ** 2
+    beta = float(beta)
+    if not 0 < beta < math.inf:  # NaN fails too
+        raise InvalidInputError("beta must be a positive finite real")
+    return beta ** 2 * _variance_sum(alloc, u) / n + (float(np.sum(u)) / n) ** 2

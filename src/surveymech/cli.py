@@ -76,11 +76,17 @@ def _costs(value) -> list[float]:
     return _floats(value.replace(",", " ").split() if isinstance(value, str) else value)
 
 
-def _merged(args: argparse.Namespace) -> dict:
-    """Flag values overridden by any config keys of the same name."""
+def _merged(args: argparse.Namespace, config_only: tuple[str, ...] = ()) -> dict:
+    """Flag values overridden by any config keys of the same name; a key
+    that is neither a flag of the command nor in ``config_only`` is an error."""
     merged = vars(args).copy()
     if args.config:
-        merged.update(_load_config(args.config))
+        config = _load_config(args.config)
+        known = set(merged) - {"command", "func", "config"} | set(config_only)
+        unknown = sorted(set(config) - known)
+        if unknown:
+            raise ConfigError("unknown config key " + ", ".join(map(repr, unknown)))
+        merged.update(config)
     return merged
 
 
@@ -174,7 +180,7 @@ def _population_from(opts: dict) -> Population:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    opts = _merged(args)
+    opts = _merged(args, ("population", "n", "pop_seed", "data"))
     task = _required(opts, "task", _task)
     budget = _required(opts, "budget", _real)
     runs = _required(opts, "runs", _whole)

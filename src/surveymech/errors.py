@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the one conversion of
+"""Exception types shared across the package, the one conversion of
 user-supplied values (CLI flags, config keys, descriptor fields) that raises
-``ConfigError`` on a value it cannot convert."""
+``ConfigError`` on a value it cannot convert, and ``_vector``, the one check
+of a public array argument."""
+
+import numpy as np
 
 
 class InvalidInputError(ValueError):
@@ -60,3 +63,16 @@ def _floats(value) -> list[float]:
     if isinstance(value, str):  # else "12" would read as [1.0, 2.0]
         raise TypeError("expected a list of numbers")
     return [_real(v) for v in value]
+
+
+def _vector(values, name: str, low: float = -np.inf, high: float = np.inf,
+            error: type[Exception] = InvalidInputError) -> np.ndarray:
+    """A read-only 1-D float copy of ``values``; raises ``error`` unless it is
+    non-empty and every entry is finite and in ``[low, high]`` (NaN fails)."""
+    array = np.array(values, dtype=float)
+    if array.ndim != 1 or array.size == 0:
+        raise error(f"{name} must be a non-empty 1-D sequence")
+    if not np.all(np.isfinite(array) & (low <= array) & (array <= high)):
+        raise error(f"{name} must be finite and lie in [{low:g}, {high:g}]")
+    array.setflags(write=False)
+    return array

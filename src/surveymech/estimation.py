@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ci_solver import alpha_gamma
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _vector
 
 __all__ = [
     "CIOutput",
@@ -34,7 +34,7 @@ class CIOutput:
     gamma: float
 
     def __post_init__(self):
-        if self.lower > self.upper:
+        if not self.lower <= self.upper:  # NaN fails too
             raise InvalidInputError("interval endpoints out of order")
 
     @property
@@ -49,10 +49,10 @@ def sample_variance(y) -> float:
     """Unbiased (n-1 denominator) sample variance.
 
     Raises:
-        InvalidInputError: unless at least two observations are given.
+        InvalidInputError: unless at least two finite observations are given.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.size < 2:
+    y = _vector(y, "y")
+    if y.size < 2:
         raise InvalidInputError("sample variance needs at least two observations")
     if y.min() == y.max():  # keep constant vectors exactly at zero
         return 0.0
@@ -69,11 +69,14 @@ def bernstein_interval(
     """Empirical-variance confidence interval with upper-side bias padding.
 
     Raises:
-        InvalidInputError: for invalid gamma, n < 2, negative sigma, or a
-            bias term outside [0, 1].
+        InvalidInputError: for invalid gamma, n < 2, a non-finite mean,
+            negative sigma, or a bias term outside [0, 1].
     """
     if n < 2:
         raise InvalidInputError("interval needs n >= 2")
+    mean = float(mean)
+    if not math.isfinite(mean):
+        raise InvalidInputError("mean must be a finite real")
     sigma = float(sigma)
     if not np.isfinite(sigma) or sigma < 0:
         raise InvalidInputError("sigma must be a non-negative real")
@@ -81,12 +84,12 @@ def bernstein_interval(
     if not 0.0 <= bias_term <= 1.0:
         raise InvalidInputError("bias_term must lie in [0, 1]")
     radius = alpha_gamma(gamma) * sigma / math.sqrt(n)
-    lower = float(mean) - radius
-    upper = float(mean) + bias_term + radius
+    lower = mean - radius
+    upper = mean + bias_term + radius
     return CIOutput(
         lower=lower,
         upper=upper,
-        sample_mean=float(mean),
+        sample_mean=mean,
         sample_sigma=sigma,
         bias_term=bias_term,
         gamma=float(gamma),

@@ -305,10 +305,7 @@ def run_ci_online(
 
 
 def _augmented(costs, cap: float) -> CostSet:
-    costs = np.sort(np.asarray(costs, dtype=float))
-    if costs.size and costs[-1] > cap:
-        raise InvalidInputError("benchmark costs must not exceed the cap")
-    return CostSet(costs=np.append(costs, cap), cap=cap)
+    return CostSet(costs=np.append(np.sort(costs), cap), cap=cap)
 
 
 def benchmark_unbiased(costs, cap: float, budget: float) -> tuple[AllocationRule, float]:

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _vector
 from .virtual_cost import CostSet, virtual_costs
 
 __all__ = ["regularize_naive", "grid_search_unbiased", "grid_search_ci"]
@@ -51,9 +51,7 @@ def regularize_naive(psi) -> np.ndarray:
     Every forward average (prefix-sum difference over count) is materialized
     and reduced, so this is the definition evaluated literally.
     """
-    psi = np.asarray(psi, dtype=float)
-    if psi.ndim != 1 or psi.size == 0:
-        raise InvalidInputError("psi must be a non-empty 1-D sequence")
+    psi = _vector(psi, "psi")
     m = psi.size
     prefix = np.concatenate(([0.0], np.cumsum(psi)))
     sums = prefix[None, 1:] - prefix[:-1, None]  # [i, k] = psi_i + ... + psi_k
@@ -232,7 +230,7 @@ def grid_search_ci(cost_set: CostSet, budget: float, beta: float):
     one).  Returns ``((A, U), objective)``.
 
     Raises:
-        InvalidInputError: for m > 4.
+        InvalidInputError: for m > 4, or an invalid budget or ``beta``.
     """
     m = len(cost_set)
     if m > _MAX_M_CI:
@@ -241,8 +239,8 @@ def grid_search_ci(cost_set: CostSet, budget: float, beta: float):
     beta = float(beta)
     if not math.isfinite(budget) or budget < 0:
         raise InvalidInputError("budget must be a non-negative finite real")
-    if beta <= 0:
-        raise InvalidInputError("beta must be positive")
+    if not 0 < beta < math.inf:  # NaN fails too
+        raise InvalidInputError("beta must be a positive finite real")
     a_step, u_step = _CI_A_STEP, _CI_U_STEP
     num_levels = round(1.0 / a_step)
     u_grid = np.round(np.arange(0.0, 1.0 + u_step / 2, u_step), 12)

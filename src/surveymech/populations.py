@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, _floats, _real, _required, _value
+from .errors import ConfigError, _floats, _real, _required, _value, _vector
 
 __all__ = ["Population", "gen_population"]
 
@@ -21,22 +21,13 @@ class Population:
     cap: float
 
     def __post_init__(self):
-        costs = np.asarray(self.costs, dtype=float)
-        data = np.asarray(self.data, dtype=float)
-        if costs.ndim != 1 or costs.size == 0 or costs.shape != data.shape:
-            raise ConfigError("costs and data must be non-empty 1-D arrays of equal length")
         cap = float(self.cap)
-        # written so that NaN fails both checks
-        if not np.all((0 <= costs) & (costs <= cap)):
-            raise ConfigError("costs must lie in [0, cap]")
         if not math.isfinite(cap):
             raise ConfigError("cap must be a finite real")
-        if not np.all((0 <= data) & (data <= 1)):
-            raise ConfigError("data must lie in [0, 1]")
-        costs = costs.copy()
-        data = data.copy()
-        costs.setflags(write=False)
-        data.setflags(write=False)
+        costs = _vector(self.costs, "costs", 0.0, cap, ConfigError)
+        data = _vector(self.data, "data", 0.0, 1.0, ConfigError)
+        if costs.shape != data.shape:
+            raise ConfigError("costs and data must have equal length")
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "cap", cap)

@@ -18,7 +18,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _vector
 from .online_runner import (
     _run_online,
     benchmark_ci,
@@ -188,8 +188,8 @@ def monte_carlo(
     arrays (estimate, spend, lower, upper, length, covered, flagged).
 
     Raises:
-        InvalidInputError: for an unknown task, runs < 1, or a missing gamma
-            on the ci task.
+        InvalidInputError: for an unknown task, runs < 1, workers < 1, or a
+            missing gamma on the ci task.
     """
     if task not in _TASKS:
         raise InvalidInputError(f"task must be one of {_TASKS}")
@@ -200,7 +200,9 @@ def monte_carlo(
     master_seed = int(master_seed)
     if master_seed < 0:
         raise InvalidInputError("master seed must be non-negative")
-    workers = max(1, int(workers))
+    workers = int(workers)
+    if workers < 1:
+        raise InvalidInputError("workers must be at least 1")
 
     args = (task, population.costs, population.data, population.cap,
             float(budget), gamma, master_seed)
@@ -276,16 +278,18 @@ def truthfulness_audit(costs, alloc, payments) -> AuditReport:
     exceeds ``_AUDIT_TOL``.
 
     Raises:
-        InvalidInputError: unless the three arrays are aligned and 1-D, and
-            the costs non-empty and sorted non-decreasing.
+        InvalidInputError: unless the three arrays are aligned and 1-D, the
+            costs non-empty, finite and sorted non-decreasing, and ``alloc``
+            in [0, 1].
     """
-    costs = np.asarray(costs, dtype=float)
-    alloc = np.asarray(alloc, dtype=float)
+    costs = _vector(costs, "costs")
+    alloc = _vector(alloc, "alloc", 0.0, 1.0)
+    # payments may be NaN where the allocation is zero, as ``_myerson`` gives
     payments = np.asarray(payments, dtype=float)
-    if costs.shape != alloc.shape or costs.shape != payments.shape or costs.ndim != 1:
-        raise InvalidInputError("costs, alloc and payments must be aligned 1-D arrays")
-    if costs.size == 0 or np.any(np.diff(costs) < 0):
-        raise InvalidInputError("costs must be non-empty and sorted non-decreasing")
+    if alloc.shape != costs.shape or payments.shape != costs.shape:
+        raise InvalidInputError("costs, alloc and payments must be aligned")
+    if np.any(np.diff(costs) < 0):
+        raise InvalidInputError("costs must be sorted non-decreasing")
     grid = np.linspace(0.0, float(costs[-1]), _AUDIT_POINTS)
     idx = np.searchsorted(costs, grid, side="left")
     max_violation = max(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _vector
 
 __all__ = [
     "CostSet",
@@ -45,20 +45,12 @@ class CostSet:
     cap: float
 
     def __post_init__(self):
-        costs = np.asarray(self.costs, dtype=float)
-        if costs.ndim != 1 or costs.size == 0:
-            raise InvalidInputError("costs must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(costs)):
-            raise InvalidInputError("costs must be finite")
-        if np.any(np.diff(costs) < 0):
-            raise InvalidInputError("costs must be sorted non-decreasing")
         cap = float(self.cap)
         if not np.isfinite(cap):
             raise InvalidInputError("cap must be finite")
-        if costs[0] < 0 or costs[-1] > cap:
-            raise InvalidInputError("costs must lie in [0, cap]")
-        costs = costs.copy()
-        costs.setflags(write=False)
+        costs = _vector(self.costs, "costs", 0.0, cap)
+        if np.any(np.diff(costs) < 0):
+            raise InvalidInputError("costs must be sorted non-decreasing")
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "cap", cap)
 
@@ -136,9 +128,5 @@ def regularize(psi) -> np.ndarray:
     O(m^2) evaluation of the definition (see ``oracle.regularize_naive``)
     exactly up to floating-point block-boundary ties.
     """
-    psi = np.asarray(psi, dtype=float)
-    if psi.ndim != 1 or psi.size == 0:
-        raise InvalidInputError("psi must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(psi)):
-        raise InvalidInputError("psi must be finite")
+    psi = _vector(psi, "psi")
     return _iron_rows(psi[None, :], np.array([psi.size]))[0]

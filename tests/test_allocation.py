@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from surveymech import (
     AllocationRule,
     CostSet,
+    IgnoreRule,
     InvalidInputError,
     OutOfRangeError,
     PaymentRule,
+    Population,
     extend,
     myerson_payments,
     solve_unbiased,
@@ -94,10 +96,37 @@ def test_allocation_rule_rejects_malformed_input(probs, lam):
         AllocationRule(probabilities=np.array(probs), lam=lam)
 
 
-@pytest.mark.parametrize("payments", [[], [[1.0, 2.0]]], ids=["empty", "2-d"])
+@pytest.mark.parametrize("payments", [[], [[1.0, 2.0]], [1.0, np.nan], [1.0, np.inf]],
+                         ids=["empty", "2-d", "nan", "inf"])
 def test_payment_rule_rejects_malformed_input(payments):
     with pytest.raises(InvalidInputError):
         PaymentRule(payments=np.array(payments))
+
+
+# {id: (record built from the caller's array, the field holding it, its values)}
+RECORD_ARRAYS = {
+    "CostSet": (lambda a: CostSet(costs=a, cap=4.0), "costs", [1.0, 2.0, 4.0]),
+    "AllocationRule": (lambda a: AllocationRule(probabilities=a, lam=1.0), "probabilities",
+                       [1.0, 0.5, 0.25]),
+    "PaymentRule": (lambda a: PaymentRule(payments=a), "payments", [1.0, 2.0, 4.0]),
+    "IgnoreRule": (lambda a: IgnoreRule(u_values=a, threshold_phi=1.0, boundary_fraction=1.0,
+                                        total_mass=1.5), "u_values", [0.0, 0.5, 1.0]),
+    "Population-costs": (lambda a: Population(costs=a, data=np.ones(3), cap=4.0), "costs",
+                         [1.0, 2.0, 4.0]),
+    "Population-data": (lambda a: Population(costs=np.ones(3), data=a, cap=4.0), "data",
+                        [0.0, 0.5, 1.0]),
+}
+
+
+@pytest.mark.parametrize("make, field, values", list(RECORD_ARRAYS.values()), ids=list(RECORD_ARRAYS))
+def test_record_holds_a_read_only_copy(make, field, values):
+    caller = np.array(values)
+    stored = getattr(make(caller), field)
+    assert not stored.flags.writeable
+    with pytest.raises(ValueError):
+        stored[0] = 0.5
+    caller[:] = 0.75  # the caller's array is not the stored one
+    assert stored.tolist() == values
 
 
 class TestMyersonPayments:

@@ -198,13 +198,18 @@ class TestDeployedRule:
         assert fractional >= 300
 
 
-@pytest.mark.parametrize("u, fraction", [
-    ([], 1.0), ([[0.0, 1.0]], 1.0), ([0.0, 1.5], 1.0), ([0.0, math.nan], 1.0),
-    ([1.0, 0.0], 1.0), ([0.0, 1.0], 0.0), ([0.0, 1.0], 1.5),
-], ids=["empty", "2-d", "above_one", "nan", "decreasing", "zero_fraction", "fraction_above_one"])
-def test_ignore_rule_rejects_malformed_input(u, fraction):
+@pytest.mark.parametrize("u, fraction, threshold, mass", [
+    ([], 1.0, 1.0, 1.0), ([[0.0, 1.0]], 1.0, 1.0, 1.0), ([0.0, 1.5], 1.0, 1.0, 1.0),
+    ([0.0, math.nan], 1.0, 1.0, 1.0), ([1.0, 0.0], 1.0, 1.0, 1.0), ([0.0, 1.0], 0.0, 1.0, 1.0),
+    ([0.0, 1.0], 1.5, 1.0, 1.0), ([0.0, 1.0], 1.0, math.nan, 1.0),
+    ([0.0, 1.0], 1.0, 1.0, math.nan), ([0.0, 1.0], 1.0, 1.0, math.inf),
+    ([0.0, 1.0], 1.0, 1.0, 2.5), ([0.0, 1.0], 1.0, 1.0, -0.5),
+], ids=["empty", "2-d", "above_one", "nan", "decreasing", "zero_fraction", "fraction_above_one",
+        "nan_threshold", "nan_mass", "infinite_mass", "mass_above_length", "negative_mass"])
+def test_ignore_rule_rejects_malformed_input(u, fraction, threshold, mass):
     with pytest.raises(InvalidInputError):
-        IgnoreRule(u_values=np.array(u), threshold_phi=1.0, boundary_fraction=fraction, total_mass=1.0)
+        IgnoreRule(u_values=np.array(u), threshold_phi=threshold, boundary_fraction=fraction,
+                   total_mass=mass)
 
 
 class TestGDerivative:
@@ -313,6 +318,12 @@ class TestCIObjective:
             boundary_fraction=1.0, total_mass=0.0,
         )
         assert ci_objective(rule, ignore, 0.7, 5) == pytest.approx(0.49)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_beta(self, beta):
+        rule, ignore = solve_ci(make_set([1, 2, 3]), 1.0, 1.0)
+        with pytest.raises(InvalidInputError):
+            ci_objective(rule, ignore, beta, 3)
 
 
 class TestOuterSearch:

@@ -193,6 +193,9 @@ MALFORMED_FLAGS = [
     (["simulate", "--task", "foo", "--costs", "1,2", "--budget", "1", "--runs", "2"], "task"),
     (["audit", "--suite", "oracle", "--trials", "x"], "trials"),
     (["audit", "--suite", "oracle", "--trials", "2", "--seed", "-1"], "seed"),
+    # the library names the worker count ``workers``
+    (["simulate", "--task", "unbiased", "--costs", "1,2", "--budget", "1", "--runs", "2",
+      "--threads", "0"], "workers"),
 ]
 
 
@@ -251,6 +254,26 @@ def test_malformed_config_value_is_a_usage_error(
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert f"invalid {key} " in captured.err
     assert "PASS" not in captured.out
+
+
+# {id: (command, config, key)}: a config key that its command does not read
+UNKNOWN_CONFIG_KEYS = {
+    "simulate-sed": ("simulate", {**_SIMULATE, "sed": 7}, "sed"),
+    "solve-runs": ("solve", {"task": "unbiased", "costs": [1, 2, 3], "budget": 5, "runs": 3}, "runs"),
+    "audit-budget": ("audit", {"suite": "oracle", "trials": 2, "budget": 5}, "budget"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, config, key", list(UNKNOWN_CONFIG_KEYS.values()), ids=list(UNKNOWN_CONFIG_KEYS))
+def test_unknown_config_key_is_a_usage_error(command, config, key, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where a simulate that ran would write its report
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert run_cli([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: unknown config key {key!r}\n"
+    assert captured.out == ""
 
 
 # (population spec, law, field): a descriptor field that is missing or not a

@@ -26,6 +26,10 @@ class TestSampleVariance:
         with pytest.raises(InvalidInputError):
             sample_variance([1.0])
 
+    def test_rejects_nan(self):
+        with pytest.raises(InvalidInputError):
+            sample_variance([1.0, math.nan, 2.0])
+
 
 class TestBernsteinInterval:
     def test_degenerate(self):
@@ -57,11 +61,12 @@ class TestBernsteinInterval:
         with pytest.raises(InvalidInputError):
             bernstein_interval(0.5, 0.1, 10, 0.5, 1.5)
 
-    @pytest.mark.parametrize("sigma, n", [(0.1, 1), (0.1, 0), (-0.1, 10), (math.nan, 10)],
-                             ids=["one_sample", "no_sample", "negative_sigma", "nan_sigma"])
-    def test_rejects_bad_n_or_sigma(self, sigma, n):
+    @pytest.mark.parametrize("mean, sigma, n", [
+        (0.5, 0.1, 1), (0.5, 0.1, 0), (0.5, -0.1, 10), (0.5, math.nan, 10), (math.nan, 0.1, 10),
+    ], ids=["one_sample", "no_sample", "negative_sigma", "nan_sigma", "nan_mean"])
+    def test_rejects_bad_n_or_sigma(self, mean, sigma, n):
         with pytest.raises(InvalidInputError):
-            bernstein_interval(0.5, sigma, n, 0.5, 0.0)
+            bernstein_interval(mean, sigma, n, 0.5, 0.0)
 
     def test_output_rejects_reversed_endpoints(self):
         with pytest.raises(InvalidInputError):

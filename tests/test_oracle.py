@@ -32,9 +32,10 @@ class TestRegularizeNaive:
     def test_all_equal_identity(self):
         assert np.allclose(regularize_naive([2, 2, 2]), [2, 2, 2])
 
-    def test_rejects_empty(self):
+    @pytest.mark.parametrize("psi", [[], [1.0, np.nan], [1.0, np.inf]], ids=["empty", "nan", "inf"])
+    def test_rejects_malformed_psi(self, psi):
         with pytest.raises(InvalidInputError):
-            regularize_naive([])
+            regularize_naive(psi)
 
 
 class TestGridSearchUnbiased:
@@ -120,6 +121,11 @@ class TestGridSearchCI:
     def test_refuses_large_m(self):
         with pytest.raises(InvalidInputError):
             grid_search_ci(make_set([1, 2, 3, 4, 5]), 1.0, 1.0)
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_beta(self, beta):
+        with pytest.raises(InvalidInputError):
+            grid_search_ci(make_set([1, 2]), 1.0, beta)
 
     def test_feasibility_of_reported_solution(self):
         cs = make_set([1.0, 3.0, 9.0])

@@ -59,6 +59,11 @@ class TestMonteCarlo:
         with pytest.raises(InvalidInputError):
             monte_carlo("unbiased", small_pop, 1.0, None, 0, 0)
 
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_rejects_fewer_than_one_worker(self, small_pop, workers):
+        with pytest.raises(InvalidInputError):
+            monte_carlo("unbiased", small_pop, 1.0, None, 4, 0, workers=workers)
+
     def test_ci_needs_gamma(self, small_pop):
         with pytest.raises(InvalidInputError):
             monte_carlo("ci", small_pop, 1.0, None, 1, 0)
@@ -144,6 +149,13 @@ class TestTruthfulnessAudit:
     def test_rejects_empty_costs(self):
         with pytest.raises(InvalidInputError):
             truthfulness_audit([], [], [])
+
+    @pytest.mark.parametrize("costs, alloc", [
+        ([1.0, math.nan], [1.0, 0.5]), ([1.0, 2.0], [1.0, math.nan]), ([1.0, 2.0], [1.5, 0.5]),
+    ], ids=["nan_cost", "nan_alloc", "alloc_above_one"])
+    def test_rejects_malformed_costs_or_alloc(self, costs, alloc):
+        with pytest.raises(InvalidInputError):
+            truthfulness_audit(costs, alloc, [1.5, 2.0])
 
     def test_rejects_unsorted_costs(self):
         with pytest.raises(InvalidInputError):
