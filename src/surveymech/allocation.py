@@ -153,10 +153,17 @@ def _myerson(costs: np.ndarray, alloc: np.ndarray) -> np.ndarray:
     Works along the last axis, so a 2-D call prices every row at once; a row
     padded by repeating its last cost adds nothing to the payments before it.
     """
-    tail = np.zeros_like(alloc)
-    tail[..., :-1] = alloc[..., 1:] * np.diff(costs, axis=-1)
-    tail = np.cumsum(tail[..., ::-1], axis=-1)[..., ::-1]
-    return costs + np.divide(tail, alloc, out=np.full_like(alloc, np.nan), where=alloc > 0)
+    tail = np.empty_like(alloc)
+    tail[..., -1] = 0.0
+    np.subtract(costs[..., 1:], costs[..., :-1], out=tail[..., :-1])
+    tail[..., :-1] *= alloc[..., 1:]
+    back = tail[..., ::-1]
+    np.cumsum(back, axis=-1, out=back)
+    live = alloc > 0
+    np.divide(tail, alloc, out=tail, where=live)
+    prices = np.add(costs, tail, out=tail)
+    prices[~live] = np.nan  # never bought, so never priced
+    return prices
 
 
 def myerson_payments(cost_set: CostSet, rule: AllocationRule) -> PaymentRule:

@@ -139,12 +139,14 @@ def _rule_at_mass(phi, psi, sizes, budgets, edges, mass):
     return _calibrate_rows(phi, psi, 1.0 - u, budgets, sizes) + (u,)
 
 
-def _optimal_mass(sizes, block_phi, block_sqrt, spend_below, sqrt_below, j, m, budget, beta):
+def _optimal_mass(sizes, block_phi, block_sqrt, spend_below, sqrt_below, j, top, above, m, budget, beta):
     """Smallest minimizer of the outer objective over ignored mass in [0, m].
 
     Takes a row's blocks as lists (sizes, phi, sqrt(phi), and the sums of
-    ``size * phi`` and ``size * sqrt(phi)`` below each) and the lowest block
-    ``j`` not clipped at M = 0.
+    ``size * phi`` and ``size * sqrt(phi)`` below each), the lowest block
+    ``j`` not clipped at M = 0, and the block ``top`` the walk starts at,
+    with ``above`` the (integer) mass of the blocks above it, all ignored.
+    The lists need only reach ``top``: the walk reads nothing above it.
     ``F(M) = s V(M) + (M/m)^2`` with ``s = beta^2/m``.  While the budget
     binds, the live blocks below ``j`` are clipped at A = 1 and
     ``V = K + S1^2 / (B - C)``: ``K`` and ``C`` are the size and spend of the
@@ -156,13 +158,16 @@ def _optimal_mass(sizes, block_phi, block_sqrt, spend_below, sqrt_below, j, m, b
     ``F = s (m - M) + (M/m)^2``.  Walks the pieces upward and returns
     ``(mass, slack)``: the first point whose right slope is >= 0, and whether
     the budget is slack there.
+
+    Started at the top block, the walk reaches a lower block ``t`` with
+    ``j`` unchanged, ``live = size_t`` and ``above`` the mass over ``t``
+    whenever every iteration above ``t`` only dropped its block; so starting
+    at ``t`` in that state, as ``_solve_ci_rows`` does, gives the same bits.
     """
     s = beta * beta / m
     inv_m2 = 1.0 / (m * m)
     slack_root = min(float(m), 0.5 * beta * beta * m)  # zero of -s + 2M/m^2
-    top = len(sizes) - 1
     live = float(sizes[top])
-    above = 0  # mass of the blocks above ``top``, all ignored
     while top >= 0:
         mass = above + (sizes[top] - live)
         live_spend = spend_below[top] + live * block_phi[top]
@@ -195,6 +200,45 @@ def _optimal_mass(sizes, block_phi, block_sqrt, spend_below, sqrt_below, j, m, b
     return float(m), True
 
 
+def _walk_starts(edges, counts, block_phi, block_sqrt, spend_below, sqrt_below, j, budgets, beta):
+    """Each row's highest block at which ``_optimal_mass``' first iteration
+    does more than drop the block, or -1 where there is none.
+
+    Evaluates that iteration at every block ``t`` of every row at once, in
+    the state the walk reaches ``t`` in while it only drops blocks: ``live =
+    size_t``, ``above`` the mass over ``t`` and ``j`` unchanged.  Every
+    expression is the walk's, in its order, and Python's ``min(a, b)`` is
+    ``where(b < a, b, a)``, so each test gives the walk's answer wherever the
+    walk gets to ask it; lanes it never reaches may divide by zero or overflow.
+    """
+    rows = np.arange(edges.shape[0])[:, None]
+    t = np.arange(block_phi.shape[1])
+    m = edges[:, -1:]
+    size = edges[:, 1:] - edges[:, :-1]
+    budget = np.array(budgets, dtype=float)[:, None]
+    j = j[:, None]
+    s = beta * beta / m
+    inv_m2 = 1.0 / (m * m)
+    live = size.astype(float)
+    mass = (m - edges[:, 1:]) + (size - live)
+    with np.errstate(all="ignore"):
+        live_spend = spend_below[:, :-1] + live * block_phi
+        acts = (live_spend <= budget) | (j > t)
+        to_slack = (live_spend - budget) / block_phi
+        event = np.where(to_slack < live, to_slack, live)
+        room = budget - spend_below[rows, j]
+        s1 = sqrt_below[:, :-1] - sqrt_below[rows, j] + live * block_sqrt
+        a = s * block_sqrt / room
+        acts |= (room > 0) & (mass * inv_m2 >= a * s1)
+        step = (a * s1 - mass * inv_m2) / (a * block_sqrt + inv_m2)
+        lam_event = (s1 - room / block_sqrt[rows, np.minimum(j, t[-1])]) / block_sqrt
+        event = np.where((room > 0) & (j < t) & (lam_event < event), lam_event, event)
+        acts |= (room > 0) & (step < event)
+    acts |= (event == to_slack) | (event < live)
+    acts &= t < counts[:, None]
+    return np.where(acts.any(axis=1), t[-1] - np.argmax(acts[:, ::-1], axis=1), -1)
+
+
 def _solve_ci_rows(phi, psi, sizes, budgets, beta):
     """The CI solve of each row of a padded batch: ``(A, lam, saturated, U, mass)``.
 
@@ -202,7 +246,14 @@ def _solve_ci_rows(phi, psi, sizes, budgets, beta):
     ``phi = 0`` as for ``_calibrate_rows``, and has budget ``budgets[r]``.
     The block split, the sweep's set-up, the fill and the calibration run on
     all rows at once; ``np.add.accumulate`` adds along a row in order, so each row
-    gets the bits of a batch of one.  ``A`` is 1 and ``U`` 0 on the padding."""
+    gets the bits of a batch of one.  ``A`` is 1 and ``U`` 0 on the padding.
+
+    Most iterations of a row's walk from its top block only drop an ignored
+    block.  ``_walk_starts`` finds, for all rows at once, the highest block
+    where the first iteration does more; the walk starts there, in the state
+    it would have reached it in, and reads only the blocks up to it.  A row
+    with no such block has mass ``m`` and a slack budget, as the walk would
+    return after dropping them all.  The walk still computes every result."""
     edges, counts = _block_rows(phi, sizes)
     block_size = edges[:, 1:] - edges[:, :-1]  # 0 past a row's last block
     block_phi = np.take_along_axis(phi, edges[:, 1:] - 1, axis=1)  # read at each block's last entry
@@ -212,12 +263,20 @@ def _solve_ci_rows(phi, psi, sizes, budgets, beta):
     # spend with lam at each breakpoint, as in the calibration's breakpoint
     # scan; ``bisect_left`` probes as ``searchsorted`` does, sorted or not
     spend_bp = spend_below[:, :-1] + block_sqrt * (sqrt_below[:, -1:] - sqrt_below[:, :-1])
-    per_row = zip(sizes.tolist(), counts.tolist(), budgets, block_size.tolist(), block_phi.tolist(),
-                  block_sqrt.tolist(), spend_below.tolist(), sqrt_below.tolist(), spend_bp.tolist())
+    j = np.array([bisect.bisect_left(bp, budget, 0, k)
+                  for bp, budget, k in zip(spend_bp.tolist(), budgets, counts.tolist())])
+    start = _walk_starts(edges, counts, block_phi, block_sqrt, spend_below, sqrt_below, j, budgets, beta)
+    above = sizes - np.take_along_axis(edges, start[:, None] + 1, axis=1)[:, 0]
+    # the walk reads each row's blocks up to its start only: gather those, row after row
+    read = np.flatnonzero(np.arange(block_phi.shape[1]) <= start[:, None])
+    lists = [block_size.take(read).tolist()] + np.array(
+        (block_phi, block_sqrt, spend_below[:, :-1], sqrt_below[:, :-1])).reshape(4, -1).take(read, axis=1).tolist()
+    ends = np.add.accumulate(start + 1).tolist()
     mass, slack = map(np.array, zip(*[
-        _optimal_mass(size[:k], bphi[:k], bsqrt[:k], below[:k + 1], sqrt_b[:k + 1],
-                      bisect.bisect_left(bp, budget, 0, k), m, budget, beta)
-        for m, k, budget, size, bphi, bsqrt, below, sqrt_b, bp in per_row]))
+        _optimal_mass(*[part[end - top - 1:end] for part in lists], j0, top, above_top, m, budget, beta)
+        if top >= 0 else (float(m), True)
+        for m, top, above_top, j0, budget, end in zip(sizes.tolist(), start.tolist(), above.tolist(),
+                                                      j.tolist(), budgets, ends)]))
     alloc, lam, saturated, u = _rule_at_mass(phi, psi, sizes, budgets, edges, mass)
     # On the saturation kink the calibration's own spend sum decides: step a row up from
     # ulp(m), doubling, until it agrees the budget is slack (as it does at mass m).

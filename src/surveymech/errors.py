@@ -1,7 +1,7 @@
 """Exception types shared across the package, the one conversion of
 user-supplied values (CLI flags, config keys, descriptor fields) that raises
 ``ConfigError`` on a value it cannot convert, and ``_vector``, the one check
-of a public array argument."""
+of a public array argument, with ``_float_array``, its conversion."""
 
 import numpy as np
 
@@ -65,11 +65,20 @@ def _floats(value) -> list[float]:
     return [_real(v) for v in value]
 
 
+def _float_array(values, name: str, error: type[Exception] = InvalidInputError) -> np.ndarray:
+    """A float copy of ``values``; raises ``error``, not numpy's own exception,
+    for a non-numeric entry or a ragged nesting."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{name} must be an array of numbers: {exc}") from exc
+
+
 def _vector(values, name: str, low: float = -np.inf, high: float = np.inf,
             error: type[Exception] = InvalidInputError) -> np.ndarray:
     """A read-only 1-D float copy of ``values``; raises ``error`` unless it is
-    non-empty and every entry is finite and in ``[low, high]`` (NaN fails)."""
-    array = np.array(values, dtype=float)
+    non-empty and every entry is a finite number in ``[low, high]`` (NaN fails)."""
+    array = _float_array(values, name, error)
     if array.ndim != 1 or array.size == 0:
         raise error(f"{name} must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(array) & (low <= array) & (array <= high)):

@@ -18,7 +18,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import InvalidInputError, _vector
+from .errors import InvalidInputError, _float_array, _vector
 from .online_runner import (
     _run_online,
     benchmark_ci,
@@ -279,15 +279,18 @@ def truthfulness_audit(costs, alloc, payments) -> AuditReport:
 
     Raises:
         InvalidInputError: unless the three arrays are aligned and 1-D, the
-            costs non-empty, finite and sorted non-decreasing, and ``alloc``
-            in [0, 1].
+            costs non-empty, finite and sorted non-decreasing, ``alloc`` in
+            [0, 1], and every payment finite where ``alloc`` is positive.
     """
     costs = _vector(costs, "costs")
     alloc = _vector(alloc, "alloc", 0.0, 1.0)
-    # payments may be NaN where the allocation is zero, as ``_myerson`` gives
-    payments = np.asarray(payments, dtype=float)
+    payments = _float_array(payments, "payments")
     if alloc.shape != costs.shape or payments.shape != costs.shape:
         raise InvalidInputError("costs, alloc and payments must be aligned")
+    # a price is paid only where the allocation is positive; elsewhere it may
+    # be NaN, as ``_myerson`` gives
+    if not np.all(np.isfinite(payments[alloc > 0])):
+        raise InvalidInputError("payments must be finite where alloc is positive")
     if np.any(np.diff(costs) < 0):
         raise InvalidInputError("costs must be sorted non-decreasing")
     grid = np.linspace(0.0, float(costs[-1]), _AUDIT_POINTS)

@@ -13,8 +13,11 @@ isotonic regression on ``psi``, the ironing of Myerson (1981).
 
 Ironing works on rows: ``_iron_rows`` irons every row of a padded 2-D array
 in one set of vectorised adjacent-violator pooling passes, so the online
-runner irons all the rounds of a run together.  ``regularize`` and the
-solvers iron a single grid as a batch of one row.
+runner irons all the rounds of a run together.  Each pass gathers the blocks
+it keeps by integer index (``np.flatnonzero`` and ``take``): its merge mask
+is scattered, and a boolean compress of a scattered mask costs several times
+more per element.  ``regularize`` and the solvers iron a single grid as a
+batch of one row.
 """
 
 from __future__ import annotations
@@ -59,13 +62,12 @@ class CostSet:
 
 
 def _psi_from_sorted(costs: np.ndarray) -> np.ndarray:
-    # psi_i = i*c_i - (i-1)*c_{i-1}, 1-based, with c_0 = 0, along the last axis.
-    m = costs.shape[-1]
-    idx = np.arange(1.0, m + 1.0)
-    prev = np.empty_like(costs)
-    prev[..., 0] = 0.0
-    prev[..., 1:] = costs[..., :-1]
-    return idx * costs - (idx - 1.0) * prev
+    # psi_i = i*c_i - (i-1)*c_{i-1}, 1-based, with c_0 = 0, along the last axis;
+    # (i-1) at i >= 2 is the 1-based index of c_{i-1}, and psi_1 = 1*c_1 - 0*0 = c_1.
+    idx = np.arange(1.0, costs.shape[-1] + 1.0)
+    psi = costs * idx
+    psi[..., 1:] -= costs[..., :-1] * idx[:-1]
+    return psi
 
 
 def _iron_rows(psi: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -79,6 +81,10 @@ def _iron_rows(psi: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     holds, so no block merges across a row end.  A block's average is its
     prefix-sum difference over its size, and a block of one element keeps
     its raw value.  Blocks merge on ties, giving maximal blocks of equal value.
+    A pass finds the indices of the blocks that stay and of those that grow,
+    and gathers the bounds and averages with ``take``; only the grown blocks'
+    averages are recomputed.  The NaN blocks are dropped before the blocks
+    are spread back over their entries.
     """
     rows, width = psi.shape
     lanes = np.arange(width + 1) <= sizes[:, None]  # each row and its NaN
@@ -93,21 +99,24 @@ def _iron_rows(psi: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     # Block k spans [bounds[k], bounds[k+1]); ``bounds`` ends with a sentinel.
     bounds = np.arange(values.size + 1)
     avg = values
-    keep_ends = np.ones(1, dtype=bool)
     while True:
         merge = avg[1:] <= avg[:-1]
         if not merge.any():
             break
-        keep = np.concatenate((keep_ends, ~merge, keep_ends))
+        # the blocks that stay, then the sentinel; the last block is a NaN and stays
+        kept = np.flatnonzero(np.concatenate(((True,), ~merge, (True,))))
         # a block that absorbs its right neighbour has merge set at its index
-        grown = np.flatnonzero(merge[keep[:-2]])
-        bounds = bounds[keep]
-        avg = avg[keep[:-1]]
-        lo = bounds[grown]
-        hi = bounds[grown + 1]
-        avg[grown] = (before[hi] - before[lo]) / (hi - lo)
+        grown = np.flatnonzero(merge.take(kept[:-2]))
+        bounds = bounds.take(kept)
+        avg = avg.take(kept[:-1])
+        lo = bounds.take(grown)
+        hi = bounds.take(grown + 1)
+        avg[grown] = (before.take(hi) - before.take(lo)) / (hi - lo)
+    # drops the NaN ending each row: a NaN never pools, so it is a block of its own
+    first = values.take(bounds[:-1])
+    real = np.flatnonzero(first == first)
     phi = np.zeros_like(psi)
-    phi[np.arange(width) < sizes[:, None]] = np.repeat(avg, np.diff(bounds))[~np.isnan(values)]
+    phi[np.arange(width) < sizes[:, None]] = np.repeat(avg.take(real), np.diff(bounds).take(real))
     return phi
 
 

@@ -69,6 +69,11 @@ class TestPopulation:
         with pytest.raises(ConfigError):
             Population(costs=costs, data=data, cap=cap)
 
+    def test_rejects_non_numeric_cost_as_config_error(self):
+        # not numpy's bare ValueError about converting a string to float
+        with pytest.raises(ConfigError, match="costs must be an array of numbers"):
+            Population(costs=["x", 1], data=[1, 1], cap=2)
+
     def test_accepts_bounds(self):
         pop = Population(costs=[0.0, 5.0], data=[0.0, 1.0], cap=5.0)
         assert pop.n == 2

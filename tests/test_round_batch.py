@@ -299,6 +299,33 @@ def test_ironing_rows_match_pav_loop(family):
             assert np.array_equal(regularize(psi), ref)
 
 
+def test_ironing_long_decreasing_runs_match_pav_loop():
+    # A strictly decreasing run pools into one block in one pass, and that
+    # block then takes one more element of the rising ramp before it per
+    # pass: the most passes a row of its length can need.  Rows of a few such
+    # ramp-and-drop pairs, of different lengths, in one padded batch.
+    rng = np.random.default_rng(17)
+    rows = []
+    for _ in range(12):
+        parts = []
+        for _ in range(int(rng.integers(1, 4))):
+            low = float(rng.uniform(0.0, 50.0))
+            ramp = np.sort(rng.uniform(low + 10.0, low + 20.0, int(rng.integers(50, 300))))
+            drop = np.sort(rng.uniform(low, low + 10.0, int(rng.integers(200, 600))))[::-1]
+            parts += [ramp, drop]
+        row = np.concatenate(parts)
+        assert np.all(np.diff(drop) < 0)
+        rows.append(row)
+    sizes = np.array([row.size for row in rows])
+    psi = np.full((len(rows), int(sizes.max())), 3.0)
+    for r, row in enumerate(rows):
+        psi[r, :row.size] = row
+    phi = _iron_rows(psi, sizes)
+    for r, row in enumerate(rows):
+        assert _bits(phi[r, :row.size]) == _bits(_pav_loop(row)), r
+        assert np.all(phi[r, row.size:] == 0.0)
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_unbiased_batch_matches_per_grid_rounds(family):
     grids, budgets = _family_grids(family, seed=11)
@@ -384,7 +411,22 @@ def _ci_instances(seed, count):
         yield costs, budget
 
 
-def test_ci_rows_match_alone_batched_reversed_and_reference():
+def _record_walk_starts(monkeypatch):
+    """A list that gets ``(start, counts)`` of every batch ``_solve_ci_rows``
+    solves: where each row's walk starts, and its block count."""
+    starts = []
+    walk_starts = ci_solver._walk_starts
+
+    def recorded(edges, counts, *args):
+        starts.append((walk_starts(edges, counts, *args), counts))
+        return starts[-1][0]
+
+    monkeypatch.setattr(ci_solver, "_walk_starts", recorded)
+    return starts
+
+
+def test_ci_rows_match_alone_batched_reversed_and_reference(monkeypatch):
+    starts = _record_walk_starts(monkeypatch)
     instances = list(_ci_instances(seed=21, count=4000))
     betas = [ci_parameters(g, n).beta for g, n in ((0.9, 100), (0.95, 20), (0.9, 1000), (0.5, 5))]
     chunk = len(instances) // len(betas)
@@ -417,6 +459,14 @@ def test_ci_rows_match_alone_batched_reversed_and_reference():
                               ignore.total_mass), want), (g, k)
             assert _bits(ignore.threshold_phi) == _bits(threshold), (g, k)
             assert _bits(ignore.boundary_fraction) == _bits(fraction), (g, k)
+    # The start is not vacuous: some walks skip blocks, some skip every block
+    # but the lowest, and some start at the top block.  None skips all of
+    # them here; ``test_ci_row_whose_walk_skips_every_block`` pins one that does.
+    top, counts = (np.concatenate(part) for part in zip(*starts))
+    assert np.all((-1 <= top) & (top < counts))
+    assert np.any((0 <= top) & (top < counts - 1))
+    assert np.any((top == 0) & (counts > 1))
+    assert np.any(top == counts - 1)
 
 
 def test_ci_rows_kink_row_between_binding_and_zero_budget():
@@ -439,6 +489,30 @@ def test_ci_rows_kink_row_between_binding_and_zero_budget():
     assert not batched[0][2]
     mass1, slack1 = _optimal_mass(phi1, *_phi_blocks(phi1), budgets[1], beta)
     assert slack1 and batched[1][4] > mass1 and batched[1][2]  # stepped up, saturated
+
+
+def test_ci_row_whose_walk_skips_every_block(monkeypatch):
+    # With no budget every block of a row is ignored in turn.  At the lowest
+    # block the walk tests whether the budget runs out before the block does,
+    # as (size * phi) / phi < size; for this pooled block of 7 tied costs the
+    # quotient rounds above 7, so the walk drops that block too and ends at
+    # M = m, where no start is left for the batch to pick.  Batched with a
+    # binding row and a zero-budget row that stops at its lowest block.
+    starts = _record_walk_starts(monkeypatch)
+    beta = ci_parameters(0.9, 100).beta
+    grids = [(5.277499332135033,) * 7 + (CAP,), (1.0, 2.0, 3.0, CAP), (0.1, 0.1, 0.1, CAP)]
+    budgets = [0.0, 1.0, 0.0]
+    rows = []
+    for grid in grids:
+        psi = _psi_from_sorted(np.array(grid))
+        rows.append((regularize(psi), psi))
+    size, phi0 = 7, rows[0][0][0]
+    assert size * phi0 / phi0 > size
+    batched = _rows_solved(rows, budgets, beta)
+    assert starts[0][0].tolist() == [-1, 1, 0]
+    assert batched[0][4] == 8.0 and batched[0][2]
+    for k, ((phi, psi), budget) in enumerate(zip(rows, budgets)):
+        assert _same_row(batched[k], _solve_ci_arrays(phi, psi, budget, beta)), k
 
 
 def test_float_rounded_ties_iron_within_rounding():

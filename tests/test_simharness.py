@@ -157,6 +157,16 @@ class TestTruthfulnessAudit:
         with pytest.raises(InvalidInputError):
             truthfulness_audit(costs, alloc, [1.5, 2.0])
 
+    def test_rejects_non_finite_price_where_allocated(self):
+        # once a NaN verdict: max_violation=nan, ir_violation=nan, passed=False
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidInputError, match="payments must be finite"):
+                truthfulness_audit([1.0, 2.0], [1.0, 0.5], [bad, 2.0])
+
+    def test_allows_nan_price_where_never_allocated(self):
+        report = truthfulness_audit([1.0, 2.0], [1.0, 0.0], [1.0, math.nan])
+        assert report.passed and report.max_violation == 0.0 and report.ir_violation == 0.0
+
     def test_rejects_unsorted_costs(self):
         with pytest.raises(InvalidInputError):
             truthfulness_audit([2.0, 1.0], [0.5, 1.0], [2.0, 1.5])

@@ -58,6 +58,11 @@ class TestVirtualCosts:
         with pytest.raises(InvalidInputError):
             CostSet(costs=np.array(costs), cap=cap)
 
+    def test_rejects_ragged_costs_with_its_own_error(self):
+        # not numpy's bare ValueError about an inhomogeneous shape
+        with pytest.raises(InvalidInputError, match="costs must be an array of numbers"):
+            CostSet(costs=[[1], [1, 2]], cap=3)
+
 
 class TestRegularize:
     def test_ironed_example(self):
@@ -72,6 +77,10 @@ class TestRegularize:
     def test_rejects_empty(self):
         with pytest.raises(InvalidInputError):
             regularize([])
+
+    def test_rejects_ragged_psi_with_its_own_error(self):
+        with pytest.raises(InvalidInputError, match="psi must be an array of numbers"):
+            regularize([[1.0], [1.0, 2.0]])
 
     @given(sorted_costs)
     @settings(max_examples=200, deadline=None)
