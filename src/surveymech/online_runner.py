@@ -43,9 +43,10 @@ __all__ = [
     "ci_bound_rhs",
 ]
 
-# Rows per batch of ``_solve_rounds``: keeps its padded temporaries at a few
-# MB on grids of up to a few thousand points.
-_BATCH_ROWS = 128
+# Grid points per batch of ``_solve_rounds``, counted as its rows times its
+# widest row: each padded temporary of a batch stays within 256 KB whatever
+# n, unless one grid alone is wider (it is then a batch of its own).
+_BATCH_POINTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -128,6 +129,22 @@ class CIRunResult:
     transcripts: list = field(default_factory=list)
 
 
+def _batch_bounds(widths):
+    """Split rows of the given widths, in order, into ``(lo, hi)`` runs of at
+    most ``_BATCH_POINTS`` padded points (rows times the widest row); a row
+    wider than that is a batch alone."""
+    bounds = []
+    lo = widest = 0
+    for hi, width in enumerate(widths):
+        widest = max(widest, width)
+        if hi > lo and (hi + 1 - lo) * widest > _BATCH_POINTS:
+            bounds.append((lo, hi))
+            lo, widest = hi, width
+    if lo < len(widths):
+        bounds.append((lo, len(widths)))
+    return bounds
+
+
 def _solve_rounds(costs, sizes, budgets, beta):
     """Solve a batch of rounds, one per row of the 2-D ``costs``.
 
@@ -158,7 +175,8 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record, k
     else the confidence-interval task at confidence ``gamma``.
 
     Every round not flagged solves its rule on the grid of earlier reports
-    plus the cap, or takes it from ``cache``.  Round ``i`` is keyed by
+    plus the cap, or takes it from ``cache``; with ``cache`` None it solves
+    every such round and stores nothing.  Round ``i`` is keyed by
     ``keys[i - 1]``, which the caller supplies and which must be equal for
     two rounds exactly when their grids are; with ``keys`` None it is keyed
     by the grid tuple, as user caches and transcripts read it (a run that
@@ -172,49 +190,59 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record, k
 
     No round's grid depends on a purchase, so the run takes three steps: one
     pass looks every round up; the misses are solved together by
-    ``_solve_rounds``, ``_BATCH_ROWS`` at a time, and enter the cache in
-    round order; a last pass makes the offers with one draw of ``n``
-    purchase coins.
+    ``_solve_rounds`` in batches of at most ``_BATCH_POINTS`` grid points
+    (``_batch_bounds``), and after each batch its rows enter the cache in
+    round order while the run keeps only each round's offer; a last pass
+    makes the offers with one draw of ``n`` purchase coins.  So a run holds
+    the cache, one batch and O(n) offers, not every solved row.
     """
     n = costs_seq.size
     ci = gamma is not None
     beta = ci_parameters(gamma, n).beta if ci else None
+    lookup = ({} if cache is None else cache).get  # no cache: nothing ever hits
+    # Grid tuples are built only where a key or a transcript reads them.
+    tuples = keys is None and (record or cache is not None)
     grid: list[float] = [cap]
     # Per round: (grid key, position of the cost on it, cache entry), where
-    # the entry is None on a flagged round and an index into ``misses`` on a
-    # round still to be solved.  Every round not flagged adds its cost to the
-    # grid, so no grid is missed twice in one run.
+    # the entry is None on a flagged round and an index into ``misses`` and
+    # ``offers`` on a round still to be solved.  Every round not flagged adds
+    # its cost to the grid, so no grid is missed twice in one run.
     plan: list[tuple] = []
-    misses: list[tuple] = []  # (grid key, budget, grid size)
+    misses: list[tuple] = []  # (grid key, budget, grid size, position of the cost)
     for i, cost in enumerate(costs_seq.tolist(), 1):
         if cost > cap:
             plan.append((tuple(grid) if record else None, 0, None))
             continue
-        key = tuple(grid) if keys is None else keys[i - 1]
+        key = keys[i - 1] if keys is not None else tuple(grid) if tuples else None
+        idx = bisect.bisect_left(grid, cost)
         budget = schedule.per_round(i)
-        entry = cache.get(key)
+        entry = lookup(key)
         if entry is None or entry[-2:] != (budget, beta):
             entry = len(misses)
-            misses.append((key, budget, len(grid)))
-        plan.append((key, bisect.bisect_left(grid, cost), entry))
+            misses.append((key, budget, len(grid), idx))
+        plan.append((key, idx, entry))
         bisect.insort(grid, cost)
-    solved: list[tuple] = []
+    offers: list[tuple] = []  # (A, ignored, payment) of each miss's arrival
     if misses:
         # A grid is the sorted first k of the cap and the costs not flagged;
         # the stable sort keeps ties in arrival order, as ``insort`` does.
         arrivals = np.concatenate(([cap], costs_seq[~(costs_seq > cap)]))
         order = np.argsort(arrivals, kind="stable")
-        sorted_arrivals = arrivals[order]
-        for lo in range(0, len(misses), _BATCH_ROWS):
-            batch = misses[lo:lo + _BATCH_ROWS]
-            sizes = np.array([k for _, _, k in batch])
-            taken = order < sizes[:, None]
-            costs = np.full((len(batch), int(sizes.max())), cap)
-            costs[np.arange(costs.shape[1]) < sizes[:, None]] = np.broadcast_to(
-                sorted_arrivals, taken.shape)[taken]
-            solved += _solve_rounds(costs, sizes, [b for _, b, _ in batch], beta)
-    for j, (key, budget, _) in enumerate(misses):
-        solved[j] = cache[key] = (key, *solved[j], budget, beta)
+        for lo, hi in _batch_bounds([size for _, _, size, _ in misses]):
+            batch = misses[lo:hi]
+            sizes = np.array([size for _, _, size, _ in batch])
+            width = int(sizes.max())
+            # the arrivals the batch's widest grid holds, in sorted order
+            held = order[order < width]
+            taken = held < sizes[:, None]
+            costs = np.full((len(batch), width), cap)
+            costs[np.arange(width) < sizes[:, None]] = np.broadcast_to(
+                arrivals[held], taken.shape)[taken]
+            rows = _solve_rounds(costs, sizes, [budget for _, budget, _, _ in batch], beta)
+            for (key, budget, _, idx), row in zip(batch, rows):
+                if cache is not None:
+                    cache[key] = (key, *row, budget, beta)
+                offers.append((float(row[0][idx]), ci and bool(row[1][idx]), float(row[-1][idx])))
     coins = rng.random(n).tolist()
     y = np.zeros(n)
     total_paid = 0.0
@@ -227,11 +255,12 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record, k
             a, p, ignored = 0.0, math.nan, False
         else:
             if type(entry) is int:
-                entry = solved[entry]
-            a = float(entry[1][idx])
-            ignored = ci and bool(entry[2][idx])
-            # an ignored agent's price is NaN: its effective allocation is zero
-            p = float(entry[-3][idx])
+                a, ignored, p = offers[entry]
+            else:
+                a = float(entry[1][idx])
+                ignored = ci and bool(entry[2][idx])
+                # an ignored agent's price is NaN: its effective allocation is zero
+                p = float(entry[-3][idx])
             ignored_count += ignored
         purchased = not ignored and coins[i - 1] < a
         observed = float(data_seq[i - 1]) if purchased else 0.0
@@ -264,10 +293,7 @@ def _run_population(population, schedule, gamma, rng_seed, cap, record, cache):
     if not math.isfinite(cap):
         raise InvalidInputError("cap must be a finite real")
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    return _run_online(
-        population.costs, population.data, cap, schedule, gamma, rng,
-        {} if cache is None else cache, record,
-    )
+    return _run_online(population.costs, population.data, cap, schedule, gamma, rng, cache, record)
 
 
 def run_unbiased_online(
@@ -282,6 +308,11 @@ def run_unbiased_online(
 
     Reports above the cap are declined and flagged: the agent is skipped with
     y = 0, which voids unbiasedness, so the flag is surfaced in the result.
+
+    ``cache``, if given, is a dict of solved rounds keyed by grid tuple that
+    the run reads and adds to, and that may be shared between runs.  With
+    ``cache`` None the run solves every round, stores nothing and holds only
+    one batch of rounds and one offer per round at a time.
     """
     return _run_population(population, schedule, None, rng_seed, cap, record_transcripts, cache)
 
@@ -300,6 +331,11 @@ def run_ci_online(
     Ignore decisions round the solved rule at 1/2 into a deterministic
     indicator (ties ignore); the interval's upper endpoint carries the
     resulting bias allowance ``(# ignored) / n``.
+
+    ``cache``, if given, is a dict of solved rounds keyed by grid tuple that
+    the run reads and adds to, and that may be shared between runs.  With
+    ``cache`` None the run solves every round, stores nothing and holds only
+    one batch of rounds and one offer per round at a time.
     """
     return _run_population(population, schedule, gamma, rng_seed, cap, record_transcripts, cache)
 

@@ -45,7 +45,8 @@ _TASKS = ("unbiased", "ci")
 # Grid points the Monte Carlo round cache keeps.  An entry holds two float
 # arrays of its grid's size (and a bool one on the CI task) under an int key:
 # at the bound 4.0-4.25 MB of arrays, and 4.2-7.1 MB with the per-entry
-# overhead on continuous costs at n = 100 to 1000 (10.5 MB at n = 30).
+# overhead on continuous costs at n = 100 to 1000 (10.5 MB at n = 30).  A
+# run's working set is this cache plus one batch of ``_run_online``.
 _CACHE_POINTS = 2**18
 # Points of the uniform grid ``truthfulness_audit`` checks the extension on,
 # and the violation it tolerates.

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from surveymech import (
     virtual_costs,
     worst_case_variance,
 )
+from surveymech import online_runner
 from surveymech.audits import random_cost_set
-from surveymech.online_runner import _solve_rounds
+from surveymech.online_runner import _run_online, _solve_rounds
 
 
 def make_pop(costs, data=None, cap=None):
@@ -256,6 +258,73 @@ class TestUserCache:
             assert len(want) == width - 1
             for got, part in zip(entry[1:width], want):
                 assert np.array_equal(got, part, equal_nan=True)
+
+
+class TestWorkingSet:
+    @staticmethod
+    def _run(task, n, cache):
+        pop = gen_population({"kind": "independent"}, n, 25.0, 4)
+        rng = np.random.default_rng(9)
+        if task == "unbiased":
+            return _run_online(pop.costs, pop.data, 24.0, unbiased_schedule(n, 1.5 * n), None,
+                               rng, cache, True)
+        return _run_online(pop.costs, pop.data, 24.0, ci_schedule(n, 1.5 * n), 0.9,
+                           rng, cache, True)
+
+    @pytest.mark.parametrize("task", ["unbiased", "ci"])
+    def test_batch_bounds_move_no_bits(self, task, monkeypatch):
+        # One row per batch, the default bound, and the whole run in one
+        # batch: the same offers, and the same cache entries in the same order.
+        # A cap below the costs' range flags some arrivals, so batches are
+        # assembled from arrival lists with gaps.
+        solve = online_runner._solve_rounds
+        batch_rows = []
+
+        def spy(costs, sizes, budgets, beta):
+            batch_rows.append(len(sizes))
+            return solve(costs, sizes, budgets, beta)
+
+        monkeypatch.setattr(online_runner, "_solve_rounds", spy)
+        runs = []
+        for points in (1, online_runner._BATCH_POINTS, math.inf):
+            monkeypatch.setattr(online_runner, "_BATCH_POINTS", points)
+            cache: dict = {}
+            batch_rows.clear()
+            runs.append((self._run(task, 600, cache), cache, list(batch_rows)))
+        (want, want_cache, one_row), *others = runs
+        assert 0 < want.flagged and set(one_row) == {1}
+        assert 1 < len(others[0][2]) < len(one_row) and len(others[1][2]) == 1
+        # each offer is the one its round's cached rule makes at the report
+        for t in want.transcripts:
+            if not t.flagged:
+                entry, idx = want_cache[t.grid], int(np.searchsorted(t.grid, t.cost))
+                assert (t.alloc, t.ignored) == (entry[1][idx], task == "ci" and entry[2][idx])
+                assert repr(t.payment_offer) == repr(float(entry[-3][idx]))
+        for got, got_cache, _ in others:
+            assert repr(got) == repr(want)
+            assert list(got_cache) == list(want_cache)
+            for key, entry in got_cache.items():
+                want_entry = want_cache[key]
+                assert len(entry) == len(want_entry) and entry[-2:] == want_entry[-2:]
+                for part, want_part in zip(entry[1:-2], want_entry[1:-2]):
+                    assert part.dtype == want_part.dtype and part.tobytes() == want_part.tobytes()
+
+    @pytest.mark.parametrize("task", ["unbiased", "ci"])
+    def test_cacheless_run_matches_fresh_cache(self, task):
+        assert repr(self._run(task, 300, None)) == repr(self._run(task, 300, {}))
+
+    def test_cacheless_run_memory_is_bounded(self):
+        # A run solves about n^2 / 2 grid points; without a cache it holds one
+        # batch of them and O(n) offers at a time.  Keeping every solved row
+        # peaked at 121 MB here at n = 3000.
+        pop = gen_population({"kind": "independent"}, 3000, 25.0, 4)
+        tracemalloc.start()
+        try:
+            run_unbiased_online(pop, unbiased_schedule(3000, 4500.0), 9, record_transcripts=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestBenchmarks:

@@ -13,10 +13,10 @@ import math
 import numpy as np
 import pytest
 
-from surveymech import CostSet, ci_solver, regularize, solve_ci
+from surveymech import CostSet, ci_solver, online_runner, regularize, solve_ci
 from surveymech.ci_solver import _deployed_policy, _solve_ci_rows, ci_parameters
 from surveymech.errors import SolverError
-from surveymech.online_runner import _BATCH_ROWS, _solve_rounds
+from surveymech.online_runner import _batch_bounds, _solve_rounds
 from surveymech.virtual_cost import _iron_rows, _psi_from_sorted
 
 CAP = 25.0
@@ -278,12 +278,31 @@ def _family_grids(name, seed):
 
 
 def _batches(grids, budgets):
-    for lo in range(0, len(grids), _BATCH_ROWS):
-        batch = grids[lo:lo + _BATCH_ROWS]
+    for lo, hi in _batch_bounds([len(g) for g in grids]):
+        batch = grids[lo:hi]
         sizes = np.array([len(g) for g in batch])
         width = int(sizes.max())
         costs = np.array([g + (g[-1],) * (width - len(g)) for g in batch])
-        yield batch, costs, sizes, budgets[lo:lo + _BATCH_ROWS]
+        yield batch, costs, sizes, budgets[lo:hi]
+
+
+def test_batch_bounds_split_rows_in_order_within_the_point_bound():
+    bound = online_runner._BATCH_POINTS
+    rng = np.random.default_rng(3)
+    assert _batch_bounds([]) == []
+    cases = [[1], [bound + 5], [bound, bound, 1], list(range(1, 1002)),
+             rng.integers(1, 3 * bound // 100, 500).tolist()]
+    for widths in cases:
+        bounds = _batch_bounds(widths)
+        assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+        assert bounds[-1][1] == len(widths)
+        for lo, hi in bounds:
+            points = (hi - lo) * max(widths[lo:hi])
+            assert hi > lo and (points <= bound or hi == lo + 1)
+            # greedy: the next row would not have fitted
+            if hi < len(widths):
+                assert (hi + 1 - lo) * max(widths[lo:hi + 1]) > bound
+    assert _batch_bounds([2, bound // 2 + 1, 2]) == [(0, 1), (1, 2), (2, 3)]
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -439,12 +458,12 @@ def test_ci_rows_match_alone_batched_reversed_and_reference(monkeypatch):
         budgets = [b for _, b in group]
         alone = [_rows_solved([row], [b], beta)[0] for row, b in zip(rows, budgets)]
         batched = []
-        for lo in range(0, len(rows), _BATCH_ROWS):
-            batched += _rows_solved(rows[lo:lo + _BATCH_ROWS], budgets[lo:lo + _BATCH_ROWS], beta)
+        for lo, hi in _batch_bounds([phi.size for phi, _ in rows]):
+            batched += _rows_solved(rows[lo:hi], budgets[lo:hi], beta)
         # reversed and chunked afresh: other neighbours, another batch width
         rows_back, budgets_back, backwards = rows[::-1], budgets[::-1], []
-        for lo in range(0, len(rows), _BATCH_ROWS):
-            backwards += _rows_solved(rows_back[lo:lo + _BATCH_ROWS], budgets_back[lo:lo + _BATCH_ROWS], beta)
+        for lo, hi in _batch_bounds([phi.size for phi, _ in rows_back]):
+            backwards += _rows_solved(rows_back[lo:hi], budgets_back[lo:hi], beta)
         backwards.reverse()
         for k, ((costs, budget), (phi, psi)) in enumerate(zip(group, rows)):
             want = _solve_ci_arrays(phi, psi, budget, beta)
