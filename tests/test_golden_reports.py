@@ -1,8 +1,9 @@
 """`simulate` reports compared with committed copies, byte for byte.
 
-Each case is one of the benchmark's three workload shapes at its toy size
+Each case is one of the benchmark's three workload shapes, at its toy size
 (the population, n, cap, budget and runs of ``perfbench/workloads.py`` under
-``TOY``), at the benchmark's two seeds.  The copies under ``tests/golden``
+``TOY``) and at its full size (``_full`` cases, whose continuous-cost runs
+span several round batches), at the benchmark's two seeds.  The copies under ``tests/golden``
 were written with numpy ``GOLDEN_NUMPY``; on that version the reports must
 match them byte for byte.  Another numpy may round the last bit of a float
 differently, so there the parsed values are compared to ``REL_TOL`` relative
@@ -35,6 +36,10 @@ CASES = {
                   20, 25.0, 30.0, None, 50),
     "mc_fresh_unbiased": ("unbiased", UNIFORM, 40, 25.0, 60.0, None, 4),
     "mc_fresh_ci": ("ci", UNIFORM, 20, 25.0, 30.0, 0.9, 4),
+    "mc_cached_full": ("unbiased", {"kind": "two_point", "fractions": [0.9, 0.1], "costs": [1.0, 20.0]},
+                       100, 25.0, 150.0, None, 1000),
+    "mc_fresh_unbiased_full": ("unbiased", UNIFORM, 1000, 25.0, 1500.0, None, 5),
+    "mc_fresh_ci_full": ("ci", UNIFORM, 100, 25.0, 150.0, 0.9, 10),
 }
 
 
