@@ -152,9 +152,9 @@ def _solve_rounds(costs, sizes, budgets, beta):
     ``budgets[r]``, padded by repeating its last cost.  Every step runs on
     all rows together: virtual costs, ironing, the solve (``_calibrate_rows``,
     or ``_solve_ci_rows`` for the CI task, ``beta`` not None) and payments.
-    Returns one tuple per row of the arrays its offers read, each of the
-    row's size: ``(A, payments)``, or ``(A, ignored, payments)`` for the CI
-    task.
+    Returns the batch's 2-D arrays that offers read, row ``r`` valid in its
+    first ``sizes[r]`` columns: ``(A, payments)``, or ``(A, ignored,
+    payments)`` for the CI task.
     """
     if beta is None and min(budgets) <= 0:
         raise InvalidInputError("unbiased rounds need a positive budget")
@@ -162,12 +162,9 @@ def _solve_rounds(costs, sizes, budgets, beta):
     phi = _iron_rows(psi, sizes)
     if beta is None:
         alloc, _, _ = _calibrate_rows(phi, psi, None, budgets, sizes)
-        parts = (alloc, _myerson(costs, alloc))
-    else:
-        alloc, _, _, u, _ = _solve_ci_rows(phi, psi, sizes, budgets, beta)
-        parts = (alloc,) + _deployed_policy(costs, alloc, u)
-    # copies, so a cached rule holds its own row and not the whole batch
-    return [tuple(part[r, :m].copy() for part in parts) for r, m in enumerate(sizes.tolist())]
+        return alloc, _myerson(costs, alloc)
+    alloc, _, _, u, _ = _solve_ci_rows(phi, psi, sizes, budgets, beta)
+    return (alloc,) + _deployed_policy(costs, alloc, u)
 
 
 def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record, keys=None):
@@ -191,10 +188,11 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record, k
     No round's grid depends on a purchase, so the run takes three steps: one
     pass looks every round up; the misses are solved together by
     ``_solve_rounds`` in batches of at most ``_BATCH_POINTS`` grid points
-    (``_batch_bounds``), and after each batch its rows enter the cache in
-    round order while the run keeps only each round's offer; a last pass
-    makes the offers with one draw of ``n`` purchase coins.  So a run holds
-    the cache, one batch and O(n) offers, not every solved row.
+    (``_batch_bounds``), and each batch's offers are read from its arrays
+    with one gather per array, while only a cache gets copies of its rows,
+    in round order; a last pass makes the offers with one draw of ``n``
+    purchase coins.  So a run holds the cache, one batch and O(n) offers,
+    not every solved row.
     """
     n = costs_seq.size
     ci = gamma is not None
@@ -238,11 +236,14 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record, k
             costs = np.full((len(batch), width), cap)
             costs[np.arange(width) < sizes[:, None]] = np.broadcast_to(
                 arrivals[held], taken.shape)[taken]
-            rows = _solve_rounds(costs, sizes, [budget for _, budget, _, _ in batch], beta)
-            for (key, budget, _, idx), row in zip(batch, rows):
-                if cache is not None:
-                    cache[key] = (key, *row, budget, beta)
-                offers.append((float(row[0][idx]), ci and bool(row[1][idx]), float(row[-1][idx])))
+            parts = _solve_rounds(costs, sizes, [budget for _, budget, _, _ in batch], beta)
+            at = (np.arange(len(batch)), [idx for _, _, _, idx in batch])
+            got = [part[at].tolist() for part in parts]
+            offers += zip(got[0], got[1] if ci else [False] * len(batch), got[-1])
+            if cache is not None:
+                # copies, so a cached rule holds its own row and not the whole batch
+                for r, (key, budget, size, _) in enumerate(batch):
+                    cache[key] = (key, *(part[r, :size].copy() for part in parts), budget, beta)
     coins = rng.random(n).tolist()
     y = np.zeros(n)
     total_paid = 0.0

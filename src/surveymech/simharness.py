@@ -136,18 +136,24 @@ def _mc_batch(task, costs, data, cap, budget, gamma, master_seed, run_lo, run_hi
     """Per-run outputs for run indices [run_lo, run_hi); order-independent.
 
     A round's grid is the cap and the costs that arrived before it (a
-    population has no cost above its cap, so none is flagged), so the
-    running sum of ``_count_weights`` keys it in the round cache exactly.
+    population has no cost above its cap, so none is flagged).  The batch
+    keeps a round cache only when some cost repeats: with all-distinct costs
+    two runs share round ``i``'s grid only if they drew the same ``i - 1``
+    earlier arrivals, so cached rounds would almost never be read again and
+    every run solves each of its rounds, as a public runner does with
+    ``cache`` None.  On a tied population the running sum of
+    ``_count_weights`` keys each round in the cache exactly.
     """
     n = costs.size
-    weight_of = _count_weights(costs)
+    cache = weight_of = None
+    if np.unique(costs).size < n:
+        cache, weight_of = _RoundCache(_CACHE_POINTS), _count_weights(costs)
     count = run_hi - run_lo
     estimates = np.empty(count)
     spends = np.empty(count)
     lowers = np.full(count, np.nan)
     uppers = np.full(count, np.nan)
     flagged = np.zeros(count, dtype=np.int64)
-    cache = _RoundCache(_CACHE_POINTS)
     if task == "unbiased":
         schedule = unbiased_schedule(n, budget)
         gamma = None
@@ -159,7 +165,8 @@ def _mc_batch(task, costs, data, cap, budget, gamma, master_seed, run_lo, run_hi
         perm = draw_permutation(rng, n)
         cseq = costs[perm]
         zseq = data[perm]
-        keys = list(accumulate(map(weight_of.__getitem__, perm.tolist()), initial=0))
+        keys = None if cache is None else list(
+            accumulate(map(weight_of.__getitem__, perm.tolist()), initial=0))
         result = _run_online(cseq, zseq, cap, schedule, gamma, rng, cache, False, keys)
         if task == "unbiased":
             estimates[k] = result.estimate

@@ -33,6 +33,12 @@ def make_pop(costs, data=None, cap=None):
     return Population(costs=costs, data=data, cap=cap)
 
 
+def solve_round(grid, budget, beta):
+    """``_solve_rounds`` on a batch of one grid: the row of each array it returns."""
+    grid = np.asarray(grid, dtype=float)
+    return tuple(part[0] for part in _solve_rounds(grid[None, :], np.array([grid.size]), [budget], beta))
+
+
 class TestSchedules:
     def test_unbiased_xi(self):
         sched = unbiased_schedule(64, 10.0)
@@ -225,9 +231,7 @@ class TestRunCI:
         assert (t.observed, t.y, t.paid) == (0.0, 0.0, 0.0)
         # the offer shown is the round rule's allocation at the report
         beta = ci_parameters(0.95, 200).beta
-        [(alloc, ignored, _)] = _solve_rounds(
-            np.array([t.grid]), np.array([len(t.grid)]), [sched.per_round(199)], beta
-        )
+        alloc, ignored, _ = solve_round(t.grid, sched.per_round(199), beta)
         idx = int(np.searchsorted(t.grid, t.cost))
         assert len(t.grid) == 199 and ignored[idx] and t.alloc == alloc[idx]
 
@@ -254,7 +258,7 @@ class TestUserCache:
             budget = sched.per_round(t.round_index)
             assert len(entry) == width + 2 and entry[-2:] == (budget, beta)
             assert entry[0] == t.grid
-            [want] = _solve_rounds(np.array([t.grid]), np.array([len(t.grid)]), [budget], beta)
+            want = solve_round(t.grid, budget, beta)
             assert len(want) == width - 1
             for got, part in zip(entry[1:width], want):
                 assert np.array_equal(got, part, equal_nan=True)
@@ -274,7 +278,8 @@ class TestWorkingSet:
     @pytest.mark.parametrize("task", ["unbiased", "ci"])
     def test_batch_bounds_move_no_bits(self, task, monkeypatch):
         # One row per batch, the default bound, and the whole run in one
-        # batch: the same offers, and the same cache entries in the same order.
+        # batch: the same offers, with or without a cache, and the same cache
+        # entries in the same order.
         # A cap below the costs' range flags some arrivals, so batches are
         # assembled from arrival lists with gaps.
         solve = online_runner._solve_rounds
@@ -291,6 +296,7 @@ class TestWorkingSet:
             cache: dict = {}
             batch_rows.clear()
             runs.append((self._run(task, 600, cache), cache, list(batch_rows)))
+            assert repr(self._run(task, 600, None)) == repr(runs[-1][0])
         (want, want_cache, one_row), *others = runs
         assert 0 < want.flagged and set(one_row) == {1}
         assert 1 < len(others[0][2]) < len(one_row) and len(others[1][2]) == 1
@@ -385,9 +391,7 @@ class TestPerRoundTruthfulness:
         sched = unbiased_schedule(7, 12.0)
         res = run_unbiased_online(pop, sched, rng_seed=5)
         for t in res.transcripts:
-            [(alloc, payments)] = _solve_rounds(
-                np.array([t.grid]), np.array([len(t.grid)]), [sched.per_round(t.round_index)], None
-            )
+            alloc, payments = solve_round(t.grid, sched.per_round(t.round_index), None)
             rep = truthfulness_audit(t.grid, alloc, payments)
             assert rep.passed, (t.round_index, rep)
 
@@ -400,9 +404,7 @@ class TestPerRoundTruthfulness:
         beta = 2 * alpha_gamma(0.9) / math.sqrt(n)
         res = run_ci_online(pop, sched, 0.9, rng_seed=5)
         for t in res.transcripts:
-            [(alloc, ignored, payments)] = _solve_rounds(
-                np.array([t.grid]), np.array([len(t.grid)]), [sched.per_round(t.round_index)], beta
-            )
+            alloc, ignored, payments = solve_round(t.grid, sched.per_round(t.round_index), beta)
             effective = np.where(ignored, 0.0, alloc)
             rep = truthfulness_audit(t.grid, effective, payments)
             assert rep.passed, (t.round_index, rep)
@@ -421,9 +423,8 @@ class TestRoundSpend:
             psi_sum = float(np.sum(virtual_costs(CostSet(costs=grid, cap=cs.cap))))
             budget = float(rng.uniform(0.01, 1.3)) * psi_sum
             beta = ci_parameters(float(rng.uniform(0.05, 0.95)), int(rng.integers(2, 401))).beta
-            batch = (grid[None, :], np.array([grid.size]), [budget])
-            [(alloc, payments)] = _solve_rounds(*batch, None)
-            [(alloc_ci, ignored, payments_ci)] = _solve_rounds(*batch, beta)
+            alloc, payments = solve_round(grid, budget, None)
+            alloc_ci, ignored, payments_ci = solve_round(grid, budget, beta)
             kept = ~ignored & (alloc_ci > 0)
             worst_unbiased = max(worst_unbiased, float(np.sum(alloc * payments)) / budget)
             worst_ci = max(worst_ci, float(np.sum(alloc_ci[kept] * payments_ci[kept])) / budget)

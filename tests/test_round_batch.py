@@ -286,6 +286,11 @@ def _batches(grids, budgets):
         yield batch, costs, sizes, budgets[lo:hi]
 
 
+def _rows(parts, sizes):
+    """Each row of a batch as the tuple of its slices of ``_solve_rounds``' arrays."""
+    return [tuple(part[r, :m] for part in parts) for r, m in enumerate(sizes.tolist())]
+
+
 def test_batch_bounds_split_rows_in_order_within_the_point_bound():
     bound = online_runner._BATCH_POINTS
     rng = np.random.default_rng(3)
@@ -349,7 +354,7 @@ def test_ironing_long_decreasing_runs_match_pav_loop():
 def test_unbiased_batch_matches_per_grid_rounds(family):
     grids, budgets = _family_grids(family, seed=11)
     for batch, costs, sizes, batch_budgets in _batches(grids, budgets):
-        solved = _solve_rounds(costs, sizes, batch_budgets, None)
+        solved = _rows(_solve_rounds(costs, sizes, batch_budgets, None), sizes)
         for grid, budget, got in zip(batch, batch_budgets, solved):
             ref = _unbiased_round_ref(grid, budget)
             assert len(got) == 2
@@ -366,7 +371,7 @@ def test_ci_batch_matches_per_grid_rounds(family, monkeypatch):
     step = 3 if len(grids) > 500 else 1  # the per-grid reference is slow at m ~ 1000
     stepped = 0
     for batch, costs, sizes, batch_budgets in _batches(grids, budgets):
-        solved = _solve_rounds(costs, sizes, batch_budgets, beta)
+        solved = _rows(_solve_rounds(costs, sizes, batch_budgets, beta), sizes)
         for k in range(0, len(batch), step):
             ref, ref_stepped = _ci_round_ref(batch[k], batch_budgets[k], beta, monkeypatch)
             stepped += ref_stepped

@@ -189,30 +189,34 @@ class TestReports:
 
 class TestRoundCacheBound:
     def test_harness_cache_never_exceeds_its_point_bound(self, monkeypatch):
-        # 4 runs of 80 rounds store 4 * 3240 grid points, all kept under the
-        # default bound; a bound of 1000 evicts most and changes no output.
-        pop = gen_population({"kind": "independent"}, 80, 25.0, 2)
+        # Five cost values at n = 80: 4 runs of 80 rounds store almost
+        # 4 * 3240 grid points, all kept under the default bound; a bound of
+        # 1000 evicts most and changes no output.
+        pop = gen_population(_spread(), 80, 25.0, 2)
         args = ("unbiased", pop, 120.0, None, 4, 9)
         _, unbounded = monte_carlo(*args, return_per_run=True)
-        seen = []
+        seen, added = [], []
 
         class Spy(simharness._RoundCache):
             def __setitem__(self, key, entry):
                 super().__setitem__(key, entry)
                 # slot 1, the round's allocations, has its grid's size
                 seen.append((self.points, sum(e[1].size for e in self.values())))
+                added.append(entry[1].size)
 
         monkeypatch.setattr(simharness, "_RoundCache", Spy)
         monkeypatch.setattr(simharness, "_CACHE_POINTS", 1000)
         _, bounded = monte_carlo(*args, return_per_run=True)
         assert len(seen) > 4 * 80 / 2
+        assert sum(added) > 4 * 1000
         assert all(counted == stored <= 1000 for counted, stored in seen)
         for key, values in unbounded.items():
             assert np.array_equal(bounded[key], values, equal_nan=True), key
 
     def test_continuous_costs_run_in_bounded_memory(self):
-        # Every round misses with continuous costs: 6 runs at n = 600 solve
-        # 6 * 180,300 grid points; kept without a bound they peak at 35 MB.
+        # Every round misses with continuous costs, so the harness keeps no
+        # round cache: 6 runs at n = 600 solve 6 * 180,300 grid points; kept
+        # without a bound they peak at 35 MB.
         pop = gen_population({"kind": "independent"}, 600, 25.0, 4)
         tracemalloc.start()
         try:
@@ -249,35 +253,85 @@ COUNT_KEY_POPULATIONS = {
 }
 
 
+def _public_runs(task, pop, budget, gamma, runs, seed):
+    """``monte_carlo``'s per-run outputs from the public runners: the harness's
+    per-run generators, and one plain dict shared by every run where the
+    harness keeps a cache, that is where some cost repeats."""
+    cache = {} if np.unique(pop.costs).size < pop.n else None
+    out = {name: np.full(runs, np.nan) for name in ("estimate", "spend", "lower", "upper")}
+    out["flagged"] = np.zeros(runs, dtype=np.int64)
+    for r in range(runs):
+        rng = np.random.default_rng([seed, r])
+        perm = draw_permutation(rng, pop.n)
+        arrived = Population(costs=pop.costs[perm], data=pop.data[perm], cap=pop.cap)
+        if task == "unbiased":
+            res = run_unbiased_online(arrived, unbiased_schedule(pop.n, budget), rng,
+                                      record_transcripts=False, cache=cache)
+            out["estimate"][r] = res.estimate
+        else:
+            res = run_ci_online(arrived, ci_schedule(pop.n, budget), gamma, rng,
+                                record_transcripts=False, cache=cache)
+            interval = res.interval
+            out["estimate"][r] = interval.sample_mean
+            out["lower"][r], out["upper"][r] = interval.lower, interval.upper
+        out["spend"][r] = res.total_paid
+        out["flagged"][r] = res.flagged
+    return out
+
+
+class TestCachePolicy:
+    """``monte_carlo`` keeps a round cache only where some cost repeats: with
+    all-distinct costs it solves every round, as the public runners do with
+    ``cache`` None."""
+
+    RUNS = 6
+    SEED = 23
+
+    @pytest.mark.parametrize("task", ["unbiased", "ci"])
+    @pytest.mark.parametrize("name", ["continuous", "one_agent", "spread"])
+    def test_caches_only_where_a_cost_repeats(self, monkeypatch, name, task):
+        pop, budget = COUNT_KEY_POPULATIONS[name]
+        caches, rows = [], []
+        solve = online_runner._solve_rounds
+
+        class Spy(simharness._RoundCache):
+            def __init__(self, max_points):
+                super().__init__(max_points)
+                caches.append(self)
+
+        def spy(costs, sizes, budgets, beta):
+            rows.append(len(sizes))
+            return solve(costs, sizes, budgets, beta)
+
+        monkeypatch.setattr(simharness, "_RoundCache", Spy)
+        monkeypatch.setattr(online_runner, "_solve_rounds", spy)
+        monte_carlo(task, pop, budget, 0.9 if task == "ci" else None, self.RUNS, self.SEED)
+        if name == "spread":
+            assert len(caches) == 1 and len(caches[0]) > 0
+            assert 0 < sum(rows) < self.RUNS * pop.n
+        else:
+            assert not caches and sum(rows) == self.RUNS * pop.n
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("task", ["unbiased", "ci"])
+    @pytest.mark.parametrize("name", ["continuous", "spread"])
+    def test_matches_public_runners_for_any_worker_count(self, name, task, workers):
+        pop, budget = COUNT_KEY_POPULATIONS[name]
+        gamma = 0.9 if task == "ci" else None
+        _, per_run = monte_carlo(task, pop, budget, gamma, self.RUNS, self.SEED,
+                                 workers=workers, return_per_run=True)
+        want = _public_runs(task, pop, budget, gamma, self.RUNS, self.SEED)
+        for key, values in want.items():
+            assert per_run[key].tobytes() == values.tobytes(), key
+
+
 class TestCountKeys:
-    """The harness keys its round cache by counts over the distinct costs;
-    the public runners key a plain dict by grid tuples."""
+    """Where some cost repeats, the harness keys its round cache by counts
+    over the distinct costs; the public runners key a plain dict by grid
+    tuples."""
 
     RUNS = 40
     SEED = 17
-
-    def _reference(self, task, pop, budget, gamma):
-        # One plain dict shared by every run, the harness's per-run generators.
-        cache: dict = {}
-        out = {name: np.full(self.RUNS, np.nan) for name in ("estimate", "spend", "lower", "upper")}
-        out["flagged"] = np.zeros(self.RUNS, dtype=np.int64)
-        for r in range(self.RUNS):
-            rng = np.random.default_rng([self.SEED, r])
-            perm = draw_permutation(rng, pop.n)
-            arrived = Population(costs=pop.costs[perm], data=pop.data[perm], cap=pop.cap)
-            if task == "unbiased":
-                res = run_unbiased_online(arrived, unbiased_schedule(pop.n, budget), rng,
-                                          record_transcripts=False, cache=cache)
-                out["estimate"][r] = res.estimate
-            else:
-                res = run_ci_online(arrived, ci_schedule(pop.n, budget), gamma, rng,
-                                    record_transcripts=False, cache=cache)
-                interval = res.interval
-                out["estimate"][r] = interval.sample_mean
-                out["lower"][r], out["upper"][r] = interval.lower, interval.upper
-            out["spend"][r] = res.total_paid
-            out["flagged"][r] = res.flagged
-        return out
 
     @pytest.mark.parametrize("task", ["unbiased", "ci"])
     @pytest.mark.parametrize("name", sorted(COUNT_KEY_POPULATIONS))
@@ -295,7 +349,7 @@ class TestCountKeys:
         _, per_run = monte_carlo(task, pop, budget, gamma, self.RUNS, self.SEED, return_per_run=True)
         harness_rows = sum(rows)
         rows.clear()
-        want = self._reference(task, pop, budget, gamma)
+        want = _public_runs(task, pop, budget, gamma, self.RUNS, self.SEED)
         assert harness_rows == sum(rows) > 0
         for key, values in want.items():
             assert per_run[key].tobytes() == values.tobytes(), key
