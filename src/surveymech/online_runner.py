@@ -237,8 +237,9 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record, k
             costs[np.arange(width) < sizes[:, None]] = np.broadcast_to(
                 arrivals[held], taken.shape)[taken]
             parts = _solve_rounds(costs, sizes, [budget for _, budget, _, _ in batch], beta)
-            at = (np.arange(len(batch)), [idx for _, _, _, idx in batch])
-            got = [part[at].tolist() for part in parts]
+            # each offer's flat position in the batch's C-ordered arrays
+            at = [r * width + idx for r, (_, _, _, idx) in enumerate(batch)]
+            got = [part.take(at).tolist() for part in parts]
             offers += zip(got[0], got[1] if ci else [False] * len(batch), got[-1])
             if cache is not None:
                 # copies, so a cached rule holds its own row and not the whole batch

@@ -42,11 +42,13 @@ __all__ = [
 
 _TASKS = ("unbiased", "ci")
 
-# Grid points the Monte Carlo round cache keeps.  An entry holds two float
-# arrays of its grid's size (and a bool one on the CI task) under an int key:
-# at the bound 4.0-4.25 MB of arrays, and 4.2-7.1 MB with the per-entry
-# overhead on continuous costs at n = 100 to 1000 (10.5 MB at n = 30).  A
-# run's working set is this cache plus one batch of ``_run_online``.
+# Grid points the Monte Carlo round cache keeps; ``_mc_batch`` keeps one only
+# on a population where some cost repeats.  An entry holds two float arrays
+# of its grid's size (and a bool one on the CI task) under an int key: at the
+# bound 4.0-4.25 MB of arrays, and 4.5-6.3 MB with the per-entry overhead on
+# five- to twenty-value populations at n = 100 to 1000 (12-14 MB on fifty
+# values at n = 30, whose grids are short).  A run's working set is this
+# cache, if any, plus one batch of ``_run_online``.
 _CACHE_POINTS = 2**18
 # Points of the uniform grid ``truthfulness_audit`` checks the extension on,
 # and the violation it tolerates.
