@@ -9,7 +9,6 @@ online random-arrival variants, and a Monte Carlo verification harness.
 from .allocation import (
     AllocationRule,
     PaymentRule,
-    extend,
     myerson_payments,
     solve_unbiased,
     worst_case_variance,
@@ -24,7 +23,7 @@ from .ci_solver import (
     objective_at_mass,
     solve_ci,
 )
-from .errors import ConfigError, InvalidInputError, OutOfRangeError, SolverError
+from .errors import ConfigError, InvalidInputError, SolverError
 from .estimation import CIOutput, bernstein_interval, sample_variance
 from .online_runner import (
     BudgetSchedule,
@@ -66,7 +65,6 @@ __all__ = [
     "CostSet",
     "IgnoreRule",
     "InvalidInputError",
-    "OutOfRangeError",
     "PaymentRule",
     "Population",
     "RoundTranscript",
@@ -82,7 +80,6 @@ __all__ = [
     "ci_parameters",
     "ci_schedule",
     "draw_permutation",
-    "extend",
     "g_derivative",
     "gen_population",
     "grid_search_ci",

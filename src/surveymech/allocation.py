@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, OutOfRangeError, SolverError, _vector
+from .errors import InvalidInputError, SolverError, _scalar, _vector
 from .virtual_cost import CostSet, _iron_rows, virtual_costs
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "PaymentRule",
     "solve_unbiased",
     "myerson_payments",
-    "extend",
     "worst_case_variance",
 ]
 
@@ -55,10 +54,8 @@ class AllocationRule:
         probs = _vector(self.probabilities, "probabilities", 0.0, 1.0)
         if np.any(np.diff(probs) > _MONOTONE_SLACK):
             raise InvalidInputError("probabilities must be monotone non-increasing")
-        if not np.isfinite(self.lam) or self.lam < 0:
-            raise InvalidInputError("lam must be a non-negative real")
         object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "lam", _scalar(self.lam, "lam", 0.0))
 
     def __len__(self) -> int:
         return int(self.probabilities.size)
@@ -138,9 +135,9 @@ def solve_unbiased(cost_set: CostSet, budget: float) -> AllocationRule:
     Raises:
         InvalidInputError: for a non-positive or non-finite budget.
     """
-    budget = float(budget)
-    if not np.isfinite(budget) or budget <= 0:
-        raise InvalidInputError("budget must be a positive finite real")
+    budget = _scalar(budget, "budget", 0.0)
+    if not budget > 0:
+        raise InvalidInputError("budget must be positive")
     psi = virtual_costs(cost_set)[None, :]
     sizes = np.array([psi.size])
     alloc, lam, saturated = _calibrate_rows(_iron_rows(psi, sizes), psi, None, (budget,), sizes)
@@ -179,35 +176,6 @@ def myerson_payments(cost_set: CostSet, rule: AllocationRule) -> PaymentRule:
     if np.any(alloc <= 0):
         raise InvalidInputError("payments undefined for zero allocation probabilities")
     return PaymentRule(payments=_myerson(cost_set.costs, alloc))
-
-
-def extend(
-    cost_set: CostSet,
-    rule: AllocationRule,
-    payments: PaymentRule,
-    query_cost: float,
-) -> tuple[float, float]:
-    """Evaluate the continuum extension of a discrete rule at ``query_cost``.
-
-    The extension maps a cost to the least grid cost above it and reuses that
-    grid point's allocation and price, which preserves truthfulness and
-    individual rationality.
-
-    Raises:
-        InvalidInputError: if the rule or payments and the cost set lengths
-            differ, or ``query_cost`` is negative or not finite.
-        OutOfRangeError: if ``query_cost`` exceeds the largest grid cost.
-    """
-    if rule.probabilities.size != len(cost_set) or payments.payments.size != len(cost_set):
-        raise InvalidInputError("rule, payments and cost set lengths differ")
-    q = float(query_cost)
-    if not np.isfinite(q) or q < 0:
-        raise InvalidInputError("query cost must be a finite non-negative real")
-    costs = cost_set.costs
-    if q > costs[-1]:
-        raise OutOfRangeError(f"query cost {q} exceeds the cost cap {costs[-1]}")
-    idx = int(np.searchsorted(costs, q, side="left"))
-    return float(rule.probabilities[idx]), float(payments.payments[idx])
 
 
 def worst_case_variance(rule: AllocationRule, cost_set: CostSet) -> float:

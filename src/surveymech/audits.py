@@ -13,7 +13,7 @@ import numpy as np
 
 from .allocation import _myerson, myerson_payments, solve_unbiased
 from .ci_solver import _objective_rows, solve_ci
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _scalar, _whole
 from .oracle import grid_search_unbiased, regularize_naive
 from .simharness import truthfulness_audit
 from .virtual_cost import CostSet, regularize, virtual_costs
@@ -258,14 +258,18 @@ SUITES = {
 
 
 def run_suite(name: str, trials: int | None = None, seed: int = 0) -> AuditOutcome:
-    """Run one named suite; an unknown name, ``trials < 1`` or a negative
-    ``seed`` raises ``InvalidInputError``."""
+    """Run one named suite.
+
+    Raises:
+        InvalidInputError: for an unknown name, ``trials`` (unless None)
+            not a whole number ``>= 1``, or ``seed`` not a whole number
+            ``>= 0``.
+    """
     if name not in SUITES:
         raise InvalidInputError(f"unknown audit suite {name!r}; choose from {sorted(SUITES)}")
-    if trials is not None and trials < 1:
-        raise InvalidInputError("trials must be at least 1")
-    if seed < 0:
-        raise InvalidInputError("seed must be non-negative")
+    if trials is not None:
+        trials = _scalar(trials, "trials", 1, convert=_whole)
+    seed = _scalar(seed, "seed", 0, convert=_whole)
     func = SUITES[name]
     if trials is None:
         return func(seed=seed)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import AllocationRule, _calibrate_rows, _myerson
-from .errors import InvalidInputError, SolverError, _vector
+from .errors import InvalidInputError, SolverError, _scalar, _vector, _whole
 from .virtual_cost import CostSet, _iron_rows, virtual_costs
 
 __all__ = [
@@ -59,17 +59,16 @@ class IgnoreRule:
         u = _vector(self.u_values, "u_values", 0.0, 1.0)
         if np.any(np.diff(u) < -1e-12):
             raise InvalidInputError("u_values must be monotone non-decreasing")
-        # each test below is written so that NaN fails it
-        if not -math.inf < self.threshold_phi <= math.inf:
-            raise InvalidInputError("threshold_phi must be a real or +inf")
-        if not 0 < self.boundary_fraction <= 1:
-            raise InvalidInputError("boundary_fraction must lie in (0, 1]")
-        if not 0 <= self.total_mass <= u.size:
-            raise InvalidInputError("total_mass must lie in [0, len(u_values)]")
+        # the threshold alone may be +inf: no cost is ignored for sure
+        threshold = self.threshold_phi
+        threshold = math.inf if threshold == math.inf else _scalar(threshold, "threshold_phi")
+        fraction = _scalar(self.boundary_fraction, "boundary_fraction", 0.0, 1.0)
+        if not fraction > 0:
+            raise InvalidInputError("boundary_fraction must be positive")
         object.__setattr__(self, "u_values", u)
-        object.__setattr__(self, "threshold_phi", float(self.threshold_phi))
-        object.__setattr__(self, "boundary_fraction", float(self.boundary_fraction))
-        object.__setattr__(self, "total_mass", float(self.total_mass))
+        object.__setattr__(self, "threshold_phi", threshold)
+        object.__setattr__(self, "boundary_fraction", fraction)
+        object.__setattr__(self, "total_mass", _scalar(self.total_mass, "total_mass", 0.0, u.size))
 
     def __len__(self) -> int:
         return int(self.u_values.size)
@@ -93,7 +92,7 @@ def alpha_gamma(gamma: float) -> float:
     Raises:
         InvalidInputError: unless ``0 < gamma < 1``.
     """
-    gamma = float(gamma)
+    gamma = _scalar(gamma, "gamma", 0.0, 1.0)
     if not 0.0 < gamma < 1.0:
         raise InvalidInputError("gamma must lie strictly between 0 and 1")
     log_term = math.log(4.0 / gamma)
@@ -101,9 +100,13 @@ def alpha_gamma(gamma: float) -> float:
 
 
 def ci_parameters(gamma: float, n: int) -> CIParameters:
-    """Width constants for a survey of ``n`` agents at confidence ``gamma``."""
-    if n < 1:
-        raise InvalidInputError("n must be at least 1")
+    """Width constants for a survey of ``n`` agents at confidence ``gamma``.
+
+    Raises:
+        InvalidInputError: unless ``0 < gamma < 1`` and ``n`` is a whole
+            number of at least 1.
+    """
+    n = _scalar(n, "n", 1, convert=_whole)
     alpha = alpha_gamma(gamma)
     return CIParameters(gamma=float(gamma), alpha_gamma=alpha, beta=2.0 * alpha / math.sqrt(n))
 
@@ -292,18 +295,6 @@ def _solve_ci_rows(phi, psi, sizes, budgets, beta):
     return alloc, lam, saturated, u, mass
 
 
-def _check_budget_beta(budget: float, beta: float) -> tuple[float, float]:
-    """``(budget, beta)`` as floats; the budget must be finite and >= 0 and
-    ``beta`` finite and > 0, else ``InvalidInputError``."""
-    budget = float(budget)
-    beta = float(beta)
-    if not np.isfinite(budget) or budget < 0:
-        raise InvalidInputError("budget must be a non-negative finite real")
-    if not np.isfinite(beta) or beta <= 0:
-        raise InvalidInputError("beta must be a positive finite real")
-    return budget, beta
-
-
 def solve_ci(cost_set: CostSet, budget: float, beta: float) -> tuple[AllocationRule, IgnoreRule]:
     """Jointly optimal allocation and ignore rules for the CI task.
 
@@ -320,7 +311,10 @@ def solve_ci(cost_set: CostSet, budget: float, beta: float) -> tuple[AllocationR
         InvalidInputError: for a negative or non-finite budget, or a
             non-positive or non-finite ``beta``.
     """
-    budget, beta = _check_budget_beta(budget, beta)
+    budget = _scalar(budget, "budget", 0.0)
+    beta = _scalar(beta, "beta", 0.0)
+    if not beta > 0:
+        raise InvalidInputError("beta must be positive")
     psi = virtual_costs(cost_set)[None, :]
     sizes = np.array([psi.size])
     phi = _iron_rows(psi, sizes)
@@ -395,10 +389,13 @@ def g_derivative(cost_set: CostSet, budget: float, beta: float, mass: float) -> 
         SolverError: when the budget cannot support any purchase at ``mass``
             (the subproblem's allocation vanishes at ``c_r``).
     """
-    budget, beta = _check_budget_beta(budget, beta)
-    mass = float(mass)
+    budget = _scalar(budget, "budget", 0.0)
+    beta = _scalar(beta, "beta", 0.0)
+    if not beta > 0:
+        raise InvalidInputError("beta must be positive")
     m = len(cost_set)
-    if not 0 <= mass < m:
+    mass = _scalar(mass, "mass", 0.0, m)
+    if not mass < m:
         raise InvalidInputError("mass must lie in [0, m)")
     [alloc], [saturated], [u] = _rule_for(cost_set, budget, (mass,))
     if saturated:
@@ -418,11 +415,12 @@ def objective_at_mass(cost_set: CostSet, budget: float, beta: float, mass: float
     Raises:
         InvalidInputError: for an invalid budget, ``beta`` or ``mass``.
     """
-    budget, beta = _check_budget_beta(budget, beta)
-    mass = float(mass)
+    budget = _scalar(budget, "budget", 0.0)
+    beta = _scalar(beta, "beta", 0.0)
+    if not beta > 0:
+        raise InvalidInputError("beta must be positive")
     m = len(cost_set)
-    if not 0 <= mass <= m:
-        raise InvalidInputError("mass must lie in [0, m]")
+    mass = _scalar(mass, "mass", 0.0, m)
     return _objective_rows(cost_set, budget, beta, (mass,))[0]
 
 
@@ -438,9 +436,10 @@ def ci_objective(rule: AllocationRule, ignore: IgnoreRule, beta: float, n: int) 
     """
     alloc = rule.probabilities
     u = ignore.u_values
+    n = _scalar(n, "n", convert=_whole)
     if alloc.size != u.size or alloc.size != n:
         raise InvalidInputError("rule, ignore rule and n must agree in length")
-    beta = float(beta)
-    if not 0 < beta < math.inf:  # NaN fails too
-        raise InvalidInputError("beta must be a positive finite real")
+    beta = _scalar(beta, "beta", 0.0)
+    if not beta > 0:
+        raise InvalidInputError("beta must be positive")
     return beta ** 2 * _variance_sum(alloc, u) / n + (float(np.sum(u)) / n) ** 2

@@ -1,17 +1,14 @@
 """Exception types shared across the package, the one conversion of
 user-supplied values (CLI flags, config keys, descriptor fields) that raises
-``ConfigError`` on a value it cannot convert, and ``_vector``, the one check
-of a public array argument, with ``_float_array``, its conversion."""
+``ConfigError`` on a value it cannot convert, and the one check of each kind
+of public argument: ``_scalar`` for a number, through the same conversions,
+and ``_vector`` for an array, with ``_float_array``, its conversion."""
 
 import numpy as np
 
 
 class InvalidInputError(ValueError):
     """An operation received arguments outside its documented domain."""
-
-
-class OutOfRangeError(InvalidInputError):
-    """A queried cost lies above the mechanism's cost cap."""
 
 
 class SolverError(RuntimeError):
@@ -46,15 +43,15 @@ def _required(opts: dict, key: str, convert):
 
 
 def _real(value) -> float:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         raise TypeError("expected a number, not a boolean")
     return float(value)
 
 
 def _whole(value) -> int:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         raise TypeError("expected a whole number, not a boolean")
-    if isinstance(value, float) and not value.is_integer():
+    if isinstance(value, (float, np.floating)) and not value.is_integer():
         raise ValueError("expected a whole number")
     return int(value)
 
@@ -63,6 +60,21 @@ def _floats(value) -> list[float]:
     if isinstance(value, str):  # else "12" would read as [1.0, 2.0]
         raise TypeError("expected a list of numbers")
     return [_real(v) for v in value]
+
+
+def _scalar(value, name: str, low: float = -np.inf, high: float = np.inf,
+            error: type[Exception] = InvalidInputError, convert=_real):
+    """``convert(value)`` (``_real`` or ``_whole``, as for a flag or config
+    value); raises ``error``, not numpy's or Python's own exception, unless
+    the result is finite and in ``[low, high]`` (NaN fails)."""
+    try:
+        number = convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"invalid {name} {value!r}: {exc}") from exc
+    # an int compares with inf exactly, where math.isfinite could overflow
+    if not (-np.inf < number < np.inf and low <= number <= high):
+        raise error(f"{name} must be finite and lie in [{low:g}, {high:g}]")
+    return number
 
 
 def _float_array(values, name: str, error: type[Exception] = InvalidInputError) -> np.ndarray:

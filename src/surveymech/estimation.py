@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ci_solver import alpha_gamma
-from .errors import InvalidInputError, _vector
+from .errors import InvalidInputError, _scalar, _vector, _whole
 
 __all__ = [
     "CIOutput",
@@ -69,20 +69,14 @@ def bernstein_interval(
     """Empirical-variance confidence interval with upper-side bias padding.
 
     Raises:
-        InvalidInputError: for invalid gamma, n < 2, a non-finite mean,
-            negative sigma, or a bias term outside [0, 1].
+        InvalidInputError: unless ``0 < gamma < 1``, ``n`` is a whole number
+            of at least 2, the mean is finite, ``sigma`` finite and
+            non-negative, and the bias term a number in [0, 1].
     """
-    if n < 2:
-        raise InvalidInputError("interval needs n >= 2")
-    mean = float(mean)
-    if not math.isfinite(mean):
-        raise InvalidInputError("mean must be a finite real")
-    sigma = float(sigma)
-    if not np.isfinite(sigma) or sigma < 0:
-        raise InvalidInputError("sigma must be a non-negative real")
-    bias_term = float(bias_term)
-    if not 0.0 <= bias_term <= 1.0:
-        raise InvalidInputError("bias_term must lie in [0, 1]")
+    n = _scalar(n, "n", 2, convert=_whole)
+    mean = _scalar(mean, "mean")
+    sigma = _scalar(sigma, "sigma", 0.0)
+    bias_term = _scalar(bias_term, "bias_term", 0.0, 1.0)
     radius = alpha_gamma(gamma) * sigma / math.sqrt(n)
     lower = mean - radius
     upper = mean + bias_term + radius

@@ -23,7 +23,7 @@ import numpy as np
 
 from .allocation import AllocationRule, _calibrate_rows, _myerson, solve_unbiased, worst_case_variance
 from .ci_solver import _deployed_policy, _solve_ci_rows, _variance_sum, ci_parameters, solve_ci
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _scalar, _whole
 from .estimation import CIOutput, bernstein_interval, sample_variance
 from .populations import Population
 from .virtual_cost import CostSet, _iron_rows, _psi_from_sorted
@@ -51,26 +51,36 @@ _BATCH_POINTS = 2**15
 
 @dataclass(frozen=True)
 class BudgetSchedule:
-    """Total budget and the square-root front-loading coefficient."""
+    """Total budget and the square-root front-loading coefficient.
+
+    Raises:
+        InvalidInputError: unless the total budget is a finite number
+            ``>= 0`` and ``xi`` a finite number ``> 0``.
+    """
 
     total_budget: float
     xi: float
 
     def __post_init__(self):
-        if not math.isfinite(self.total_budget) or self.total_budget < 0:
-            raise InvalidInputError("total budget must be a non-negative finite real")
-        if not math.isfinite(self.xi) or self.xi <= 0:
-            raise InvalidInputError("xi must be a positive finite real")
+        object.__setattr__(self, "total_budget", _scalar(self.total_budget, "total_budget", 0.0))
+        xi = _scalar(self.xi, "xi", 0.0)
+        if not xi > 0:
+            raise InvalidInputError("xi must be positive")
+        object.__setattr__(self, "xi", xi)
 
     def per_round(self, i: int) -> float:
         return self.xi * self.total_budget * math.sqrt(i)
 
 
 def unbiased_schedule(n: int, total_budget: float) -> BudgetSchedule:
-    """Schedule for the unbiased task: xi = 1 / (4 sqrt(n))."""
-    if n < 1:
-        raise InvalidInputError("n must be at least 1")
-    return BudgetSchedule(total_budget=float(total_budget), xi=1.0 / (4.0 * math.sqrt(n)))
+    """Schedule for the unbiased task: xi = 1 / (4 sqrt(n)).
+
+    Raises:
+        InvalidInputError: unless ``n`` is a whole number of at least 1 and
+            the total budget a finite number ``>= 0``.
+    """
+    n = _scalar(n, "n", 1, convert=_whole)
+    return BudgetSchedule(total_budget=total_budget, xi=1.0 / (4.0 * math.sqrt(n)))
 
 
 def ci_schedule(n: int, total_budget: float) -> BudgetSchedule:
@@ -85,10 +95,12 @@ def ci_schedule(n: int, total_budget: float) -> BudgetSchedule:
     payment identity for the monotone ``A_eff`` gives
     ``sum A_eff P = sum A_eff psi <= 2 sum (1 - U) A psi <= 2 B``.  This xi
     is a quarter of the unbiased task's, which more than covers the factor 2.
+
+    Raises:
+        InvalidInputError: as ``unbiased_schedule``.
     """
-    if n < 1:
-        raise InvalidInputError("n must be at least 1")
-    return BudgetSchedule(total_budget=float(total_budget), xi=1.0 / (16.0 * math.sqrt(n)))
+    n = _scalar(n, "n", 1, convert=_whole)
+    return BudgetSchedule(total_budget=total_budget, xi=1.0 / (16.0 * math.sqrt(n)))
 
 
 @dataclass(frozen=True)
@@ -291,9 +303,7 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record, k
 
 def _run_population(population, schedule, gamma, rng_seed, cap, record, cache):
     """``_run_online`` over a population in its given order, for both public runners."""
-    cap = population.cap if cap is None else float(cap)
-    if not math.isfinite(cap):
-        raise InvalidInputError("cap must be a finite real")
+    cap = population.cap if cap is None else _scalar(cap, "cap")
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     return _run_online(population.costs, population.data, cap, schedule, gamma, rng, cache, record)
 
@@ -315,6 +325,11 @@ def run_unbiased_online(
     the run reads and adds to, and that may be shared between runs.  With
     ``cache`` None the run solves every round, stores nothing and holds only
     one batch of rounds and one offer per round at a time.
+
+    ``record_transcripts=True``, the default, keeps each round's grid tuple
+    in its transcript, so the result grows as O(n^2): 35.8 MB at n = 3000
+    with continuous costs (tracemalloc), against a 3.9 MB peak with False.
+    Pass False for long runs.
     """
     return _run_population(population, schedule, None, rng_seed, cap, record_transcripts, cache)
 
@@ -338,6 +353,11 @@ def run_ci_online(
     the run reads and adds to, and that may be shared between runs.  With
     ``cache`` None the run solves every round, stores nothing and holds only
     one batch of rounds and one offer per round at a time.
+
+    ``record_transcripts=True``, the default, keeps each round's grid tuple
+    in its transcript, so the result grows as O(n^2): 35.8 MB at n = 3000
+    with continuous costs (tracemalloc), against a 3.9 MB peak with False.
+    Pass False for long runs.
     """
     return _run_population(population, schedule, gamma, rng_seed, cap, record_transcripts, cache)
 
@@ -377,7 +397,12 @@ def benchmark_ci(costs, cap: float, budget: float, gamma: float):
 
 
 def unbiased_bound_rhs(n: int, var_star: float, alloc_at_cap: float) -> float:
-    """Guaranteed variance ceiling of the online mechanism vs the benchmark."""
+    """Guaranteed variance ceiling of the online mechanism vs the benchmark.
+
+    Raises:
+        InvalidInputError: unless ``n`` is a whole number of at least 1.
+    """
+    n = _scalar(n, "n", 1, convert=_whole)
     return 16.0 * (
         (1.0 + 1.0 / n) ** 2 * var_star
         + 1.0 / n
@@ -390,6 +415,10 @@ def ci_bound_rhs(n: int, l_star: float) -> float:
 
     The vanishing remainder term is replaced by the fixed audit constant
     ``1/sqrt(n)``.
+
+    Raises:
+        InvalidInputError: unless ``n`` is a whole number of at least 1.
     """
+    n = _scalar(n, "n", 1, convert=_whole)
     root10 = math.sqrt(10.0)
     return 8.0 * root10 * l_star + 2.0 * root10 / math.sqrt(n) + 1.0 / math.sqrt(n)

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInputError, _vector
+from .errors import InvalidInputError, _scalar, _vector
 from .virtual_cost import CostSet, virtual_costs
 
 __all__ = ["regularize_naive", "grid_search_unbiased", "grid_search_ci"]
@@ -80,17 +80,18 @@ def grid_search_unbiased(cost_set: CostSet, budget: float, step: float):
     ``(rule, objective)``; the rule is None when no grid rule is feasible.
 
     Raises:
-        InvalidInputError: for m > 6 (combinatorial blowup) or a step
-            outside {1e-2, 1e-3}.
+        InvalidInputError: for m > 6 (combinatorial blowup), a step
+            outside {1e-2, 1e-3}, or a budget not a finite number > 0.
     """
     m = len(cost_set)
     if m > _MAX_M_UNBIASED:
         raise InvalidInputError(f"grid search refuses m > {_MAX_M_UNBIASED}")
+    step = _scalar(step, "step")
     if not any(math.isclose(step, s) for s in (1e-2, 1e-3)):
         raise InvalidInputError("step must be 1e-2 or 1e-3")
-    budget = float(budget)
-    if not math.isfinite(budget) or budget <= 0:
-        raise InvalidInputError("budget must be a positive finite real")
+    budget = _scalar(budget, "budget", 0.0)
+    if not budget > 0:
+        raise InvalidInputError("budget must be positive")
     psi = virtual_costs(cost_set)
     num_levels = round(1.0 / step)
 
@@ -235,12 +236,10 @@ def grid_search_ci(cost_set: CostSet, budget: float, beta: float):
     m = len(cost_set)
     if m > _MAX_M_CI:
         raise InvalidInputError(f"grid search refuses m > {_MAX_M_CI}")
-    budget = float(budget)
-    beta = float(beta)
-    if not math.isfinite(budget) or budget < 0:
-        raise InvalidInputError("budget must be a non-negative finite real")
-    if not 0 < beta < math.inf:  # NaN fails too
-        raise InvalidInputError("beta must be a positive finite real")
+    budget = _scalar(budget, "budget", 0.0)
+    beta = _scalar(beta, "beta", 0.0)
+    if not beta > 0:
+        raise InvalidInputError("beta must be positive")
     a_step, u_step = _CI_A_STEP, _CI_U_STEP
     num_levels = round(1.0 / a_step)
     u_grid = np.round(np.arange(0.0, 1.0 + u_step / 2, u_step), 12)

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, _floats, _real, _required, _value, _vector
+from .errors import ConfigError, _floats, _real, _required, _scalar, _value, _vector, _whole
 
 __all__ = ["Population", "gen_population"]
 
@@ -21,9 +20,7 @@ class Population:
     cap: float
 
     def __post_init__(self):
-        cap = float(self.cap)
-        if not math.isfinite(cap):
-            raise ConfigError("cap must be a finite real")
+        cap = _scalar(self.cap, "cap", error=ConfigError)
         costs = _vector(self.costs, "costs", 0.0, cap, ConfigError)
         data = _vector(self.data, "data", 0.0, 1.0, ConfigError)
         if costs.shape != data.shape:
@@ -82,13 +79,12 @@ def gen_population(spec, n: int, cap: float, seed) -> Population:
       two_point    exact fractions of two (cost, datum) types
 
     Raises:
-        ConfigError: on malformed descriptors or a seed numpy rejects.
+        ConfigError: on malformed descriptors, a seed numpy rejects, an
+            ``n`` that is not a whole number of at least 1, or a ``cap``
+            that is not a finite number ``>= 0``.
     """
-    if n < 1:
-        raise ConfigError("population size must be at least 1")
-    cap = float(cap)
-    if not np.isfinite(cap) or cap < 0:
-        raise ConfigError("cap must be a non-negative finite real")
+    n = _scalar(n, "n", 1, error=ConfigError, convert=_whole)
+    cap = _scalar(cap, "cap", 0.0, error=ConfigError)
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"malformed population spec: {spec!r}")
     try:

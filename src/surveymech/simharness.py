@@ -18,7 +18,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import InvalidInputError, _float_array, _vector
+from .errors import InvalidInputError, _float_array, _scalar, _vector, _whole
 from .online_runner import (
     _run_online,
     benchmark_ci,
@@ -116,8 +116,12 @@ class AuditReport:
 
 
 def draw_permutation(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniform arrival order; the single permutation primitive used by runs."""
-    return rng.permutation(n)
+    """Uniform arrival order; the single permutation primitive used by runs.
+
+    Raises:
+        InvalidInputError: unless ``n`` is a whole number of at least 1.
+    """
+    return rng.permutation(_scalar(n, "n", 1, convert=_whole))
 
 
 def _count_weights(costs):
@@ -198,24 +202,22 @@ def monte_carlo(
     arrays (estimate, spend, lower, upper, length, covered, flagged).
 
     Raises:
-        InvalidInputError: for an unknown task, runs < 1, workers < 1, or a
-            missing gamma on the ci task.
+        InvalidInputError: for an unknown task, a missing gamma on the ci
+            task, a budget not a finite number ``>= 0``, ``runs`` or
+            ``workers`` not a whole number ``>= 1``, or ``master_seed`` not a
+            whole number ``>= 0``.
     """
     if task not in _TASKS:
         raise InvalidInputError(f"task must be one of {_TASKS}")
-    if runs < 1:
-        raise InvalidInputError("runs must be at least 1")
     if task == "ci" and gamma is None:
         raise InvalidInputError("ci task needs a confidence level gamma")
-    master_seed = int(master_seed)
-    if master_seed < 0:
-        raise InvalidInputError("master seed must be non-negative")
-    workers = int(workers)
-    if workers < 1:
-        raise InvalidInputError("workers must be at least 1")
+    budget = _scalar(budget, "budget", 0.0)
+    runs = _scalar(runs, "runs", 1, convert=_whole)
+    master_seed = _scalar(master_seed, "master_seed", 0, convert=_whole)
+    workers = _scalar(workers, "workers", 1, convert=_whole)
 
     args = (task, population.costs, population.data, population.cap,
-            float(budget), gamma, master_seed)
+            budget, gamma, master_seed)
     if workers == 1 or runs < 2 * workers:
         parts = [_mc_batch(*args, 0, runs)]
     else:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, _vector
+from .errors import InvalidInputError, _scalar, _vector
 
 __all__ = [
     "CostSet",
@@ -48,9 +48,7 @@ class CostSet:
     cap: float
 
     def __post_init__(self):
-        cap = float(self.cap)
-        if not np.isfinite(cap):
-            raise InvalidInputError("cap must be finite")
+        cap = _scalar(self.cap, "cap")
         costs = _vector(self.costs, "costs", 0.0, cap)
         if np.any(np.diff(costs) < 0):
             raise InvalidInputError("costs must be sorted non-decreasing")

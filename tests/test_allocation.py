@@ -8,10 +8,8 @@ from surveymech import (
     CostSet,
     IgnoreRule,
     InvalidInputError,
-    OutOfRangeError,
     PaymentRule,
     Population,
-    extend,
     myerson_payments,
     solve_unbiased,
     virtual_costs,
@@ -176,42 +174,6 @@ class TestMyersonPayments:
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
         # individual rationality
         assert np.all(pay.payments >= cs.costs - 1e-12)
-
-
-class TestExtend:
-    def setup_method(self):
-        self.cs = make_set([1, 10])
-        self.rule = AllocationRule(probabilities=np.array([1.0, 0.2]), lam=1.0)
-        self.pay = myerson_payments(self.cs, self.rule)
-
-    def test_grid_point_maps_to_itself(self):
-        assert extend(self.cs, self.rule, self.pay, 1.0) == (1.0, pytest.approx(2.8))
-
-    def test_interior_query_ceils(self):
-        assert extend(self.cs, self.rule, self.pay, 5.0) == (0.2, 10.0)
-
-    def test_above_cap_declines(self):
-        with pytest.raises(OutOfRangeError):
-            extend(self.cs, self.rule, self.pay, 10.5)
-
-    def test_zero_cost_query(self):
-        a, p = extend(self.cs, self.rule, self.pay, 0.0)
-        assert (a, p) == (1.0, pytest.approx(2.8))
-
-    def test_negative_query_rejected(self):
-        with pytest.raises(InvalidInputError):
-            extend(self.cs, self.rule, self.pay, -0.1)
-
-    def test_rejects_short_rule(self):
-        short = AllocationRule(probabilities=np.array([1.0]), lam=1.0)
-        with pytest.raises(InvalidInputError):
-            extend(self.cs, short, self.pay, 5.0)
-
-    def test_rejects_short_payments(self):
-        single = AllocationRule(probabilities=np.array([1.0]), lam=1.0)
-        short = myerson_payments(make_set([1]), single)
-        with pytest.raises(InvalidInputError):
-            extend(self.cs, self.rule, short, 5.0)
 
 
 class TestWorstCaseVariance:

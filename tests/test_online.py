@@ -384,30 +384,59 @@ class TestBenchmarks:
 
 
 class TestPerRoundTruthfulness:
+    # Each round not flagged must offer the audited rule of its grid at the
+    # least grid cost at or above the arriving one: a grid point maps to
+    # itself, a cost between grid points rounds up, and a zero cost maps to
+    # the first grid point.  The populations after the first hold a zero
+    # cost and a tie, and the cap override flags the costs above it.
+
     def test_unbiased_round_mechanisms_pass_audit(self):
         from surveymech import truthfulness_audit
 
-        pop = make_pop([1, 5, 2, 4, 3, 2.5, 1.5], cap=6.0)
-        sched = unbiased_schedule(7, 12.0)
-        res = run_unbiased_online(pop, sched, rng_seed=5)
-        for t in res.transcripts:
-            alloc, payments = solve_round(t.grid, sched.per_round(t.round_index), None)
-            rep = truthfulness_audit(t.grid, alloc, payments)
-            assert rep.passed, (t.round_index, rep)
+        for costs, cap in (([1, 5, 2, 4, 3, 2.5, 1.5], None),
+                           ([0, 2, 2, 0.5, 3.5, 2, 0, 1.25], None),
+                           ([2, 0, 5, 1, 1, 4.5, 0, 3], 4.0)):
+            pop = make_pop(costs, cap=6.0)
+            sched = unbiased_schedule(pop.n, 12.0)
+            res = run_unbiased_online(pop, sched, rng_seed=5, cap=cap)
+            for t in res.transcripts:
+                alloc, payments = solve_round(t.grid, sched.per_round(t.round_index), None)
+                rep = truthfulness_audit(t.grid, alloc, payments)
+                assert rep.passed, (t.round_index, rep)
+                if not t.flagged:
+                    at = np.searchsorted(t.grid, t.cost, side="left")
+                    assert (t.alloc, t.payment_offer) == (alloc[at], payments[at]), t.round_index
+            assert res.flagged == (0 if cap is None else 2)
 
     def test_ci_round_effective_mechanisms_pass_audit(self):
         from surveymech import alpha_gamma, truthfulness_audit
 
-        pop = make_pop([1, 1, 9, 2, 9, 1.5, 8, 3], cap=9.0)
-        n = pop.n
-        sched = ci_schedule(n, 10.0)
-        beta = 2 * alpha_gamma(0.9) / math.sqrt(n)
-        res = run_ci_online(pop, sched, 0.9, rng_seed=5)
-        for t in res.transcripts:
-            alloc, ignored, payments = solve_round(t.grid, sched.per_round(t.round_index), beta)
-            effective = np.where(ignored, 0.0, alloc)
-            rep = truthfulness_audit(t.grid, effective, payments)
-            assert rep.passed, (t.round_index, rep)
+        # at n <= 10 the rule ignores every round; the n = 80 run buys some
+        tiled = np.random.default_rng(3).permutation(np.tile([0, 1, 1.5, 2, 2.25, 3, 4, 6, 8, 9], 8))
+        priced = 0
+        for costs, cap, budget in (([1, 1, 9, 2, 9, 1.5, 8, 3], None, 10.0),
+                                   ([0, 1, 1, 9, 2, 9, 0, 1.5, 8, 3], None, 10.0),
+                                   ([8, 0, 1, 9, 1, 0.5, 0, 7.5], 8.0, 10.0),
+                                   (tiled, None, 200.0)):
+            pop = make_pop(costs, cap=9.0)
+            n = pop.n
+            sched = ci_schedule(n, budget)
+            beta = 2 * alpha_gamma(0.9) / math.sqrt(n)
+            res = run_ci_online(pop, sched, 0.9, rng_seed=5, cap=cap)
+            for t in res.transcripts:
+                alloc, ignored, payments = solve_round(t.grid, sched.per_round(t.round_index), beta)
+                effective = np.where(ignored, 0.0, alloc)
+                rep = truthfulness_audit(t.grid, effective, payments)
+                assert rep.passed, (t.round_index, rep)
+                if not t.flagged:
+                    at = np.searchsorted(t.grid, t.cost, side="left")
+                    # an ignored round offers no price: NaN on both sides compares equal
+                    np.testing.assert_array_equal(
+                        (t.alloc, t.ignored, t.payment_offer),
+                        (alloc[at], ignored[at], payments[at]), err_msg=str(t.round_index))
+            assert res.flagged == (0 if cap is None else 1)
+            priced += n - res.flagged - res.ignored_count
+        assert priced > 0  # so some offer compared carries a finite price
 
 
 class TestRoundSpend:
