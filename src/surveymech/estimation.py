@@ -17,6 +17,17 @@ __all__ = [
 ]
 
 
+# (field, low, high) of each ``CIOutput`` field
+_CI_FIELDS = (
+    ("lower", -np.inf, np.inf),
+    ("upper", -np.inf, np.inf),
+    ("sample_mean", -np.inf, np.inf),
+    ("sample_sigma", 0.0, np.inf),
+    ("bias_term", 0.0, 1.0),
+    ("gamma", 0.0, 1.0),
+)
+
+
 @dataclass(frozen=True)
 class CIOutput:
     """A confidence interval with its building blocks.
@@ -24,6 +35,12 @@ class CIOutput:
     The upper endpoint carries the one-sided bias compensation for ignored
     data (data values are non-negative, so ignoring can only bias downward):
     ``upper - lower = 2 * alpha_gamma * sigma / sqrt(n) + bias_term``.
+
+    Raises:
+        InvalidInputError: unless the endpoints and the mean are finite
+            numbers with ``lower <= upper``, ``sample_sigma`` is finite and
+            non-negative, ``bias_term`` a number in [0, 1] and ``0 < gamma < 1``,
+            the domains ``bernstein_interval`` checks.
     """
 
     lower: float
@@ -34,8 +51,12 @@ class CIOutput:
     gamma: float
 
     def __post_init__(self):
-        if not self.lower <= self.upper:  # NaN fails too
-            raise InvalidInputError("interval endpoints out of order")
+        for name, low, high in _CI_FIELDS:
+            object.__setattr__(self, name, _scalar(getattr(self, name), name, low, high))
+        if not 0.0 < self.gamma < 1.0:
+            raise InvalidInputError("gamma must lie strictly between 0 and 1")
+        if not self.lower <= self.upper:
+            raise InvalidInputError("lower must not exceed upper")
 
     @property
     def length(self) -> float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,6 +180,26 @@ def _solve_rounds(costs, sizes, budgets, beta):
     return (alloc,) + _deployed_policy(costs, alloc, u)
 
 
+def _screen_slack(m):
+    """Relative slack by which a computed unbiased rule on a grid of at most
+    ``m`` points may exceed the offer bound of the purchase screen.
+
+    On a sorted grid ``c_0 <= ... <= c_{m-1}`` the virtual costs
+    ``psi_k = (k+1) c_k - k c_{k-1}`` are non-negative and sum to
+    ``(idx+1) c_idx`` up to position ``idx``.  The rule is non-increasing
+    and spends ``sum_k A_k psi_k <= B``, so in exact arithmetic
+    ``A_idx (idx+1) c_idx <= sum_{k <= idx} A_k psi_k <= B``.  The computed
+    rule meets it up to rounding: each computed ``psi_k`` is off by a few
+    ulps of ``(k+1) c_k <= m psi_k``; a pooled block's average is a
+    difference of prefix sums of at most ``m c_hi`` for a block sum of at
+    least ``c_hi``, so it is off by a few times ``m^2`` ulps; and the
+    calibration's prefix sums add a few times ``m`` ulps.  So the computed
+    offer exceeds the bound by a relative ``O(m^2 eps)``; the factor 64
+    covers those few-ulp constants with room to spare.
+    """
+    return 64 * m * m * sys.float_info.epsilon
+
+
 def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record, keys=None):
     """One online run in arrival order: the unbiased task if ``gamma`` is None,
     else the confidence-interval task at confidence ``gamma``.
@@ -197,26 +218,43 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record, k
     recurs at a later round after a flagged arrival, and a shared cache may
     have served a run at another ``gamma``.
 
-    No round's grid depends on a purchase, so the run takes three steps: one
-    pass looks every round up; the misses are solved together by
-    ``_solve_rounds`` in batches of at most ``_BATCH_POINTS`` grid points
-    (``_batch_bounds``), and each batch's offers are read from its arrays
-    with one gather per array, while only a cache gets copies of its rows,
-    in round order; a last pass makes the offers with one draw of ``n``
-    purchase coins.  So a run holds the cache, one batch and O(n) offers,
-    not every solved row.
+    No round's grid depends on a purchase, so the run takes three steps
+    after one draw of ``n`` purchase coins: one pass looks every round up;
+    the misses are solved together by ``_solve_rounds`` in batches of at
+    most ``_BATCH_POINTS`` grid points (``_batch_bounds``), and each batch's
+    offers are read from its arrays with one gather per array, while only a
+    cache gets copies of its rows, in round order; a last pass makes the
+    offers with the coins.  So a run holds the cache, one batch and O(n)
+    offers, not every solved row.
+
+    The purchase screen: round ``i`` buys when its coin is below the offer
+    ``A_idx`` at the report's grid position ``idx``, and an unbiased round
+    that does not buy neither pays nor adds to the estimate.  The offer is
+    at most ``B_i / ((idx+1) c_idx)`` (``_screen_slack``), so a missed
+    unbiased round whose coin is at or above that bound, widened by the
+    slack, is not solved and not cached: it enters the last pass as not
+    bought, with offer 0.  The screen is off on the CI task, whose interval
+    counts every round's ignore decision; in a run that records
+    transcripts, which show every round's offer; and on rounds with budget
+    ``B_i <= 0``, which ``_solve_rounds`` rejects.  Hits read their cached
+    offer as before.
     """
     n = costs_seq.size
     ci = gamma is not None
     beta = ci_parameters(gamma, n).beta if ci else None
+    coins = rng.random(n).tolist()
+    screen = not ci and not record
+    # every grid of the run has at most n + 1 points
+    widen = 1.0 + _screen_slack(n + 1)
     lookup = ({} if cache is None else cache).get  # no cache: nothing ever hits
     # Grid tuples are built only where a key or a transcript reads them.
     tuples = keys is None and (record or cache is not None)
     grid: list[float] = [cap]
     # Per round: (grid key, position of the cost on it, cache entry), where
-    # the entry is None on a flagged round and an index into ``misses`` and
-    # ``offers`` on a round still to be solved.  Every round not flagged adds
-    # its cost to the grid, so no grid is missed twice in one run.
+    # the entry is None on a flagged round, an index into ``misses`` and
+    # ``offers`` on a round still to be solved, and -1 on a screened round:
+    # ``offers`` ends with the offer that buys nothing.  Every round not
+    # flagged adds its cost to the grid, so no grid is missed twice in one run.
     plan: list[tuple] = []
     misses: list[tuple] = []  # (grid key, budget, grid size, position of the cost)
     for i, cost in enumerate(costs_seq.tolist(), 1):
@@ -228,8 +266,11 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record, k
         budget = schedule.per_round(i)
         entry = lookup(key)
         if entry is None or entry[-2:] != (budget, beta):
-            entry = len(misses)
-            misses.append((key, budget, len(grid), idx))
+            if screen and budget > 0 and coins[i - 1] * (idx + 1) * grid[idx] >= budget * widen:
+                entry = -1
+            else:
+                entry = len(misses)
+                misses.append((key, budget, len(grid), idx))
         plan.append((key, idx, entry))
         bisect.insort(grid, cost)
     offers: list[tuple] = []  # (A, ignored, payment) of each miss's arrival
@@ -257,7 +298,7 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record, k
                 # copies, so a cached rule holds its own row and not the whole batch
                 for r, (key, budget, size, _) in enumerate(batch):
                     cache[key] = (key, *(part[r, :size].copy() for part in parts), budget, beta)
-    coins = rng.random(n).tolist()
+    offers.append((0.0, False, math.nan))  # a screened round's: no coin is below 0
     y = np.zeros(n)
     total_paid = 0.0
     flagged = 0
@@ -323,13 +364,18 @@ def run_unbiased_online(
 
     ``cache``, if given, is a dict of solved rounds keyed by grid tuple that
     the run reads and adds to, and that may be shared between runs.  With
-    ``cache`` None the run solves every round, stores nothing and holds only
-    one batch of rounds and one offer per round at a time.
+    ``cache`` None the run solves every round it needs, stores nothing and
+    holds only one batch of rounds and one offer per round at a time.
 
     ``record_transcripts=True``, the default, keeps each round's grid tuple
     in its transcript, so the result grows as O(n^2): 35.8 MB at n = 3000
     with continuous costs (tracemalloc), against a 3.9 MB peak with False.
-    Pass False for long runs.
+    Pass False for long runs.  With False, a round bought with probability
+    ``A`` at most ``B_i / ((idx+1) c_idx)`` (its budget over the report's
+    grid position and grid cost) whose purchase coin lands at or above that
+    bound is neither solved nor cached: it cannot buy, and the estimate and
+    the spend come out the same bits.  On continuous costs that skips about
+    70% of the rounds.
     """
     return _run_population(population, schedule, None, rng_seed, cap, record_transcripts, cache)
 
@@ -400,9 +446,15 @@ def unbiased_bound_rhs(n: int, var_star: float, alloc_at_cap: float) -> float:
     """Guaranteed variance ceiling of the online mechanism vs the benchmark.
 
     Raises:
-        InvalidInputError: unless ``n`` is a whole number of at least 1.
+        InvalidInputError: unless ``n`` is a whole number of at least 1,
+            ``var_star`` a finite number ``>= 0`` and ``alloc_at_cap`` a
+            probability in ``(0, 1]``.
     """
     n = _scalar(n, "n", 1, convert=_whole)
+    var_star = _scalar(var_star, "var_star", 0.0)
+    alloc_at_cap = _scalar(alloc_at_cap, "alloc_at_cap", 0.0, 1.0)
+    if not alloc_at_cap > 0:
+        raise InvalidInputError("alloc_at_cap must be positive")
     return 16.0 * (
         (1.0 + 1.0 / n) ** 2 * var_star
         + 1.0 / n
@@ -417,8 +469,10 @@ def ci_bound_rhs(n: int, l_star: float) -> float:
     ``1/sqrt(n)``.
 
     Raises:
-        InvalidInputError: unless ``n`` is a whole number of at least 1.
+        InvalidInputError: unless ``n`` is a whole number of at least 1 and
+            ``l_star`` a finite number ``>= 0``.
     """
     n = _scalar(n, "n", 1, convert=_whole)
+    l_star = _scalar(l_star, "l_star", 0.0)
     root10 = math.sqrt(10.0)
     return 8.0 * root10 * l_star + 2.0 * root10 / math.sqrt(n) + 1.0 / math.sqrt(n)

@@ -18,6 +18,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from .ci_solver import ci_parameters
 from .errors import InvalidInputError, _float_array, _scalar, _vector, _whole
 from .online_runner import (
     _run_online,
@@ -152,7 +153,10 @@ def _mc_batch(task, costs, data, cap, budget, gamma, master_seed, run_lo, run_hi
     """
     n = costs.size
     cache = weight_of = None
-    if np.unique(costs).size < n:
+    # Ties by adjacent equality after a sort: a plain ``np.unique`` imports
+    # ``numpy.ma``, about 1 MB of resident memory, on every call.
+    ordered = np.sort(costs)
+    if (ordered[1:] == ordered[:-1]).any():
         cache, weight_of = _RoundCache(_CACHE_POINTS), _count_weights(costs)
     count = run_hi - run_lo
     estimates = np.empty(count)
@@ -162,7 +166,6 @@ def _mc_batch(task, costs, data, cap, budget, gamma, master_seed, run_lo, run_hi
     flagged = np.zeros(count, dtype=np.int64)
     if task == "unbiased":
         schedule = unbiased_schedule(n, budget)
-        gamma = None
     else:
         schedule = ci_schedule(n, budget)
     for k in range(count):
@@ -201,16 +204,25 @@ def monte_carlo(
     Returns ``SimMetrics``; with ``return_per_run`` also a dict of per-run
     arrays (estimate, spend, lower, upper, length, covered, flagged).
 
+    ``gamma`` is the confidence level of the ci task's intervals; the
+    unbiased task takes None.
+
     Raises:
-        InvalidInputError: for an unknown task, a missing gamma on the ci
-            task, a budget not a finite number ``>= 0``, ``runs`` or
-            ``workers`` not a whole number ``>= 1``, or ``master_seed`` not a
-            whole number ``>= 0``.
+        InvalidInputError: for an unknown task, a ``gamma`` on the unbiased
+            task, a ``gamma`` on the ci task that is missing or not a number
+            strictly between 0 and 1, a budget not a finite number ``>= 0``,
+            ``runs`` or ``workers`` not a whole number ``>= 1``, or
+            ``master_seed`` not a whole number ``>= 0``.  All are raised
+            before any worker starts.
     """
     if task not in _TASKS:
         raise InvalidInputError(f"task must be one of {_TASKS}")
-    if task == "ci" and gamma is None:
-        raise InvalidInputError("ci task needs a confidence level gamma")
+    if task == "unbiased" and gamma is not None:
+        raise InvalidInputError("the unbiased task takes no gamma")
+    if task == "ci":
+        if gamma is None:
+            raise InvalidInputError("ci task needs a confidence level gamma")
+        gamma = ci_parameters(gamma, population.n).gamma
     budget = _scalar(budget, "budget", 0.0)
     runs = _scalar(runs, "runs", 1, convert=_whole)
     master_seed = _scalar(master_seed, "master_seed", 0, convert=_whole)

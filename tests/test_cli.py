@@ -193,6 +193,9 @@ MALFORMED_FLAGS = [
     (["simulate", "--task", "foo", "--costs", "1,2", "--budget", "1", "--runs", "2"], "task"),
     (["audit", "--suite", "oracle", "--trials", "x"], "trials"),
     (["audit", "--suite", "oracle", "--trials", "2", "--seed", "-1"], "seed"),
+    # gamma is the CI task's confidence level; the unbiased task takes none
+    (["simulate", "--task", "unbiased", "--costs", "1,2", "--budget", "1", "--runs", "2",
+      "--gamma", "0.9"], "gamma"),
     # the library names the worker count ``workers``
     (["simulate", "--task", "unbiased", "--costs", "1,2", "--budget", "1", "--runs", "2",
       "--threads", "0"], "workers"),

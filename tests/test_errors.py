@@ -11,6 +11,7 @@ import pytest
 from surveymech import (
     AllocationRule,
     BudgetSchedule,
+    CIOutput,
     ConfigError,
     CostSet,
     IgnoreRule,
@@ -54,6 +55,11 @@ def _ignore_rule(threshold=1.0, fraction=1.0, mass=1.5):
 
 def _monte_carlo(budget=5.0, runs=2, master_seed=1, workers=1):
     return monte_carlo("unbiased", POP, budget, None, runs, master_seed, workers=workers)
+
+
+def _ci_output(**fields):
+    return CIOutput(**{"lower": 0.4, "upper": 0.6, "sample_mean": 0.5, "sample_sigma": 0.1,
+                       "bias_term": 0.0, "gamma": 0.5, **fields})
 
 
 # {"function-argument": (call taking the argument, a valid value, invalid
@@ -119,7 +125,21 @@ SCALAR_ARGUMENTS = {
                           REAL, InvalidInputError),
     "unbiased_bound_rhs-n": (lambda v: unbiased_bound_rhs(v, 0.1, 0.5), 1, WHOLE + (0,),
                              InvalidInputError),
+    "unbiased_bound_rhs-var_star": (lambda v: unbiased_bound_rhs(4, v, 0.5), 0.0,
+                                    REAL + (-0.1,), InvalidInputError),
+    "unbiased_bound_rhs-alloc_at_cap": (lambda v: unbiased_bound_rhs(4, 0.1, v), 1.0,
+                                        REAL + (0.0, -0.5, 1.5), InvalidInputError),
     "ci_bound_rhs-n": (lambda v: ci_bound_rhs(v, 0.1), 1, WHOLE + (0,), InvalidInputError),
+    "ci_bound_rhs-l_star": (lambda v: ci_bound_rhs(4, v), 0.0, REAL + (-0.1,), InvalidInputError),
+    "CIOutput-lower": (lambda v: _ci_output(lower=v), 0.6, REAL + (0.7,), InvalidInputError),
+    "CIOutput-upper": (lambda v: _ci_output(upper=v), 0.4, REAL + (0.3,), InvalidInputError),
+    "CIOutput-sample_mean": (lambda v: _ci_output(sample_mean=v), -2.0, REAL, InvalidInputError),
+    "CIOutput-sample_sigma": (lambda v: _ci_output(sample_sigma=v), 0.0, REAL + (-0.1,),
+                              InvalidInputError),
+    "CIOutput-bias_term": (lambda v: _ci_output(bias_term=v), 1.0, REAL + (-0.1, 1.5),
+                           InvalidInputError),
+    "CIOutput-gamma": (lambda v: _ci_output(gamma=v), 0.99, REAL + (0.0, 1.0, -0.5),
+                       InvalidInputError),
     "draw_permutation-n": (lambda v: draw_permutation(np.random.default_rng(0), v), 1,
                            WHOLE + (0,), InvalidInputError),
     "CostSet-cap": (lambda v: CostSet(costs=[1.0, 2.0], cap=v), 2.0, REAL, InvalidInputError),
@@ -136,6 +156,8 @@ SCALAR_ARGUMENTS = {
                                 InvalidInputError),
     "monte_carlo-workers": (lambda v: _monte_carlo(workers=v), 1, WHOLE + (0, 1.7),
                             InvalidInputError),
+    "monte_carlo-gamma": (lambda v: monte_carlo("ci", POP, 5.0, v, 2, 1), 0.9,
+                          REAL + (0.0, 1.0, 1.7), InvalidInputError),
     "run_suite-trials": (lambda v: run_suite("ironing", trials=v), 1, WHOLE + (0,),
                          InvalidInputError),
     "run_suite-seed": (lambda v: run_suite("ironing", trials=1, seed=v), 0, WHOLE + (-1, 1.5),

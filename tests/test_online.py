@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -461,3 +462,126 @@ class TestRoundSpend:
         assert worst_ci <= 2 * (1 + 1e-12)
         assert worst_ci > 1  # the deployed rounding does overspend the round budget
 
+
+
+def _screen_grids(rng):
+    """Sorted round grids, each ending at its cap: continuous costs, integer
+    ties, mostly zeros, the cap alone or repeated, heavy-tailed costs, and
+    a few wide grids."""
+    cap = 25.0
+    grids = [np.array([cap]), np.full(3, cap), np.array([0.0, cap]), np.zeros(5)]
+    for m in list(rng.integers(2, 60, size=60)) + [400, 1500]:
+        grids += [
+            np.append(np.sort(rng.uniform(0.0, cap, m - 1)), cap),
+            np.append(np.sort(rng.integers(0, 6, m - 1).astype(float)), cap),
+            np.append(np.sort(np.where(rng.random(m - 1) < 0.8, 0.0, rng.uniform(0.0, cap, m - 1))), cap),
+            np.append(np.sort(np.minimum(rng.pareto(1.2, m - 1), cap)), cap),
+        ]
+    return grids
+
+
+class _Coins:
+    """Stands in for a generator: ``random(n)`` gives the chosen coins."""
+
+    def __init__(self, coins):
+        self.coins = np.asarray(coins, dtype=float)
+
+    def random(self, n):
+        return self.coins[:n].copy()
+
+
+def _outputs(result):
+    """A run's result without its transcripts, to compare bit for bit."""
+    return repr(dataclasses.replace(result, transcripts=[]))
+
+
+class TestPurchaseScreen:
+    # An unbiased round that does not buy neither pays nor adds to the
+    # estimate, and its offer is at most B / ((idx+1) c_idx); so a run that
+    # records no transcripts skips solving a missed round whose coin is at or
+    # above that bound, widened by ``_screen_slack``.
+
+    def test_computed_offers_meet_the_bound(self):
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for grid in _screen_grids(rng):
+            m = grid.size
+            total = m * float(grid[-1])  # the virtual costs' sum: it buys everything
+            fractions = [1e-9, 1e-3, 0.05, 0.3, 0.7, 0.99, 1 - 1e-12, 1.0, 2.0]
+            budgets = [f * total for f in fractions] if total > 0 else [1e-9, 1.0]
+            width = len(budgets)
+            alloc, _ = _solve_rounds(np.tile(grid, (width, 1)), np.full(width, m), budgets, None)
+            k = np.arange(m)
+            live = grid > 0
+            for row, budget in zip(alloc, budgets):
+                spent = row * (k + 1) * grid
+                assert np.all(spent[live] <= budget * (1 + online_runner._screen_slack(m))), m
+                worst = max(worst, float(np.max(spent[live], initial=0.0)) / budget)
+        # the bound is sharp: a one-point grid's offer meets it exactly
+        assert 1 - 1e-12 < worst <= 1 + 1e-12
+
+    @pytest.mark.parametrize("gamma", [None, 0.9])
+    @pytest.mark.parametrize("shape", ["continuous", "tied", "flagged"])
+    def test_runs_without_transcripts_give_the_same_bits(self, shape, gamma):
+        spec = ({"kind": "two_point", "fractions": [0.7, 0.3], "costs": [2.0, 9.0]}
+                if shape == "tied" else {"kind": "independent"})
+        n = 150
+        pop = gen_population(spec, n, 25.0, 6)
+        cap = 20.0 if shape == "flagged" else pop.cap
+        for total in (0.2 * n, 1.5 * n, 5.0 * n, 40.0 * n):
+            schedule = unbiased_schedule(n, total) if gamma is None else ci_schedule(n, total)
+            for seed in range(3):
+                runs = [_run_online(pop.costs, pop.data, cap, schedule, gamma,
+                                    np.random.default_rng(seed), cache, record)
+                        for record in (True, False) for cache in (None, {})]
+                assert len({_outputs(run) for run in runs}) == 1, (total, seed)
+                assert (runs[0].flagged > 0) == (shape == "flagged")
+
+    def test_only_unbiased_runs_without_transcripts_solve_fewer_rounds(self, monkeypatch):
+        solve = online_runner._solve_rounds
+        rows = []
+
+        def spy(costs, sizes, budgets, beta):
+            rows.append(len(sizes))
+            return solve(costs, sizes, budgets, beta)
+
+        monkeypatch.setattr(online_runner, "_solve_rounds", spy)
+        pop = gen_population({"kind": "independent"}, 200, 25.0, 2)
+        solved = {}
+        for gamma, schedule in ((None, unbiased_schedule(200, 300.0)), (0.9, ci_schedule(200, 300.0))):
+            for record in (True, False):
+                rows.clear()
+                res = _run_online(pop.costs, pop.data, 20.0, schedule, gamma,
+                                  np.random.default_rng(4), None, record)
+                solved[gamma, record] = sum(rows)
+        unflagged = 200 - res.flagged
+        assert solved[None, True] == solved[0.9, True] == solved[0.9, False] == unflagged
+        assert 0 < solved[None, False] < unflagged / 2
+
+    def test_a_coin_just_above_the_exact_bound_still_buys(self):
+        # Round 1's grid is the cap alone, where the computed offer may round
+        # above B / cap; a coin between the two must buy, so the screen needs
+        # its slack.
+        pop = make_pop([1.0, 2.0], data=[0.5, 0.5], cap=3.0)
+        cases = 0
+        for total in np.linspace(0.1, 9.0, 60).tolist():
+            schedule = unbiased_schedule(2, total)
+            budget = schedule.per_round(1)
+            offer = float(solve_round([3.0], budget, None)[0][0])
+            coin = budget / 3.0
+            while coin * 3.0 < budget:
+                coin = math.nextafter(coin, 1.0)
+            if not coin < offer:
+                continue
+            cases += 1
+            runs = [_run_online(pop.costs, pop.data, 3.0, schedule, None, _Coins([coin, 1.0]),
+                                None, record) for record in (True, False)]
+            assert runs[0].transcripts[0].purchased
+            assert _outputs(runs[0]) == _outputs(runs[1]), total
+        assert cases > 0
+
+    def test_zero_budget_is_rejected_without_transcripts(self):
+        # a zero budget puts every coin above the bound, yet must still raise
+        pop = make_pop([1.0, 2.0], cap=3.0)
+        with pytest.raises(InvalidInputError):
+            run_unbiased_online(pop, unbiased_schedule(2, 0.0), 0, record_transcripts=False)

@@ -1,3 +1,5 @@
+import bisect
+import concurrent.futures
 import io
 import math
 import tracemalloc
@@ -67,6 +69,20 @@ class TestMonteCarlo:
     def test_ci_needs_gamma(self, small_pop):
         with pytest.raises(InvalidInputError):
             monte_carlo("ci", small_pop, 1.0, None, 1, 0)
+
+    @pytest.mark.parametrize("gamma", [0.9, 1.7, math.nan])
+    def test_unbiased_task_takes_no_gamma(self, small_pop, gamma):
+        with pytest.raises(InvalidInputError, match="gamma"):
+            monte_carlo("unbiased", small_pop, 1.0, gamma, 1, 0)
+
+    @pytest.mark.parametrize("task, gamma", [("unbiased", 0.9), ("ci", 1.7), ("ci", 0.0)])
+    def test_gamma_is_checked_before_any_worker_starts(self, small_pop, monkeypatch, task, gamma):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(InvalidInputError, match="gamma"):
+            monte_carlo(task, small_pop, 1.0, gamma, 4, 0, workers=2)
 
     def test_runner_errors_propagate(self, small_pop):
         with pytest.raises(InvalidInputError):
@@ -191,9 +207,11 @@ class TestRoundCacheBound:
     def test_harness_cache_never_exceeds_its_point_bound(self, monkeypatch):
         # Five cost values at n = 80: 4 runs of 80 rounds store almost
         # 4 * 3240 grid points, all kept under the default bound; a bound of
-        # 1000 evicts most and changes no output.
+        # 1000 evicts most and changes no output.  On the CI task every miss
+        # is solved and stored; the unbiased task's purchase screen stores
+        # far fewer.
         pop = gen_population(_spread(), 80, 25.0, 2)
-        args = ("unbiased", pop, 120.0, None, 4, 9)
+        args = ("ci", pop, 120.0, 0.9, 4, 9)
         _, unbounded = monte_carlo(*args, return_per_run=True)
         seen, added = [], []
 
@@ -279,10 +297,29 @@ def _public_runs(task, pop, budget, gamma, runs, seed):
     return out
 
 
+def _screened_rounds(pop, budget, runs, seed):
+    """Rounds of ``runs`` harness runs of the unbiased task that the purchase
+    screen of ``online_runner._run_online`` leaves to be solved, from each
+    run's own coins and the bound ``A_idx (idx+1) c_idx <= B_i (1 + slack)``."""
+    schedule = unbiased_schedule(pop.n, budget)
+    widen = 1.0 + online_runner._screen_slack(pop.n + 1)
+    left = 0
+    for r in range(runs):
+        rng = np.random.default_rng([seed, r])
+        perm = draw_permutation(rng, pop.n)
+        coins = rng.random(pop.n)
+        grid = [pop.cap]
+        for i, (cost, coin) in enumerate(zip(pop.costs[perm].tolist(), coins.tolist()), 1):
+            idx = bisect.bisect_left(grid, cost)
+            left += not coin * (idx + 1) * grid[idx] >= schedule.per_round(i) * widen
+            bisect.insort(grid, cost)
+    return left
+
+
 class TestCachePolicy:
     """``monte_carlo`` keeps a round cache only where some cost repeats: with
-    all-distinct costs it solves every round, as the public runners do with
-    ``cache`` None."""
+    all-distinct costs it solves every round the purchase screen leaves, as
+    the public runners do with ``cache`` None."""
 
     RUNS = 6
     SEED = 23
@@ -309,6 +346,9 @@ class TestCachePolicy:
         if name == "spread":
             assert len(caches) == 1 and len(caches[0]) > 0
             assert 0 < sum(rows) < self.RUNS * pop.n
+        elif task == "unbiased":
+            assert not caches
+            assert sum(rows) == _screened_rounds(pop, budget, self.RUNS, self.SEED)
         else:
             assert not caches and sum(rows) == self.RUNS * pop.n
 
