@@ -185,17 +185,26 @@ def _screen_slack(m):
     ``m`` points may exceed the offer bound of the purchase screen.
 
     On a sorted grid ``c_0 <= ... <= c_{m-1}`` the virtual costs
-    ``psi_k = (k+1) c_k - k c_{k-1}`` are non-negative and sum to
-    ``(idx+1) c_idx`` up to position ``idx``.  The rule is non-increasing
-    and spends ``sum_k A_k psi_k <= B``, so in exact arithmetic
-    ``A_idx (idx+1) c_idx <= sum_{k <= idx} A_k psi_k <= B``.  The computed
-    rule meets it up to rounding: each computed ``psi_k`` is off by a few
-    ulps of ``(k+1) c_k <= m psi_k``; a pooled block's average is a
-    difference of prefix sums of at most ``m c_hi`` for a block sum of at
-    least ``c_hi``, so it is off by a few times ``m^2`` ulps; and the
-    calibration's prefix sums add a few times ``m`` ulps.  So the computed
-    offer exceeds the bound by a relative ``O(m^2 eps)``; the factor 64
-    covers those few-ulp constants with room to spare.
+    ``psi_k = (k+1) c_k - k c_{k-1}`` are non-negative, and the rule ``A``
+    is non-increasing, constant on each ironed block, and spends
+    ``sum_k A_k psi_k <= B`` with ``A_k phi_k = min(phi_k, lam sqrt(phi_k))``
+    on the ironed costs ``phi``.  Let ``hi`` end the block of position
+    ``idx``.  Up to ``hi`` the ``psi`` sum to ``(hi+1) c_hi`` and ``A_k >=
+    A_idx``, so they spend at least ``A_idx (hi+1) c_hi``.  Above ``hi`` the
+    blocks are whole, so they spend ``sum_k A_k phi_k``, whose terms grow
+    with ``phi_k >= phi_idx`` and so are each at least ``A_idx phi_idx``.  A
+    block ``lo..hi`` averages ``((hi+1) c_hi - lo c_{lo-1}) / (hi-lo+1) >=
+    c_hi``, so ``phi_idx >= c_hi >= c_idx``.  Together, in exact arithmetic,
+    ``A_idx m c_idx <= A_idx ((hi+1) c_hi + (m-1-hi) c_idx) <= B``, with
+    equality on ``m`` equal costs whose budget buys less than all of them.
+    The computed rule meets it up to rounding: each computed ``psi_k`` is
+    off by a few ulps of ``(k+1) c_k <= m psi_k``; a pooled block's average
+    is a difference of prefix sums of at most ``m c_hi`` for a block sum of
+    at least ``c_hi``, so the computed ``phi`` is off by a relative few
+    times ``m^2`` ulps; and the calibration's prefix sums add a few times
+    ``m`` ulps.  So the computed offer exceeds the bound by a relative
+    ``O(m^2 eps)``; the factor 64 covers those few-ulp constants with room
+    to spare.
     """
     return 64 * m * m * sys.float_info.epsilon
 
@@ -230,11 +239,11 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record, k
     The purchase screen: round ``i`` buys when its coin is below the offer
     ``A_idx`` at the report's grid position ``idx``, and an unbiased round
     that does not buy neither pays nor adds to the estimate.  The offer is
-    at most ``B_i / ((idx+1) c_idx)`` (``_screen_slack``), so a missed
-    unbiased round whose coin is at or above that bound, widened by the
-    slack, is not solved and not cached: it enters the last pass as not
-    bought, with offer 0.  The screen is off on the CI task, whose interval
-    counts every round's ignore decision; in a run that records
+    at most ``B_i / (m c_idx)`` on a grid of ``m`` points (``_screen_slack``),
+    so a missed unbiased round whose coin is at or above that bound, widened
+    by the slack, is not solved and not cached: it enters the last pass as
+    not bought, with offer 0.  The screen is off on the CI task, whose
+    interval counts every round's ignore decision; in a run that records
     transcripts, which show every round's offer; and on rounds with budget
     ``B_i <= 0``, which ``_solve_rounds`` rejects.  Hits read their cached
     offer as before.
@@ -266,7 +275,7 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record, k
         budget = schedule.per_round(i)
         entry = lookup(key)
         if entry is None or entry[-2:] != (budget, beta):
-            if screen and budget > 0 and coins[i - 1] * (idx + 1) * grid[idx] >= budget * widen:
+            if screen and budget > 0 and coins[i - 1] * len(grid) * grid[idx] >= budget * widen:
                 entry = -1
             else:
                 entry = len(misses)
@@ -371,11 +380,11 @@ def run_unbiased_online(
     in its transcript, so the result grows as O(n^2): 35.8 MB at n = 3000
     with continuous costs (tracemalloc), against a 3.9 MB peak with False.
     Pass False for long runs.  With False, a round bought with probability
-    ``A`` at most ``B_i / ((idx+1) c_idx)`` (its budget over the report's
-    grid position and grid cost) whose purchase coin lands at or above that
-    bound is neither solved nor cached: it cannot buy, and the estimate and
-    the spend come out the same bits.  On continuous costs that skips about
-    70% of the rounds.
+    ``A`` at most ``B_i / (m c_idx)`` (its budget over its grid's size ``m``
+    and the grid cost at the report's position) whose purchase coin lands at
+    or above that bound is neither solved nor cached: it cannot buy, and the
+    estimate and the spend come out the same bits.  On continuous costs that
+    skips about 88% of the rounds.
     """
     return _run_population(population, schedule, None, rng_seed, cap, record_transcripts, cache)
 

@@ -469,7 +469,7 @@ def _screen_grids(rng):
     ties, mostly zeros, the cap alone or repeated, heavy-tailed costs, and
     a few wide grids."""
     cap = 25.0
-    grids = [np.array([cap]), np.full(3, cap), np.array([0.0, cap]), np.zeros(5)]
+    grids = [np.array([cap]), np.full(3, cap), np.full(40, cap), np.array([0.0, cap]), np.zeros(5)]
     for m in list(rng.integers(2, 60, size=60)) + [400, 1500]:
         grids += [
             np.append(np.sort(rng.uniform(0.0, cap, m - 1)), cap),
@@ -497,13 +497,13 @@ def _outputs(result):
 
 class TestPurchaseScreen:
     # An unbiased round that does not buy neither pays nor adds to the
-    # estimate, and its offer is at most B / ((idx+1) c_idx); so a run that
-    # records no transcripts skips solving a missed round whose coin is at or
-    # above that bound, widened by ``_screen_slack``.
+    # estimate, and its offer is at most B / (m c_idx) on a grid of m points;
+    # so a run that records no transcripts skips solving a missed round whose
+    # coin is at or above that bound, widened by ``_screen_slack``.
 
     def test_computed_offers_meet_the_bound(self):
         rng = np.random.default_rng(11)
-        worst = 0.0
+        worst = [0.0, 0.0]  # on one-point grids, on wider grids
         for grid in _screen_grids(rng):
             m = grid.size
             total = m * float(grid[-1])  # the virtual costs' sum: it buys everything
@@ -511,22 +511,29 @@ class TestPurchaseScreen:
             budgets = [f * total for f in fractions] if total > 0 else [1e-9, 1.0]
             width = len(budgets)
             alloc, _ = _solve_rounds(np.tile(grid, (width, 1)), np.full(width, m), budgets, None)
-            k = np.arange(m)
             live = grid > 0
             for row, budget in zip(alloc, budgets):
-                spent = row * (k + 1) * grid
+                spent = row * m * grid
                 assert np.all(spent[live] <= budget * (1 + online_runner._screen_slack(m))), m
-                worst = max(worst, float(np.max(spent[live], initial=0.0)) / budget)
-        # the bound is sharp: a one-point grid's offer meets it exactly
-        assert 1 - 1e-12 < worst <= 1 + 1e-12
+                share = float(np.max(spent[live], initial=0.0)) / budget
+                worst[m > 1] = max(worst[m > 1], share)
+        # the bound is sharp: a one-point grid's offer meets it exactly, and
+        # so does an offer on m equal costs at the cap with B < m * cap
+        assert all(1 - 1e-12 < share <= 1 + 1e-12 for share in worst), worst
 
     @pytest.mark.parametrize("gamma", [None, 0.9])
-    @pytest.mark.parametrize("shape", ["continuous", "tied", "flagged"])
+    @pytest.mark.parametrize("shape", ["continuous", "tied", "flagged", "zeros", "capped"])
     def test_runs_without_transcripts_give_the_same_bits(self, shape, gamma):
         spec = ({"kind": "two_point", "fractions": [0.7, 0.3], "costs": [2.0, 9.0]}
                 if shape == "tied" else {"kind": "independent"})
         n = 150
         pop = gen_population(spec, n, 25.0, 6)
+        if shape in ("zeros", "capped"):
+            # the bound's edges: a zero cost, whose offer the screen can never
+            # rule out, and a block of equal costs at the cap, its sharp case
+            value = 0.0 if shape == "zeros" else pop.cap
+            mixed = np.where(np.random.default_rng(6).random(n) < 0.7, value, pop.costs)
+            pop = dataclasses.replace(pop, costs=mixed)
         cap = 20.0 if shape == "flagged" else pop.cap
         for total in (0.2 * n, 1.5 * n, 5.0 * n, 40.0 * n):
             schedule = unbiased_schedule(n, total) if gamma is None else ci_schedule(n, total)
@@ -559,26 +566,30 @@ class TestPurchaseScreen:
         assert 0 < solved[None, False] < unflagged / 2
 
     def test_a_coin_just_above_the_exact_bound_still_buys(self):
-        # Round 1's grid is the cap alone, where the computed offer may round
-        # above B / cap; a coin between the two must buy, so the screen needs
-        # its slack.
-        pop = make_pop([1.0, 2.0], data=[0.5, 0.5], cap=3.0)
-        cases = 0
-        for total in np.linspace(0.1, 9.0, 60).tolist():
-            schedule = unbiased_schedule(2, total)
-            budget = schedule.per_round(1)
-            offer = float(solve_round([3.0], budget, None)[0][0])
-            coin = budget / 3.0
-            while coin * 3.0 < budget:
-                coin = math.nextafter(coin, 1.0)
-            if not coin < offer:
-                continue
-            cases += 1
-            runs = [_run_online(pop.costs, pop.data, 3.0, schedule, None, _Coins([coin, 1.0]),
-                                None, record) for record in (True, False)]
-            assert runs[0].transcripts[0].purchased
-            assert _outputs(runs[0]) == _outputs(runs[1]), total
-        assert cases > 0
+        # Round m of a run whose costs all sit at the cap has a grid of m
+        # equal costs, where the computed offer may round above the bound
+        # B / (m * cap); a coin between the two must buy, so the screen needs
+        # its slack, and its bound may count no more than the m grid points.
+        for m in (1, 2, 5, 40):
+            pop = make_pop(np.full(m, 3.0), data=np.full(m, 0.5), cap=3.0)
+            cases = 0
+            for total in np.linspace(0.1, 9.0, 60).tolist():
+                schedule = unbiased_schedule(m, total)
+                budget = schedule.per_round(m)
+                offer = float(solve_round(np.full(m, 3.0), budget, None)[0][0])
+                coin = budget / (m * 3.0)
+                while coin * m * 3.0 < budget:
+                    coin = math.nextafter(coin, 1.0)
+                if not coin < offer:
+                    continue
+                cases += 1
+                # earlier rounds draw coin 1, which buys nothing
+                coins = _Coins([1.0] * (m - 1) + [coin])
+                runs = [_run_online(pop.costs, pop.data, 3.0, schedule, None, coins, None, record)
+                        for record in (True, False)]
+                assert runs[0].transcripts[-1].purchased
+                assert _outputs(runs[0]) == _outputs(runs[1]), (m, total)
+            assert cases > 0, m
 
     def test_zero_budget_is_rejected_without_transcripts(self):
         # a zero budget puts every coin above the bound, yet must still raise

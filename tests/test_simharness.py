@@ -300,7 +300,8 @@ def _public_runs(task, pop, budget, gamma, runs, seed):
 def _screened_rounds(pop, budget, runs, seed):
     """Rounds of ``runs`` harness runs of the unbiased task that the purchase
     screen of ``online_runner._run_online`` leaves to be solved, from each
-    run's own coins and the bound ``A_idx (idx+1) c_idx <= B_i (1 + slack)``."""
+    run's own coins and the bound ``A_idx m c_idx <= B_i (1 + slack)`` on a
+    grid of ``m`` points."""
     schedule = unbiased_schedule(pop.n, budget)
     widen = 1.0 + online_runner._screen_slack(pop.n + 1)
     left = 0
@@ -311,7 +312,7 @@ def _screened_rounds(pop, budget, runs, seed):
         grid = [pop.cap]
         for i, (cost, coin) in enumerate(zip(pop.costs[perm].tolist(), coins.tolist()), 1):
             idx = bisect.bisect_left(grid, cost)
-            left += not coin * (idx + 1) * grid[idx] >= schedule.per_round(i) * widen
+            left += not coin * len(grid) * grid[idx] >= schedule.per_round(i) * widen
             bisect.insort(grid, cost)
     return left
 
