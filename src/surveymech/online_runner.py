@@ -46,7 +46,16 @@ __all__ = [
 
 # Grid points per batch of ``_solve_rounds``, counted as its rows times its
 # widest row: each padded temporary of a batch stays within 256 KB whatever
-# n, unless one grid alone is wider (it is then a batch of its own).
+# n, unless one grid alone is wider (it is then a batch of its own).  A CI
+# batch holds a quarter of that (``_batch_bounds``): its solve keeps more
+# arrays live per point, and batches filled across the runs of a chunk cost
+# that memory.  One full-size ``mc_fresh_ci`` call of the benchmark (n = 100,
+# 10 runs) peaked at 1.22 MB traced with one-run batches of 10,000 points,
+# and with batches filled across its runs at 4.51 MB at 2^15 points, 2.48 MB
+# at 2^14 and 1.38 MB at 2^13 (numpy 2.4.6).  Unbiased rows keep 2^15: one
+# full-size ``mc_fresh_unbiased`` call peaked at 2.63 MB with one-run
+# batches and at 3.17 MB with chunk-filled ones.  It also bounds the rounds
+# of a chunk of cacheless runs (``_chunk_bounds``).
 _BATCH_POINTS = 2**15
 
 
@@ -142,20 +151,29 @@ class CIRunResult:
     transcripts: list = field(default_factory=list)
 
 
-def _batch_bounds(widths):
+def _batch_bounds(widths, ci=False):
     """Split rows of the given widths, in order, into ``(lo, hi)`` runs of at
-    most ``_BATCH_POINTS`` padded points (rows times the widest row); a row
-    wider than that is a batch alone."""
+    most ``_BATCH_POINTS`` padded points (rows times the widest row), a
+    quarter of that for rows of the CI task (``ci``); a row wider than that
+    is a batch alone."""
+    limit = _BATCH_POINTS // 4 if ci else _BATCH_POINTS
     bounds = []
     lo = widest = 0
     for hi, width in enumerate(widths):
         widest = max(widest, width)
-        if hi > lo and (hi + 1 - lo) * widest > _BATCH_POINTS:
+        if hi > lo and (hi + 1 - lo) * widest > limit:
             bounds.append((lo, hi))
             lo, widest = hi, width
     if lo < len(widths):
         bounds.append((lo, len(widths)))
     return bounds
+
+
+def _chunk_bounds(count, n):
+    """Split ``count`` runs of ``n`` rounds, in order, into ``(lo, hi)``
+    chunks of at most ``_BATCH_POINTS`` rounds; a chunk holds at least one run."""
+    size = int(max(1, min(count, _BATCH_POINTS // n)))
+    return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
 def _solve_rounds(costs, sizes, budgets, beta):
@@ -213,28 +231,28 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record, k
     """One online run in arrival order: the unbiased task if ``gamma`` is None,
     else the confidence-interval task at confidence ``gamma``.
 
-    Every round not flagged solves its rule on the grid of earlier reports
-    plus the cap, or takes it from ``cache``; with ``cache`` None it solves
-    every such round and stores nothing.  Round ``i`` is keyed by
-    ``keys[i - 1]``, which the caller supplies and which must be equal for
-    two rounds exactly when their grids are; with ``keys`` None it is keyed
-    by the grid tuple, as user caches and transcripts read it (a run that
-    records transcripts keeps ``keys`` None).  An entry is the round's key
-    (slot 0), ``_solve_rounds``' arrays for the round (slots 1-3: ``A``,
-    then ``ignored`` on the CI task, then the payments), and the budget and
-    the CI ``beta`` (None for the unbiased task) it was solved for.  A hit
-    solved for another budget or ``beta`` is solved again: the same grid
-    recurs at a later round after a flagged arrival, and a shared cache may
-    have served a run at another ``gamma``.
+    With ``cache`` None the run reads no round cache and goes through the
+    array steps of ``_run_chunk``, as a chunk of one run.  Otherwise this loop
+    serves it: every round not flagged solves its rule on the grid of
+    earlier reports plus the cap, or takes it from ``cache``.  Round ``i`` is
+    keyed by ``keys[i - 1]``, which the caller supplies and which must be
+    equal for two rounds exactly when their grids are; with ``keys`` None it
+    is keyed by the grid tuple, as user caches and transcripts read it (a
+    run that records transcripts keeps ``keys`` None).  An entry is the
+    round's key (slot 0), ``_solve_rounds``' arrays for the round (slots 1-3:
+    ``A``, then ``ignored`` on the CI task, then the payments), and the
+    budget and the CI ``beta`` (None for the unbiased task) it was solved
+    for.  A hit solved for another budget or ``beta`` is solved again: the
+    same grid recurs at a later round after a flagged arrival, and a shared
+    cache may have served a run at another ``gamma``.
 
     No round's grid depends on a purchase, so the run takes three steps
     after one draw of ``n`` purchase coins: one pass looks every round up;
     the misses are solved together by ``_solve_rounds`` in batches of at
     most ``_BATCH_POINTS`` grid points (``_batch_bounds``), and each batch's
-    offers are read from its arrays with one gather per array, while only a
+    offers are read from its arrays with one gather per array, while the
     cache gets copies of its rows, in round order; a last pass makes the
-    offers with the coins.  So a run holds the cache, one batch and O(n)
-    offers, not every solved row.
+    offers with the coins.
 
     The purchase screen: round ``i`` buys when its coin is below the offer
     ``A_idx`` at the report's grid position ``idx``, and an unbiased round
@@ -248,6 +266,10 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record, k
     ``B_i <= 0``, which ``_solve_rounds`` rejects.  Hits read their cached
     offer as before.
     """
+    if cache is None:
+        coins = rng.random(costs_seq.size)
+        return _run_chunk(costs_seq[None], data_seq[None], coins[None], cap, schedule, gamma,
+                          record)[0]
     n = costs_seq.size
     ci = gamma is not None
     beta = ci_parameters(gamma, n).beta if ci else None
@@ -255,9 +277,7 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record, k
     screen = not ci and not record
     # every grid of the run has at most n + 1 points
     widen = 1.0 + _screen_slack(n + 1)
-    lookup = ({} if cache is None else cache).get  # no cache: nothing ever hits
-    # Grid tuples are built only where a key or a transcript reads them.
-    tuples = keys is None and (record or cache is not None)
+    lookup = cache.get
     grid: list[float] = [cap]
     # Per round: (grid key, position of the cost on it, cache entry), where
     # the entry is None on a flagged round, an index into ``misses`` and
@@ -270,7 +290,7 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record, k
         if cost > cap:
             plan.append((tuple(grid) if record else None, 0, None))
             continue
-        key = keys[i - 1] if keys is not None else tuple(grid) if tuples else None
+        key = keys[i - 1] if keys is not None else tuple(grid)
         idx = bisect.bisect_left(grid, cost)
         budget = schedule.per_round(i)
         entry = lookup(key)
@@ -288,7 +308,7 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record, k
         # the stable sort keeps ties in arrival order, as ``insort`` does.
         arrivals = np.concatenate(([cap], costs_seq[~(costs_seq > cap)]))
         order = np.argsort(arrivals, kind="stable")
-        for lo, hi in _batch_bounds([size for _, _, size, _ in misses]):
+        for lo, hi in _batch_bounds([size for _, _, size, _ in misses], ci):
             batch = misses[lo:hi]
             sizes = np.array([size for _, _, size, _ in batch])
             width = int(sizes.max())
@@ -303,10 +323,9 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record, k
             at = [r * width + idx for r, (_, _, _, idx) in enumerate(batch)]
             got = [part.take(at).tolist() for part in parts]
             offers += zip(got[0], got[1] if ci else [False] * len(batch), got[-1])
-            if cache is not None:
-                # copies, so a cached rule holds its own row and not the whole batch
-                for r, (key, budget, size, _) in enumerate(batch):
-                    cache[key] = (key, *(part[r, :size].copy() for part in parts), budget, beta)
+            # copies, so a cached rule holds its own row and not the whole batch
+            for r, (key, budget, size, _) in enumerate(batch):
+                cache[key] = (key, *(part[r, :size].copy() for part in parts), budget, beta)
     offers.append((0.0, False, math.nan))  # a screened round's: no coin is below 0
     y = np.zeros(n)
     total_paid = 0.0
@@ -338,8 +357,15 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record, k
                 payment_offer=p, ignored=ignored, purchased=purchased, observed=observed,
                 y=float(y[i - 1]), paid=paid, flagged=entry is None,
             ))
+    return _result(y, total_paid, flagged, ignored_count, gamma, transcripts)
+
+
+def _result(y, total_paid, flagged, ignored_count, gamma, transcripts):
+    """A run's result from its reweighted data ``y`` and its accounting: the
+    mean of ``y`` on the unbiased task (``gamma`` None), else the interval."""
+    n = y.size
     mean = float(np.mean(y))
-    if not ci:
+    if gamma is None:
         return UnbiasedRunResult(
             estimate=mean, total_paid=total_paid, flagged=flagged, transcripts=transcripts,
         )
@@ -349,6 +375,189 @@ def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record, k
         interval=interval, total_paid=total_paid, ignored_count=ignored_count,
         flagged=flagged, transcripts=transcripts,
     )
+
+
+def _prefix_ranks(arrivals):
+    """Where each entry of each row of the 2-D ``arrivals`` falls among the
+    entries before it in its row: ``(below, least)``, the count of earlier
+    entries below it and the least earlier entry at or above it.
+
+    One stable sort of each row ranks its entries, ties in row order, and an
+    entry's query rank is the first rank of its value, so an earlier entry
+    is below it exactly when its rank is below that query.  The entries
+    before position ``j`` are, over the merge levels ``h = 1, 2, 4, ...``
+    where ``j`` lies in the right half of its block of ``2h`` positions, the
+    left halves of those blocks.  Each level sorts every left half's keys
+    ``block * width + rank`` at once and ``searchsorted``s the right halves'
+    queries among them, which counts the left entries below and finds the
+    least at or above, for all rows and blocks together: ``O(width log^2
+    width)`` per row, with no ``width x width`` array.  The first entry of a
+    row has no earlier one: its count is 0 and its least entry the row's
+    largest.
+    """
+    runs, width = arrivals.shape
+    order = np.argsort(arrivals, axis=1, kind="stable")
+    ordered = np.take_along_axis(arrivals, order, axis=1)
+    cols = np.arange(width)
+    row = np.arange(runs)[:, None]
+    rank = np.empty_like(order)
+    rank[row, order] = cols
+    starts = np.ones(order.shape, dtype=bool)  # where a value's first rank is
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    query = np.empty_like(order)
+    query[row, order] = np.maximum.accumulate(np.where(starts, cols, 0), axis=1)
+    below = np.zeros_like(order)
+    least = np.full_like(order, width - 1)
+    h = 1
+    while h < width:
+        half = cols // h % 2
+        left, right = np.flatnonzero(half == 0), np.flatnonzero(half == 1)
+        blocks = -(-width // (2 * h))
+        keys = np.sort(((row * blocks + left // (2 * h)) * width + rank[:, left]).ravel())
+        block = row * blocks + right // (2 * h)
+        pos = np.searchsorted(keys, (block * width + query[:, right]).ravel()).reshape(block.shape)
+        # a block's left keys follow the whole left halves of the blocks before it
+        first = row * left.size + right // (2 * h) * h
+        below[:, right] += pos - first
+        found = keys[np.minimum(pos, keys.size - 1)] - block * width
+        least[:, right] = np.minimum(least[:, right], np.where(pos < first + h, found, width - 1))
+        h *= 2
+    return below, np.take_along_axis(ordered, least, axis=1)
+
+
+def _plan_chunk(costs, coins, cap, schedule, screen):
+    """Plan the rounds of runs that read no round cache, one run per row of
+    the 2-D ``costs`` (its reports in arrival order) and ``coins``.
+
+    Returns ``(arrivals, sizes, idx, tops, budgets, solve)``.  ``arrivals``
+    holds each run's cap, then its reports not above the cap in arrival
+    order, then its flagged ones, so the grid of a round with ``m`` points
+    is the first ``m`` entries of its run's row.  The rest is per round, in
+    arrival order, what ``_run_online``'s loop computes there: the grid's
+    size ``m``, the position ``idx = bisect_left(grid, c)`` of the report
+    ``c`` and the grid cost ``grid[idx]`` at it (``_prefix_ranks``), the
+    budget ``xi * B * sqrt(i)`` (one row for every run), and whether the
+    round is solved: not flagged, and, with ``screen``, not ruled out by the
+    purchase screen.  A flagged round's ``m``, ``idx`` and grid cost mean
+    nothing.
+    """
+    runs, n = costs.shape
+    live = ~(costs > cap)
+    # flagged reports go behind the rest of their row: no grid holds them
+    moved = np.argsort(~live, axis=1, kind="stable")
+    arrivals = np.empty((runs, n + 1))
+    arrivals[:, 0] = cap
+    arrivals[:, 1:] = np.take_along_axis(costs, moved, axis=1)
+    ranks = _prefix_ranks(arrivals)
+    below, tops = (np.empty((runs, n), dtype=part.dtype) for part in ranks)
+    for out, part in zip((below, tops), ranks):
+        np.put_along_axis(out, moved, part[:, 1:], axis=1)
+    sizes = np.cumsum(live, axis=1) - live + 1
+    # as ``BudgetSchedule.per_round`` computes it, bit for bit
+    budgets = schedule.xi * schedule.total_budget * np.sqrt(np.arange(1.0, n + 1))
+    solve = live
+    if screen:
+        widen = 1.0 + _screen_slack(n + 1)
+        solve = live & ~((budgets > 0) & (coins * sizes * tops >= budgets * widen))
+    return arrivals, sizes, below, tops, budgets, solve
+
+
+def _solve_chunk(arrivals, sizes, idx, budgets, solve, beta):
+    """Offers ``(alloc, ignored, price)`` of a chunk's planned rounds (see
+    ``_plan_chunk``), per round; a round not solved offers ``(0, False,
+    NaN)``, which buys nothing.
+
+    The rounds to solve, stably sorted by grid size so that a batch pads
+    little, go through ``_solve_rounds`` in ``_batch_bounds`` batches.  A
+    batch of grids at most ``W`` wide sorts each of its runs' first ``W``
+    arrivals once, stably, as ``insort`` orders ties; a row's grid is its
+    run's sorted first ``m`` of them, padded with the cap at the end, and
+    never a row of the whole run.  Each batch's offers are gathered from its
+    arrays with one ``take`` per array.
+    """
+    runs, n = solve.shape
+    cap = arrivals[0, 0]
+    alloc = np.zeros((runs, n))
+    ignored = np.zeros((runs, n), dtype=bool)
+    price = np.full((runs, n), math.nan)
+    rounds = np.flatnonzero(solve)
+    widths = sizes.ravel()[rounds]
+    by_width = np.argsort(widths, kind="stable")
+    rounds, widths = rounds[by_width], widths[by_width]
+    outs = (alloc, price) if beta is None else (alloc, ignored, price)
+    for lo, hi in _batch_bounds(widths.tolist(), beta is not None):
+        batch, size = rounds[lo:hi], widths[lo:hi, None]
+        width = int(size[-1, 0])
+        run = batch // n
+        present = np.zeros(runs, dtype=bool)
+        present[run] = True
+        held = arrivals[present, :width]
+        order = np.argsort(held, axis=1, kind="stable")
+        slot = np.cumsum(present)[run] - 1
+        costs = np.full((batch.size, width), cap)
+        costs[np.arange(width) < size] = np.take_along_axis(held, order, axis=1)[slot][order[slot] < size]
+        parts = _solve_rounds(costs, size[:, 0], budgets[batch % n].tolist(), beta)
+        # each offer's flat position in the batch's C-ordered arrays
+        at = np.arange(batch.size) * width + idx.ravel()[batch]
+        for out, part in zip(outs, parts):
+            np.put(out, batch, part.take(at))
+    return alloc, ignored, price
+
+
+def _run_chunk(costs, data, coins, cap, schedule, gamma, record):
+    """Runs that read no round cache, one per row of the 2-D ``costs`` and
+    ``data`` (a run's reports and data in arrival order) and ``coins`` (its
+    purchase coins, one per round), for the task of ``gamma`` as in
+    ``_run_online``; a list of their results.
+
+    Three array steps serve every round of the chunk together: the plan
+    (``_plan_chunk``: grids, positions, budgets and the purchase screen,
+    which is on for the unbiased task without transcripts), the solve
+    (``_solve_chunk``) and the settlement: a round buys when it is not
+    ignored and its coin is below its offer ``A``, and then ``y = z / A`` and
+    it pays its price.  A run's spend is the last of the running sums of its
+    rounds' payments in round order, the loop's sum bit for bit, and its
+    estimate the mean of its ``y``, or the interval around it.  Transcripts,
+    when recorded, are built from the settled arrays.  So a chunk holds its
+    runs' per-round arrays and one batch at a time.
+    """
+    runs, n = costs.shape
+    beta = ci_parameters(gamma, n).beta if gamma is not None else None
+    arrivals, sizes, idx, _, budgets, solve = _plan_chunk(
+        costs, coins, cap, schedule, gamma is None and not record)
+    alloc, ignored, price = _solve_chunk(arrivals, sizes, idx, budgets, solve, beta)
+    bought = ~ignored & (coins < alloc)
+    y = np.zeros((runs, n))
+    np.divide(data, alloc, out=y, where=bought)
+    paid = np.where(bought, price, 0.0)
+    # the loop adds to 0.0, which only sets the sign of a zero total
+    spends = (np.add.accumulate(paid, axis=1)[:, -1] + 0.0).tolist()
+    flagged = np.count_nonzero(costs > cap, axis=1).tolist()
+    ignored_counts = np.count_nonzero(ignored, axis=1).tolist()
+    return [
+        _result(y[r], spends[r], flagged[r], ignored_counts[r], gamma,
+                _transcripts(costs[r], data[r], cap, alloc[r], ignored[r], price[r], bought[r], y[r])
+                if record else [])
+        for r in range(runs)
+    ]
+
+
+def _transcripts(costs, data, cap, alloc, ignored, price, bought, y):
+    """One run's round transcripts from its settled per-round arrays."""
+    grid = [cap]
+    transcripts = []
+    rows = zip(costs.tolist(), data.tolist(), alloc.tolist(), ignored.tolist(),
+               price.tolist(), bought.tolist(), y.tolist())
+    for i, (cost, z, a, ignore, p, purchased, value) in enumerate(rows, 1):
+        flagged = cost > cap
+        transcripts.append(RoundTranscript(
+            round_index=i, cost=cost, grid=tuple(grid), alloc=a, payment_offer=p,
+            ignored=ignore, purchased=purchased, observed=z if purchased else 0.0, y=value,
+            paid=p if purchased else 0.0, flagged=flagged,
+        ))
+        if not flagged:
+            bisect.insort(grid, cost)
+    return transcripts
 
 
 def _run_population(population, schedule, gamma, rng_seed, cap, record, cache):
@@ -372,13 +581,15 @@ def run_unbiased_online(
     y = 0, which voids unbiasedness, so the flag is surfaced in the result.
 
     ``cache``, if given, is a dict of solved rounds keyed by grid tuple that
-    the run reads and adds to, and that may be shared between runs.  With
-    ``cache`` None the run solves every round it needs, stores nothing and
-    holds only one batch of rounds and one offer per round at a time.
+    the run reads and adds to, and that may be shared between runs; the run
+    then goes round by round.  With ``cache`` None the run is planned,
+    solved and settled as arrays, stores nothing and holds only its
+    per-round arrays and one batch of rounds at a time; both give the same
+    bits.
 
     ``record_transcripts=True``, the default, keeps each round's grid tuple
     in its transcript, so the result grows as O(n^2): 35.8 MB at n = 3000
-    with continuous costs (tracemalloc), against a 3.9 MB peak with False.
+    with continuous costs (tracemalloc), against a 2.9 MB peak with False.
     Pass False for long runs.  With False, a round bought with probability
     ``A`` at most ``B_i / (m c_idx)`` (its budget over its grid's size ``m``
     and the grid cost at the report's position) whose purchase coin lands at
@@ -405,13 +616,15 @@ def run_ci_online(
     resulting bias allowance ``(# ignored) / n``.
 
     ``cache``, if given, is a dict of solved rounds keyed by grid tuple that
-    the run reads and adds to, and that may be shared between runs.  With
-    ``cache`` None the run solves every round, stores nothing and holds only
-    one batch of rounds and one offer per round at a time.
+    the run reads and adds to, and that may be shared between runs; the run
+    then goes round by round.  With ``cache`` None the run is planned,
+    solved and settled as arrays, solves every round not flagged, stores
+    nothing and holds only its per-round arrays and one batch of rounds at a
+    time; both give the same bits.
 
     ``record_transcripts=True``, the default, keeps each round's grid tuple
     in its transcript, so the result grows as O(n^2): 35.8 MB at n = 3000
-    with continuous costs (tracemalloc), against a 3.9 MB peak with False.
+    with continuous costs (tracemalloc), against a 2.9 MB peak with False.
     Pass False for long runs.
     """
     return _run_population(population, schedule, gamma, rng_seed, cap, record_transcripts, cache)

@@ -21,6 +21,8 @@ import numpy as np
 from .ci_solver import ci_parameters
 from .errors import InvalidInputError, _float_array, _scalar, _vector, _whole
 from .online_runner import (
+    _chunk_bounds,
+    _run_chunk,
     _run_online,
     benchmark_ci,
     benchmark_unbiased,
@@ -143,21 +145,18 @@ def _mc_batch(task, costs, data, cap, budget, gamma, master_seed, run_lo, run_hi
     """Per-run outputs for run indices [run_lo, run_hi); order-independent.
 
     A round's grid is the cap and the costs that arrived before it (a
-    population has no cost above its cap, so none is flagged).  The batch
-    keeps a round cache only when some cost repeats: with all-distinct costs
+    population has no cost above its cap, so none is flagged).  Each run
+    draws its permutation and then its purchase coins from its own
+    ``(master_seed, run_index)`` generator.  On a population without ties
     two runs share round ``i``'s grid only if they drew the same ``i - 1``
-    earlier arrivals, so cached rounds would almost never be read again and
-    every run solves each of its rounds, as a public runner does with
-    ``cache`` None.  On a tied population the running sum of
-    ``_count_weights`` keys each round in the cache exactly.
+    earlier arrivals, so a round cache would almost never be read again: the
+    runs go through ``online_runner._run_chunk`` in chunks of at most
+    ``_BATCH_POINTS`` rounds (``_chunk_bounds``), each planned, solved and
+    settled as arrays, as a public runner does with ``cache`` None.  Where
+    some cost repeats, the batch keeps a round cache and runs the loop of
+    ``_run_online``, keyed exactly by the running sum of ``_count_weights``.
     """
     n = costs.size
-    cache = weight_of = None
-    # Ties by adjacent equality after a sort: a plain ``np.unique`` imports
-    # ``numpy.ma``, about 1 MB of resident memory, on every call.
-    ordered = np.sort(costs)
-    if (ordered[1:] == ordered[:-1]).any():
-        cache, weight_of = _RoundCache(_CACHE_POINTS), _count_weights(costs)
     count = run_hi - run_lo
     estimates = np.empty(count)
     spends = np.empty(count)
@@ -168,15 +167,8 @@ def _mc_batch(task, costs, data, cap, budget, gamma, master_seed, run_lo, run_hi
         schedule = unbiased_schedule(n, budget)
     else:
         schedule = ci_schedule(n, budget)
-    for k in range(count):
-        run_index = run_lo + k
-        rng = np.random.default_rng([master_seed, run_index])
-        perm = draw_permutation(rng, n)
-        cseq = costs[perm]
-        zseq = data[perm]
-        keys = None if cache is None else list(
-            accumulate(map(weight_of.__getitem__, perm.tolist()), initial=0))
-        result = _run_online(cseq, zseq, cap, schedule, gamma, rng, cache, False, keys)
+    for k, result in enumerate(_mc_results(costs, data, cap, schedule, gamma, master_seed,
+                                           run_lo, run_hi)):
         if task == "unbiased":
             estimates[k] = result.estimate
         else:
@@ -187,6 +179,30 @@ def _mc_batch(task, costs, data, cap, budget, gamma, master_seed, run_lo, run_hi
         spends[k] = result.total_paid
         flagged[k] = result.flagged
     return estimates, spends, lowers, uppers, flagged
+
+
+def _mc_results(costs, data, cap, schedule, gamma, master_seed, run_lo, run_hi):
+    """The results of runs [run_lo, run_hi) of ``_mc_batch``, in run order."""
+    n = costs.size
+    # Ties by adjacent equality after a sort: a plain ``np.unique`` imports
+    # ``numpy.ma``, about 1 MB of resident memory, on every call.
+    ordered = np.sort(costs)
+    if not (ordered[1:] == ordered[:-1]).any():
+        for lo, hi in _chunk_bounds(run_hi - run_lo, n):
+            perms = np.empty((hi - lo, n), dtype=np.intp)
+            coins = np.empty((hi - lo, n))
+            for k in range(hi - lo):
+                rng = np.random.default_rng([master_seed, run_lo + lo + k])
+                perms[k] = draw_permutation(rng, n)
+                coins[k] = rng.random(n)
+            yield from _run_chunk(costs[perms], data[perms], coins, cap, schedule, gamma, False)
+        return
+    cache, weight_of = _RoundCache(_CACHE_POINTS), _count_weights(costs)
+    for run_index in range(run_lo, run_hi):
+        rng = np.random.default_rng([master_seed, run_index])
+        perm = draw_permutation(rng, n)
+        keys = list(accumulate(map(weight_of.__getitem__, perm.tolist()), initial=0))
+        yield _run_online(costs[perm], data[perm], cap, schedule, gamma, rng, cache, False, keys)
 
 
 def monte_carlo(

@@ -1,9 +1,12 @@
+import bisect
 import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surveymech import (
     BudgetSchedule,
@@ -15,6 +18,7 @@ from surveymech import (
     ci_parameters,
     ci_schedule,
     gen_population,
+    monte_carlo,
     run_ci_online,
     run_unbiased_online,
     solve_unbiased,
@@ -22,7 +26,7 @@ from surveymech import (
     virtual_costs,
     worst_case_variance,
 )
-from surveymech import online_runner
+from surveymech import online_runner, simharness
 from surveymech.audits import random_cost_set
 from surveymech.online_runner import _run_online, _solve_rounds
 
@@ -279,8 +283,8 @@ class TestWorkingSet:
     @pytest.mark.parametrize("task", ["unbiased", "ci"])
     def test_batch_bounds_move_no_bits(self, task, monkeypatch):
         # One row per batch, the default bound, and the whole run in one
-        # batch: the same offers, with or without a cache, and the same cache
-        # entries in the same order.
+        # batch: the same offers with a cache (the round loop) or without
+        # one (the array steps), and the same cache entries in the same order.
         # A cap below the costs' range flags some arrivals, so batches are
         # assembled from arrival lists with gaps.
         solve = online_runner._solve_rounds
@@ -315,6 +319,57 @@ class TestWorkingSet:
                 assert len(entry) == len(want_entry) and entry[-2:] == want_entry[-2:]
                 for part, want_part in zip(entry[1:-2], want_entry[1:-2]):
                     assert part.dtype == want_part.dtype and part.tobytes() == want_part.tobytes()
+
+    @pytest.mark.parametrize("task", ["unbiased", "ci"])
+    def test_monte_carlo_chunks_move_no_bits(self, task, monkeypatch):
+        # On a population without ties ``monte_carlo`` runs chunks of at
+        # most ``_BATCH_POINTS`` rounds, solved in batches under the same
+        # bound: one run per chunk and one row per batch, chunks of six runs,
+        # the default bound and the whole call in one chunk give the same
+        # per-run arrays, with one worker or two.
+        pop = gen_population({"kind": "independent"}, 40, 25.0, 5)
+        gamma = 0.9 if task == "ci" else None
+        run_chunk = simharness._run_chunk
+        chunks = []
+
+        def spy(costs, *args):
+            chunks.append(len(costs))
+            return run_chunk(costs, *args)
+
+        monkeypatch.setattr(simharness, "_run_chunk", spy)
+        want = None
+        for points, runs_per_chunk in ((1, 1), (6 * 40, 6), (online_runner._BATCH_POINTS, 30),
+                                       (math.inf, 30)):
+            monkeypatch.setattr(online_runner, "_BATCH_POINTS", points)
+            for workers in (1, 2):
+                chunks.clear()
+                _, per_run = monte_carlo(task, pop, 60.0, gamma, 30, 7, workers=workers,
+                                         return_per_run=True)
+                if workers == 1:
+                    assert chunks == [runs_per_chunk] * (30 // runs_per_chunk)
+                if want is None:
+                    want = per_run
+                for key, values in want.items():
+                    assert per_run[key].tobytes() == values.tobytes(), (points, workers, key)
+
+    # (shape, traced bytes a call may peak at): the two continuous-cost
+    # benchmark calls at full size, which peaked at 3.17 and 1.38 MB on
+    # numpy 2.4.6, and 2,000 runs at n = 100, which peaked at 5.76 MB: the
+    # chunk bound keeps a call's per-round arrays to one chunk of runs.
+    @pytest.mark.parametrize("task, n, runs, bound_mb", [
+        ("unbiased", 1000, 5, 3.6), ("ci", 100, 10, 1.6), ("unbiased", 100, 2000, 6.5),
+    ])
+    def test_cacheless_monte_carlo_memory_is_bounded(self, task, n, runs, bound_mb):
+        pop = gen_population({"kind": "independent"}, n, 25.0, 1)
+        gamma = 0.9 if task == "ci" else None
+        monte_carlo(task, pop, 1.5 * n, gamma, 2, 1)  # numpy's lazy imports happen here
+        tracemalloc.start()
+        try:
+            monte_carlo(task, pop, 1.5 * n, gamma, runs, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 2**20
 
     @pytest.mark.parametrize("task", ["unbiased", "ci"])
     def test_cacheless_run_matches_fresh_cache(self, task):
@@ -596,3 +651,64 @@ class TestPurchaseScreen:
         pop = make_pop([1.0, 2.0], cap=3.0)
         with pytest.raises(InvalidInputError):
             run_unbiased_online(pop, unbiased_schedule(2, 0.0), 0, record_transcripts=False)
+
+
+_PLAN_CAP = 10.0
+# Report values of each kind of run: ties, all distinct, zero costs, costs at
+# the cap, and one agent; a cap override below the cap flags some of them.
+_PLAN_VALUES = {
+    "tied": st.sampled_from([1.0, 2.5, 4.0]),
+    "distinct": st.floats(0.0, _PLAN_CAP),
+    "zero": st.just(0.0) | st.floats(0.0, _PLAN_CAP),
+    "cap": st.just(_PLAN_CAP) | st.floats(0.0, _PLAN_CAP),
+    "single": st.floats(0.0, _PLAN_CAP),
+}
+
+
+@st.composite
+def _plan_cases(draw):
+    kind = draw(st.sampled_from(sorted(_PLAN_VALUES)))
+    n = 1 if kind == "single" else draw(st.integers(2, 40))
+    costs = np.array(draw(st.lists(_PLAN_VALUES[kind], min_size=n, max_size=n)))
+    cap = draw(st.sampled_from([_PLAN_CAP, 3.0]))
+    total = draw(st.sampled_from([0.02, 0.3, 1.0, 5.0])) * n * _PLAN_CAP
+    return costs, cap, total, draw(st.integers(0, 2**16))
+
+
+class TestPlanners:
+    """A run without a round cache is planned, solved and settled as arrays;
+    a run with one goes round by round.  Both must make every round the
+    same decision and give the same bits."""
+
+    @given(_plan_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_array_plan_and_runs_match_the_loop(self, case):
+        costs, cap, total, seed = case
+        n = costs.size
+        rng = np.random.default_rng(seed)
+        data, coins = rng.random(n), rng.random(n)
+        schedule = unbiased_schedule(n, total)
+        # the loop's grids, from its transcripts, and the rounds it solves,
+        # which are the rounds it caches
+        loop = _run_online(costs, data, cap, schedule, None, _Coins(coins), {}, True)
+        solved: dict = {}
+        _run_online(costs, data, cap, schedule, None, _Coins(coins), solved, False)
+        _, sizes, idx, tops, budgets, solve = online_runner._plan_chunk(
+            costs[None], coins[None], cap, schedule, True)
+        assert solve.shape == (1, n)
+        for t in loop.transcripts:
+            i = t.round_index - 1
+            if t.flagged:
+                assert not solve[0, i]
+                continue
+            k = bisect.bisect_left(t.grid, t.cost)
+            assert (sizes[0, i], idx[0, i], tops[0, i]) == (len(t.grid), k, t.grid[k])
+            assert budgets[i] == schedule.per_round(t.round_index)
+            assert solve[0, i] == (t.grid in solved)
+        for gamma in (None, 0.9):
+            schedule = unbiased_schedule(n, total) if gamma is None else ci_schedule(n, total)
+            for record in (True, False):
+                runs = [repr(_run_online(costs, data, cap, schedule, gamma, _Coins(coins), cache, record))
+                        for cache in (None, {})]
+                assert runs[0] == runs[1], (gamma, record)
+
