@@ -54,9 +54,18 @@ __all__ = [
 # and with batches filled across its runs at 4.51 MB at 2^15 points, 2.48 MB
 # at 2^14 and 1.38 MB at 2^13 (numpy 2.4.6).  Unbiased rows keep 2^15: one
 # full-size ``mc_fresh_unbiased`` call peaked at 2.63 MB with one-run
-# batches and at 3.17 MB with chunk-filled ones.  It also bounds the rounds
-# of a chunk of cacheless runs (``_chunk_bounds``).
+# batches and at 3.17 MB with chunk-filled ones.
 _BATCH_POINTS = 2**15
+
+# Rounds per chunk of runs that read no round cache (``_chunk_bounds``).  A
+# chunk holds about 20 arrays of one entry per round besides one solve
+# batch, so this bound, not ``_BATCH_POINTS``, sets what many runs cost.
+# 2,000 unbiased runs at n = 100 in one ``monte_carlo`` call peaked at
+# 5.76 MB traced with chunks of 2^15 rounds, 4.18 MB with 2^14, 2.96 MB with
+# 2^13 and 2.34 MB with 2^12 (numpy 2.4.6); CPU time was the same within
+# noise down to 2^13 and about 10% more at 2^12.  Both continuous-cost
+# benchmark calls (5 x 1000 and 10 x 100 rounds) fit in one chunk.
+_CHUNK_ROUNDS = 2**13
 
 
 @dataclass(frozen=True)
@@ -78,8 +87,10 @@ class BudgetSchedule:
             raise InvalidInputError("xi must be positive")
         object.__setattr__(self, "xi", xi)
 
-    def per_round(self, i: int) -> float:
-        return self.xi * self.total_budget * math.sqrt(i)
+    def per_round(self, i):
+        """The budget ``xi * B * sqrt(i)`` of round ``i``, or of each round of
+        the array ``i``."""
+        return self.xi * self.total_budget * np.sqrt(i)
 
 
 def unbiased_schedule(n: int, total_budget: float) -> BudgetSchedule:
@@ -171,8 +182,8 @@ def _batch_bounds(widths, ci=False):
 
 def _chunk_bounds(count, n):
     """Split ``count`` runs of ``n`` rounds, in order, into ``(lo, hi)``
-    chunks of at most ``_BATCH_POINTS`` rounds; a chunk holds at least one run."""
-    size = int(max(1, min(count, _BATCH_POINTS // n)))
+    chunks of at most ``_CHUNK_ROUNDS`` rounds; a chunk holds at least one run."""
+    size = int(max(1, min(count, _CHUNK_ROUNDS // n)))
     return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
@@ -227,137 +238,101 @@ def _screen_slack(m):
     return 64 * m * m * sys.float_info.epsilon
 
 
-def _run_online(costs_seq, data_seq, cap, schedule, gamma, rng, cache, record, keys=None):
-    """One online run in arrival order: the unbiased task if ``gamma`` is None,
-    else the confidence-interval task at confidence ``gamma``.
+def _ruled_out(coin, size, top, budget, widen):
+    """Whether the purchase screen rules out a purchase in a round, for
+    scalars or arrays of rounds alike: ``size`` is the size ``m`` of the
+    round's grid, ``top`` the grid cost ``c_idx`` at the report's position,
+    ``budget`` the round budget ``B_i`` and ``widen`` one plus
+    ``_screen_slack``.
 
-    With ``cache`` None the run reads no round cache and goes through the
-    array steps of ``_run_chunk``, as a chunk of one run.  Otherwise this loop
-    serves it: every round not flagged solves its rule on the grid of
-    earlier reports plus the cap, or takes it from ``cache``.  Round ``i`` is
-    keyed by ``keys[i - 1]``, which the caller supplies and which must be
-    equal for two rounds exactly when their grids are; with ``keys`` None it
-    is keyed by the grid tuple, as user caches and transcripts read it (a
-    run that records transcripts keeps ``keys`` None).  An entry is the
-    round's key (slot 0), ``_solve_rounds``' arrays for the round (slots 1-3:
-    ``A``, then ``ignored`` on the CI task, then the payments), and the
-    budget and the CI ``beta`` (None for the unbiased task) it was solved
-    for.  A hit solved for another budget or ``beta`` is solved again: the
-    same grid recurs at a later round after a flagged arrival, and a shared
-    cache may have served a run at another ``gamma``.
-
-    No round's grid depends on a purchase, so the run takes three steps
-    after one draw of ``n`` purchase coins: one pass looks every round up;
-    the misses are solved together by ``_solve_rounds`` in batches of at
-    most ``_BATCH_POINTS`` grid points (``_batch_bounds``), and each batch's
-    offers are read from its arrays with one gather per array, while the
-    cache gets copies of its rows, in round order; a last pass makes the
-    offers with the coins.
-
-    The purchase screen: round ``i`` buys when its coin is below the offer
-    ``A_idx`` at the report's grid position ``idx``, and an unbiased round
-    that does not buy neither pays nor adds to the estimate.  The offer is
-    at most ``B_i / (m c_idx)`` on a grid of ``m`` points (``_screen_slack``),
-    so a missed unbiased round whose coin is at or above that bound, widened
-    by the slack, is not solved and not cached: it enters the last pass as
-    not bought, with offer 0.  The screen is off on the CI task, whose
-    interval counts every round's ignore decision; in a run that records
-    transcripts, which show every round's offer; and on rounds with budget
-    ``B_i <= 0``, which ``_solve_rounds`` rejects.  Hits read their cached
-    offer as before.
+    A round buys when its coin is below the offer ``A_idx``, and an
+    unbiased round that does not buy neither pays nor adds to the estimate.
+    The offer is at most ``B_i / (m c_idx)`` (``_screen_slack``), so a round
+    whose coin is at or above that bound, widened by the slack, need not be
+    solved.  Rounds with budget ``B_i <= 0``, which ``_solve_rounds``
+    rejects, are never ruled out.  Callers keep the screen off on the CI
+    task, whose interval counts every round's ignore decision, and in runs
+    that record transcripts, which show every round's offer.
     """
-    if cache is None:
-        coins = rng.random(costs_seq.size)
-        return _run_chunk(costs_seq[None], data_seq[None], coins[None], cap, schedule, gamma,
-                          record)[0]
+    return (budget > 0) & (coin * size * top >= budget * widen)
+
+
+def _run_cached(costs_seq, data_seq, coins, cap, schedule, gamma, cache, record, keys=None):
+    """One online run in arrival order, with purchase coins ``coins``, that
+    reads and adds to the round cache ``cache``: the unbiased task if
+    ``gamma`` is None, else the confidence-interval task at confidence
+    ``gamma``.  Runs that read no cache go through ``_run_chunk`` instead,
+    with the same bits.
+
+    Every round not flagged solves its rule on the grid of earlier reports
+    plus the cap, or takes it from ``cache``.  Round ``i`` is keyed by
+    ``keys[i - 1]``, which the caller supplies and which must be equal for
+    two rounds exactly when their grids are; with ``keys`` None it is keyed
+    by the grid tuple, as user caches and transcripts read it (a run that
+    records transcripts keeps ``keys`` None).  An entry is the round's key
+    (slot 0), ``_solve_rounds``' arrays for the round (slots 1-3: ``A``,
+    then ``ignored`` on the CI task, then the payments), and the budget and
+    the CI ``beta`` (None for the unbiased task) it was solved for.  A hit
+    solved for another budget or ``beta`` is solved again: the same grid
+    recurs at a later round after a flagged arrival, and a shared cache may
+    have served a run at another ``gamma``.
+
+    No round's grid depends on a purchase, so one pass looks every round up
+    and reads the hits' offers, then ``_solve_chunk`` solves the misses, as
+    a chunk of one run, and the cache gets copies of their rows in round
+    order; ``_settle`` makes the purchases.  The purchase screen
+    (``_ruled_out``, on for the unbiased task without transcripts) applies
+    to the misses: a miss it rules out is not solved and not cached, and
+    offers nothing.  Hits read their cached offer.
+    """
     n = costs_seq.size
     ci = gamma is not None
     beta = ci_parameters(gamma, n).beta if ci else None
-    coins = rng.random(n).tolist()
     screen = not ci and not record
     # every grid of the run has at most n + 1 points
     widen = 1.0 + _screen_slack(n + 1)
+    budgets = schedule.per_round(np.arange(1, n + 1))
+    budget_list = budgets.tolist()
+    coin_list = coins.tolist()
+    offers = _no_offers((1, n))
+    alloc, ignored, price = (out[0] for out in offers)
     lookup = cache.get
     grid: list[float] = [cap]
-    # Per round: (grid key, position of the cost on it, cache entry), where
-    # the entry is None on a flagged round, an index into ``misses`` and
-    # ``offers`` on a round still to be solved, and -1 on a screened round:
-    # ``offers`` ends with the offer that buys nothing.  Every round not
-    # flagged adds its cost to the grid, so no grid is missed twice in one run.
-    plan: list[tuple] = []
-    misses: list[tuple] = []  # (grid key, budget, grid size, position of the cost)
-    for i, cost in enumerate(costs_seq.tolist(), 1):
+    sizes, idx = [0] * n, [0] * n
+    missed = {}  # round -> grid key, for the rounds still to be solved
+    for i, cost in enumerate(costs_seq.tolist()):
         if cost > cap:
-            plan.append((tuple(grid) if record else None, 0, None))
             continue
-        key = keys[i - 1] if keys is not None else tuple(grid)
-        idx = bisect.bisect_left(grid, cost)
-        budget = schedule.per_round(i)
+        key = keys[i] if keys is not None else tuple(grid)
+        at = bisect.bisect_left(grid, cost)
+        budget = budget_list[i]
         entry = lookup(key)
-        if entry is None or entry[-2:] != (budget, beta):
-            if screen and budget > 0 and coins[i - 1] * len(grid) * grid[idx] >= budget * widen:
-                entry = -1
-            else:
-                entry = len(misses)
-                misses.append((key, budget, len(grid), idx))
-        plan.append((key, idx, entry))
+        if entry is not None and entry[-2:] == (budget, beta):
+            alloc[i] = entry[1][at]
+            if ci:
+                ignored[i] = entry[2][at]
+            # an ignored agent's price is NaN: its effective allocation is zero
+            price[i] = entry[-3][at]
+        elif not (screen and _ruled_out(coin_list[i], len(grid), grid[at], budget, widen)):
+            sizes[i], idx[i], missed[i] = len(grid), at, key
         bisect.insort(grid, cost)
-    offers: list[tuple] = []  # (A, ignored, payment) of each miss's arrival
-    if misses:
-        # A grid is the sorted first k of the cap and the costs not flagged;
-        # the stable sort keeps ties in arrival order, as ``insort`` does.
-        arrivals = np.concatenate(([cap], costs_seq[~(costs_seq > cap)]))
-        order = np.argsort(arrivals, kind="stable")
-        for lo, hi in _batch_bounds([size for _, _, size, _ in misses], ci):
-            batch = misses[lo:hi]
-            sizes = np.array([size for _, _, size, _ in batch])
-            width = int(sizes.max())
-            # the arrivals the batch's widest grid holds, in sorted order
-            held = order[order < width]
-            taken = held < sizes[:, None]
-            costs = np.full((len(batch), width), cap)
-            costs[np.arange(width) < sizes[:, None]] = np.broadcast_to(
-                arrivals[held], taken.shape)[taken]
-            parts = _solve_rounds(costs, sizes, [budget for _, budget, _, _ in batch], beta)
-            # each offer's flat position in the batch's C-ordered arrays
-            at = [r * width + idx for r, (_, _, _, idx) in enumerate(batch)]
-            got = [part.take(at).tolist() for part in parts]
-            offers += zip(got[0], got[1] if ci else [False] * len(batch), got[-1])
+    if missed:
+        solve = np.zeros((1, n), dtype=bool)
+        solve[0, list(missed)] = True
+        # the grid of a round with m points is the first m of these
+        arrivals = np.concatenate(([cap], costs_seq[~(costs_seq > cap)]))[None]
+
+        def store(rounds, parts):
             # copies, so a cached rule holds its own row and not the whole batch
-            for r, (key, budget, size, _) in enumerate(batch):
-                cache[key] = (key, *(part[r, :size].copy() for part in parts), budget, beta)
-    offers.append((0.0, False, math.nan))  # a screened round's: no coin is below 0
-    y = np.zeros(n)
-    total_paid = 0.0
-    flagged = 0
-    ignored_count = 0
-    transcripts: list[RoundTranscript] = []
-    for i, (key, idx, entry) in enumerate(plan, 1):
-        if entry is None:
-            flagged += 1
-            a, p, ignored = 0.0, math.nan, False
-        else:
-            if type(entry) is int:
-                a, ignored, p = offers[entry]
-            else:
-                a = float(entry[1][idx])
-                ignored = ci and bool(entry[2][idx])
-                # an ignored agent's price is NaN: its effective allocation is zero
-                p = float(entry[-3][idx])
-            ignored_count += ignored
-        purchased = not ignored and coins[i - 1] < a
-        observed = float(data_seq[i - 1]) if purchased else 0.0
-        if purchased:
-            y[i - 1] = observed / a
-        paid = p if purchased else 0.0
-        total_paid += paid
-        if record:
-            transcripts.append(RoundTranscript(
-                round_index=i, cost=float(costs_seq[i - 1]), grid=key, alloc=a,
-                payment_offer=p, ignored=ignored, purchased=purchased, observed=observed,
-                y=float(y[i - 1]), paid=paid, flagged=entry is None,
-            ))
-    return _result(y, total_paid, flagged, ignored_count, gamma, transcripts)
+            for r, i in enumerate(rounds.tolist()):
+                key = missed[i]
+                cache[key] = (key, *(part[r, :sizes[i]].copy() for part in parts), budget_list[i], beta)
+
+        solved = _solve_chunk(arrivals, np.array(sizes, dtype=np.intp)[None],
+                              np.array(idx, dtype=np.intp)[None], budgets, solve, beta, store)
+        for out, part in zip(offers, solved):
+            out[solve] = part[solve]
+    return _settle(costs_seq[None], data_seq[None], coins[None], cap, gamma, record, offers)[0]
 
 
 def _result(y, total_paid, flagged, ignored_count, gamma, transcripts):
@@ -433,7 +408,7 @@ def _plan_chunk(costs, coins, cap, schedule, screen):
     holds each run's cap, then its reports not above the cap in arrival
     order, then its flagged ones, so the grid of a round with ``m`` points
     is the first ``m`` entries of its run's row.  The rest is per round, in
-    arrival order, what ``_run_online``'s loop computes there: the grid's
+    arrival order, what ``_run_cached``'s loop computes there: the grid's
     size ``m``, the position ``idx = bisect_left(grid, c)`` of the report
     ``c`` and the grid cost ``grid[idx]`` at it (``_prefix_ranks``), the
     budget ``xi * B * sqrt(i)`` (one row for every run), and whether the
@@ -453,19 +428,20 @@ def _plan_chunk(costs, coins, cap, schedule, screen):
     for out, part in zip((below, tops), ranks):
         np.put_along_axis(out, moved, part[:, 1:], axis=1)
     sizes = np.cumsum(live, axis=1) - live + 1
-    # as ``BudgetSchedule.per_round`` computes it, bit for bit
-    budgets = schedule.xi * schedule.total_budget * np.sqrt(np.arange(1.0, n + 1))
+    budgets = schedule.per_round(np.arange(1, n + 1))
     solve = live
     if screen:
         widen = 1.0 + _screen_slack(n + 1)
-        solve = live & ~((budgets > 0) & (coins * sizes * tops >= budgets * widen))
+        solve = live & ~_ruled_out(coins, sizes, tops, budgets, widen)
     return arrivals, sizes, below, tops, budgets, solve
 
 
-def _solve_chunk(arrivals, sizes, idx, budgets, solve, beta):
+def _solve_chunk(arrivals, sizes, idx, budgets, solve, beta, store=None):
     """Offers ``(alloc, ignored, price)`` of a chunk's planned rounds (see
     ``_plan_chunk``), per round; a round not solved offers ``(0, False,
-    NaN)``, which buys nothing.
+    NaN)``, which buys nothing.  ``store``, if given, is called after each
+    batch with the batch's flat round indices and ``_solve_rounds``' arrays,
+    one row per round.
 
     The rounds to solve, stably sorted by grid size so that a batch pads
     little, go through ``_solve_rounds`` in ``_batch_bounds`` batches.  A
@@ -477,9 +453,7 @@ def _solve_chunk(arrivals, sizes, idx, budgets, solve, beta):
     """
     runs, n = solve.shape
     cap = arrivals[0, 0]
-    alloc = np.zeros((runs, n))
-    ignored = np.zeros((runs, n), dtype=bool)
-    price = np.full((runs, n), math.nan)
+    alloc, ignored, price = _no_offers((runs, n))
     rounds = np.flatnonzero(solve)
     widths = sizes.ravel()[rounds]
     by_width = np.argsort(widths, kind="stable")
@@ -495,12 +469,15 @@ def _solve_chunk(arrivals, sizes, idx, budgets, solve, beta):
         order = np.argsort(held, axis=1, kind="stable")
         slot = np.cumsum(present)[run] - 1
         costs = np.full((batch.size, width), cap)
-        costs[np.arange(width) < size] = np.take_along_axis(held, order, axis=1)[slot][order[slot] < size]
+        # the held arrivals in the order of ``order``: a stable sort of values
+        costs[np.arange(width) < size] = np.sort(held, axis=1, kind="stable")[slot][order[slot] < size]
         parts = _solve_rounds(costs, size[:, 0], budgets[batch % n].tolist(), beta)
         # each offer's flat position in the batch's C-ordered arrays
         at = np.arange(batch.size) * width + idx.ravel()[batch]
         for out, part in zip(outs, parts):
             np.put(out, batch, part.take(at))
+        if store is not None:
+            store(batch, parts)
     return alloc, ignored, price
 
 
@@ -508,37 +485,54 @@ def _run_chunk(costs, data, coins, cap, schedule, gamma, record):
     """Runs that read no round cache, one per row of the 2-D ``costs`` and
     ``data`` (a run's reports and data in arrival order) and ``coins`` (its
     purchase coins, one per round), for the task of ``gamma`` as in
-    ``_run_online``; a list of their results.
+    ``_run_cached``; a list of their results.
 
     Three array steps serve every round of the chunk together: the plan
     (``_plan_chunk``: grids, positions, budgets and the purchase screen,
     which is on for the unbiased task without transcripts), the solve
-    (``_solve_chunk``) and the settlement: a round buys when it is not
-    ignored and its coin is below its offer ``A``, and then ``y = z / A`` and
-    it pays its price.  A run's spend is the last of the running sums of its
-    rounds' payments in round order, the loop's sum bit for bit, and its
-    estimate the mean of its ``y``, or the interval around it.  Transcripts,
-    when recorded, are built from the settled arrays.  So a chunk holds its
-    runs' per-round arrays and one batch at a time.
+    (``_solve_chunk``) and the settlement (``_settle``).  So a chunk holds
+    its runs' per-round arrays and one batch at a time.
     """
-    runs, n = costs.shape
+    n = costs.shape[1]
     beta = ci_parameters(gamma, n).beta if gamma is not None else None
     arrivals, sizes, idx, _, budgets, solve = _plan_chunk(
         costs, coins, cap, schedule, gamma is None and not record)
-    alloc, ignored, price = _solve_chunk(arrivals, sizes, idx, budgets, solve, beta)
+    offers = _solve_chunk(arrivals, sizes, idx, budgets, solve, beta)
+    return _settle(costs, data, coins, cap, gamma, record, offers)
+
+
+def _no_offers(shape):
+    """Offer arrays ``(alloc, ignored, price)`` of the given shape, each
+    round's ``(0, False, NaN)``: the offer that buys nothing."""
+    return np.zeros(shape), np.zeros(shape, dtype=bool), np.full(shape, math.nan)
+
+
+def _settle(costs, data, coins, cap, gamma, record, offers):
+    """The results of runs whose rounds all have their offers, for the task
+    of ``gamma``: one run per row of the 2-D ``costs``, ``data``, ``coins``
+    and of each of the offer arrays ``(alloc, ignored, price)``.  Every path
+    settles here, with or without a round cache.
+
+    A round buys when it is not ignored and its coin is below its offer
+    ``A``, and then ``y = z / A`` and it pays its price.  A run's spend is
+    the last of the running sums of its rounds' payments in round order,
+    and its estimate the mean of its ``y``, or the interval around it.
+    Transcripts, when recorded, are built from the settled arrays.
+    """
+    alloc, ignored, price = offers
     bought = ~ignored & (coins < alloc)
-    y = np.zeros((runs, n))
+    y = np.zeros(costs.shape)
     np.divide(data, alloc, out=y, where=bought)
     paid = np.where(bought, price, 0.0)
-    # the loop adds to 0.0, which only sets the sign of a zero total
+    # a sum from 0.0 in round order; the 0.0 only sets the sign of a zero total
     spends = (np.add.accumulate(paid, axis=1)[:, -1] + 0.0).tolist()
-    flagged = np.count_nonzero(costs > cap, axis=1).tolist()
-    ignored_counts = np.count_nonzero(ignored, axis=1).tolist()
+    flagged = (costs > cap).sum(axis=1).tolist()
+    ignored_counts = ignored.sum(axis=1).tolist()
     return [
         _result(y[r], spends[r], flagged[r], ignored_counts[r], gamma,
                 _transcripts(costs[r], data[r], cap, alloc[r], ignored[r], price[r], bought[r], y[r])
                 if record else [])
-        for r in range(runs)
+        for r in range(len(costs))
     ]
 
 
@@ -561,10 +555,15 @@ def _transcripts(costs, data, cap, alloc, ignored, price, bought, y):
 
 
 def _run_population(population, schedule, gamma, rng_seed, cap, record, cache):
-    """``_run_online`` over a population in its given order, for both public runners."""
+    """One run over a population in its given order, for both public runners:
+    ``_run_cached`` with a round cache, else ``_run_chunk`` as a chunk of one."""
     cap = population.cap if cap is None else _scalar(cap, "cap")
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    return _run_online(population.costs, population.data, cap, schedule, gamma, rng, cache, record)
+    costs, data = population.costs, population.data
+    coins = rng.random(costs.size)
+    if cache is not None:
+        return _run_cached(costs, data, coins, cap, schedule, gamma, cache, record)
+    return _run_chunk(costs[None], data[None], coins[None], cap, schedule, gamma, record)[0]
 
 
 def run_unbiased_online(
@@ -582,7 +581,7 @@ def run_unbiased_online(
 
     ``cache``, if given, is a dict of solved rounds keyed by grid tuple that
     the run reads and adds to, and that may be shared between runs; the run
-    then goes round by round.  With ``cache`` None the run is planned,
+    then looks its rounds up one by one.  With ``cache`` None the run is planned,
     solved and settled as arrays, stores nothing and holds only its
     per-round arrays and one batch of rounds at a time; both give the same
     bits.
@@ -617,7 +616,7 @@ def run_ci_online(
 
     ``cache``, if given, is a dict of solved rounds keyed by grid tuple that
     the run reads and adds to, and that may be shared between runs; the run
-    then goes round by round.  With ``cache`` None the run is planned,
+    then looks its rounds up one by one.  With ``cache`` None the run is planned,
     solved and settled as arrays, solves every round not flagged, stores
     nothing and holds only its per-round arrays and one batch of rounds at a
     time; both give the same bits.

@@ -22,8 +22,8 @@ from .ci_solver import ci_parameters
 from .errors import InvalidInputError, _float_array, _scalar, _vector, _whole
 from .online_runner import (
     _chunk_bounds,
+    _run_cached,
     _run_chunk,
-    _run_online,
     benchmark_ci,
     benchmark_unbiased,
     ci_bound_rhs,
@@ -51,7 +51,7 @@ _TASKS = ("unbiased", "ci")
 # bound 4.0-4.25 MB of arrays, and 4.5-6.3 MB with the per-entry overhead on
 # five- to twenty-value populations at n = 100 to 1000 (12-14 MB on fifty
 # values at n = 30, whose grids are short).  A run's working set is this
-# cache, if any, plus one batch of ``_run_online``.
+# cache, if any, plus one batch of ``_solve_rounds``.
 _CACHE_POINTS = 2**18
 # Points of the uniform grid ``truthfulness_audit`` checks the extension on,
 # and the violation it tolerates.
@@ -151,10 +151,10 @@ def _mc_batch(task, costs, data, cap, budget, gamma, master_seed, run_lo, run_hi
     two runs share round ``i``'s grid only if they drew the same ``i - 1``
     earlier arrivals, so a round cache would almost never be read again: the
     runs go through ``online_runner._run_chunk`` in chunks of at most
-    ``_BATCH_POINTS`` rounds (``_chunk_bounds``), each planned, solved and
+    ``_CHUNK_ROUNDS`` rounds (``_chunk_bounds``), each planned, solved and
     settled as arrays, as a public runner does with ``cache`` None.  Where
-    some cost repeats, the batch keeps a round cache and runs the loop of
-    ``_run_online``, keyed exactly by the running sum of ``_count_weights``.
+    some cost repeats, the batch keeps a round cache and runs
+    ``_run_cached``, keyed exactly by the running sum of ``_count_weights``.
     """
     n = costs.size
     count = run_hi - run_lo
@@ -202,7 +202,8 @@ def _mc_results(costs, data, cap, schedule, gamma, master_seed, run_lo, run_hi):
         rng = np.random.default_rng([master_seed, run_index])
         perm = draw_permutation(rng, n)
         keys = list(accumulate(map(weight_of.__getitem__, perm.tolist()), initial=0))
-        yield _run_online(costs[perm], data[perm], cap, schedule, gamma, rng, cache, False, keys)
+        yield _run_cached(costs[perm], data[perm], rng.random(n), cap, schedule, gamma, cache,
+                          False, keys)
 
 
 def monte_carlo(

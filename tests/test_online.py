@@ -28,7 +28,7 @@ from surveymech import (
 )
 from surveymech import online_runner, simharness
 from surveymech.audits import random_cost_set
-from surveymech.online_runner import _run_online, _solve_rounds
+from surveymech.online_runner import _solve_rounds
 
 
 def make_pop(costs, data=None, cap=None):
@@ -36,6 +36,17 @@ def make_pop(costs, data=None, cap=None):
     data = np.ones_like(costs) if data is None else np.asarray(data, dtype=float)
     cap = float(costs.max() if cap is None else cap)
     return Population(costs=costs, data=data, cap=cap)
+
+
+def run_online(costs, data, cap, schedule, gamma, rng, cache, record):
+    """One run as the public runners make it, on arrays and with any
+    generator: ``_run_cached`` with a round cache, else the array steps of
+    ``_run_chunk`` as a chunk of one run."""
+    coins = rng.random(costs.size)
+    if cache is not None:
+        return online_runner._run_cached(costs, data, coins, cap, schedule, gamma, cache, record)
+    return online_runner._run_chunk(costs[None], data[None], coins[None], cap, schedule, gamma,
+                                    record)[0]
 
 
 def solve_round(grid, budget, beta):
@@ -275,10 +286,10 @@ class TestWorkingSet:
         pop = gen_population({"kind": "independent"}, n, 25.0, 4)
         rng = np.random.default_rng(9)
         if task == "unbiased":
-            return _run_online(pop.costs, pop.data, 24.0, unbiased_schedule(n, 1.5 * n), None,
-                               rng, cache, True)
-        return _run_online(pop.costs, pop.data, 24.0, ci_schedule(n, 1.5 * n), 0.9,
-                           rng, cache, True)
+            return run_online(pop.costs, pop.data, 24.0, unbiased_schedule(n, 1.5 * n), None,
+                              rng, cache, True)
+        return run_online(pop.costs, pop.data, 24.0, ci_schedule(n, 1.5 * n), 0.9,
+                          rng, cache, True)
 
     @pytest.mark.parametrize("task", ["unbiased", "ci"])
     def test_batch_bounds_move_no_bits(self, task, monkeypatch):
@@ -323,10 +334,10 @@ class TestWorkingSet:
     @pytest.mark.parametrize("task", ["unbiased", "ci"])
     def test_monte_carlo_chunks_move_no_bits(self, task, monkeypatch):
         # On a population without ties ``monte_carlo`` runs chunks of at
-        # most ``_BATCH_POINTS`` rounds, solved in batches under the same
-        # bound: one run per chunk and one row per batch, chunks of six runs,
-        # the default bound and the whole call in one chunk give the same
-        # per-run arrays, with one worker or two.
+        # most ``_CHUNK_ROUNDS`` rounds, solved in batches of at most
+        # ``_BATCH_POINTS`` points: one run per chunk and one row per batch,
+        # chunks of six runs, the default bounds and the whole call in one
+        # chunk give the same per-run arrays, with one worker or two.
         pop = gen_population({"kind": "independent"}, 40, 25.0, 5)
         gamma = 0.9 if task == "ci" else None
         run_chunk = simharness._run_chunk
@@ -338,9 +349,11 @@ class TestWorkingSet:
 
         monkeypatch.setattr(simharness, "_run_chunk", spy)
         want = None
-        for points, runs_per_chunk in ((1, 1), (6 * 40, 6), (online_runner._BATCH_POINTS, 30),
-                                       (math.inf, 30)):
-            monkeypatch.setattr(online_runner, "_BATCH_POINTS", points)
+        defaults = (online_runner._BATCH_POINTS, online_runner._CHUNK_ROUNDS)
+        for bounds, runs_per_chunk in (((1, 1), 1), ((6 * 40,) * 2, 6), (defaults, 30),
+                                       ((math.inf,) * 2, 30)):
+            monkeypatch.setattr(online_runner, "_BATCH_POINTS", bounds[0])
+            monkeypatch.setattr(online_runner, "_CHUNK_ROUNDS", bounds[1])
             for workers in (1, 2):
                 chunks.clear()
                 _, per_run = monte_carlo(task, pop, 60.0, gamma, 30, 7, workers=workers,
@@ -350,14 +363,17 @@ class TestWorkingSet:
                 if want is None:
                     want = per_run
                 for key, values in want.items():
-                    assert per_run[key].tobytes() == values.tobytes(), (points, workers, key)
+                    assert per_run[key].tobytes() == values.tobytes(), (bounds, workers, key)
 
-    # (shape, traced bytes a call may peak at): the two continuous-cost
+    # (shape, traced MB a call may peak at): the two continuous-cost
     # benchmark calls at full size, which peaked at 3.17 and 1.38 MB on
-    # numpy 2.4.6, and 2,000 runs at n = 100, which peaked at 5.76 MB: the
-    # chunk bound keeps a call's per-round arrays to one chunk of runs.
+    # numpy 2.4.6, and 2,000 runs at n = 100, which peaked at 2.96 MB.  Each
+    # bound is twice the measured peak, room for the temporaries of sorts
+    # and gathers on other numpy versions.  The 2,000 runs peaked at 25 MB
+    # in one chunk: ``_CHUNK_ROUNDS`` keeps their per-round arrays to one
+    # chunk of runs at a time.
     @pytest.mark.parametrize("task, n, runs, bound_mb", [
-        ("unbiased", 1000, 5, 3.6), ("ci", 100, 10, 1.6), ("unbiased", 100, 2000, 6.5),
+        ("unbiased", 1000, 5, 6.4), ("ci", 100, 10, 2.8), ("unbiased", 100, 2000, 6.0),
     ])
     def test_cacheless_monte_carlo_memory_is_bounded(self, task, n, runs, bound_mb):
         pop = gen_population({"kind": "independent"}, n, 25.0, 1)
@@ -593,8 +609,8 @@ class TestPurchaseScreen:
         for total in (0.2 * n, 1.5 * n, 5.0 * n, 40.0 * n):
             schedule = unbiased_schedule(n, total) if gamma is None else ci_schedule(n, total)
             for seed in range(3):
-                runs = [_run_online(pop.costs, pop.data, cap, schedule, gamma,
-                                    np.random.default_rng(seed), cache, record)
+                runs = [run_online(pop.costs, pop.data, cap, schedule, gamma,
+                                   np.random.default_rng(seed), cache, record)
                         for record in (True, False) for cache in (None, {})]
                 assert len({_outputs(run) for run in runs}) == 1, (total, seed)
                 assert (runs[0].flagged > 0) == (shape == "flagged")
@@ -613,8 +629,8 @@ class TestPurchaseScreen:
         for gamma, schedule in ((None, unbiased_schedule(200, 300.0)), (0.9, ci_schedule(200, 300.0))):
             for record in (True, False):
                 rows.clear()
-                res = _run_online(pop.costs, pop.data, 20.0, schedule, gamma,
-                                  np.random.default_rng(4), None, record)
+                res = run_online(pop.costs, pop.data, 20.0, schedule, gamma,
+                                 np.random.default_rng(4), None, record)
                 solved[gamma, record] = sum(rows)
         unflagged = 200 - res.flagged
         assert solved[None, True] == solved[0.9, True] == solved[0.9, False] == unflagged
@@ -640,7 +656,7 @@ class TestPurchaseScreen:
                 cases += 1
                 # earlier rounds draw coin 1, which buys nothing
                 coins = _Coins([1.0] * (m - 1) + [coin])
-                runs = [_run_online(pop.costs, pop.data, 3.0, schedule, None, coins, None, record)
+                runs = [run_online(pop.costs, pop.data, 3.0, schedule, None, coins, None, record)
                         for record in (True, False)]
                 assert runs[0].transcripts[-1].purchased
                 assert _outputs(runs[0]) == _outputs(runs[1]), (m, total)
@@ -677,8 +693,8 @@ def _plan_cases(draw):
 
 class TestPlanners:
     """A run without a round cache is planned, solved and settled as arrays;
-    a run with one goes round by round.  Both must make every round the
-    same decision and give the same bits."""
+    a run with one looks its rounds up one by one.  Both must make every
+    round the same decision and give the same bits."""
 
     @given(_plan_cases())
     @settings(max_examples=150, deadline=None)
@@ -690,9 +706,9 @@ class TestPlanners:
         schedule = unbiased_schedule(n, total)
         # the loop's grids, from its transcripts, and the rounds it solves,
         # which are the rounds it caches
-        loop = _run_online(costs, data, cap, schedule, None, _Coins(coins), {}, True)
+        loop = run_online(costs, data, cap, schedule, None, _Coins(coins), {}, True)
         solved: dict = {}
-        _run_online(costs, data, cap, schedule, None, _Coins(coins), solved, False)
+        run_online(costs, data, cap, schedule, None, _Coins(coins), solved, False)
         _, sizes, idx, tops, budgets, solve = online_runner._plan_chunk(
             costs[None], coins[None], cap, schedule, True)
         assert solve.shape == (1, n)
@@ -708,7 +724,7 @@ class TestPlanners:
         for gamma in (None, 0.9):
             schedule = unbiased_schedule(n, total) if gamma is None else ci_schedule(n, total)
             for record in (True, False):
-                runs = [repr(_run_online(costs, data, cap, schedule, gamma, _Coins(coins), cache, record))
+                runs = [repr(run_online(costs, data, cap, schedule, gamma, _Coins(coins), cache, record))
                         for cache in (None, {})]
                 assert runs[0] == runs[1], (gamma, record)
 

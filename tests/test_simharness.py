@@ -299,7 +299,7 @@ def _public_runs(task, pop, budget, gamma, runs, seed):
 
 def _screened_rounds(pop, budget, runs, seed):
     """Rounds of ``runs`` harness runs of the unbiased task that the purchase
-    screen of ``online_runner._run_online`` leaves to be solved, from each
+    screen of ``online_runner._plan_chunk`` leaves to be solved, from each
     run's own coins and the bound ``A_idx m c_idx <= B_i (1 + slack)`` on a
     grid of ``m`` points."""
     schedule = unbiased_schedule(pop.n, budget)
