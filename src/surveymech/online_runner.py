@@ -216,45 +216,62 @@ def _screen_slack(m):
     On a sorted grid ``c_0 <= ... <= c_{m-1}`` the virtual costs
     ``psi_k = (k+1) c_k - k c_{k-1}`` are non-negative, and the rule ``A``
     is non-increasing, constant on each ironed block, and spends
-    ``sum_k A_k psi_k <= B`` with ``A_k phi_k = min(phi_k, lam sqrt(phi_k))``
-    on the ironed costs ``phi``.  Let ``hi`` end the block of position
-    ``idx``.  Up to ``hi`` the ``psi`` sum to ``(hi+1) c_hi`` and ``A_k >=
-    A_idx``, so they spend at least ``A_idx (hi+1) c_hi``.  Above ``hi`` the
-    blocks are whole, so they spend ``sum_k A_k phi_k``, whose terms grow
-    with ``phi_k >= phi_idx`` and so are each at least ``A_idx phi_idx``.  A
-    block ``lo..hi`` averages ``((hi+1) c_hi - lo c_{lo-1}) / (hi-lo+1) >=
-    c_hi``, so ``phi_idx >= c_hi >= c_idx``.  Together, in exact arithmetic,
-    ``A_idx m c_idx <= A_idx ((hi+1) c_hi + (m-1-hi) c_idx) <= B``, with
-    equality on ``m`` equal costs whose budget buys less than all of them.
+    ``sum_k A_k psi_k <= B`` with ``A_k = min(1, lam / sqrt(phi_k))`` on the
+    ironed costs ``phi``.  The bound is ``A_idx (idx c_idx + sqrt(c_idx) S)
+    <= B`` at every position ``idx``, where ``S = sum_{k >= idx} sqrt(c_k)``.
+    Let ``hi`` end the block of ``idx``; in exact arithmetic:
+
+    1. Up to ``hi`` the ``psi`` sum to ``(hi+1) c_hi`` and each has ``A_k
+       >= A_idx``, so they spend at least ``A_idx (hi+1) c_hi``.
+    2. Above ``hi`` the blocks are whole, so they spend ``sum_k A_k phi_k``,
+       and ``A_k phi_k = sqrt(phi_k) min(sqrt(phi_k), lam) >= A_idx
+       sqrt(phi_idx phi_k)``, since ``phi_k >= phi_idx`` and ``A_idx
+       sqrt(phi_idx) = min(sqrt(phi_idx), lam)``.
+    3. A block ``lo..hi`` averages ``((hi+1) c_hi - lo c_{lo-1}) / (hi-lo+1)
+       >= c_hi``, so ``phi_k >= c_k`` and ``phi_idx >= c_hi >= c_idx``.
+    4. ``(hi+1) c_hi >= idx c_idx + sum_{idx <= k <= hi} sqrt(c_idx c_k)``,
+       as ``c_idx <= c_hi`` and ``sqrt(c_idx c_k) <= c_hi`` for ``k <= hi``.
+
+    Together ``B >= A_idx ((hi+1) c_hi + sum_{k > hi} sqrt(c_idx c_k)) >=
+    A_idx (idx c_idx + sqrt(c_idx) S)``.  As ``S >= (m - idx) sqrt(c_idx)``,
+    this is never looser than ``A_idx m c_idx <= B``, and on ``m`` equal
+    costs it is that bound, met with equality when the budget buys less
+    than all of them.
+
     The computed rule meets it up to rounding: each computed ``psi_k`` is
     off by a few ulps of ``(k+1) c_k <= m psi_k``; a pooled block's average
     is a difference of prefix sums of at most ``m c_hi`` for a block sum of
     at least ``c_hi``, so the computed ``phi`` is off by a relative few
     times ``m^2`` ulps; and the calibration's prefix sums add a few times
-    ``m`` ulps.  So the computed offer exceeds the bound by a relative
-    ``O(m^2 eps)``; the factor 64 covers those few-ulp constants with room
-    to spare.
+    ``m`` ulps.  The screen's ``S`` sums at most ``m`` non-negative roots,
+    each correctly rounded, so it is off by a relative ``m`` ulps at most,
+    and the product and sum that form the bound add a few more.  So the
+    computed offer exceeds the computed bound by a relative ``O(m^2 eps)``;
+    the factor 64 covers those few-ulp constants with room to spare.
     """
     return 64 * m * m * sys.float_info.epsilon
 
 
-def _ruled_out(coin, size, top, budget, widen):
+def _ruled_out(coin, below, top, roots, budget, widen):
     """Whether the purchase screen rules out a purchase in a round, for
-    scalars or arrays of rounds alike: ``size`` is the size ``m`` of the
-    round's grid, ``top`` the grid cost ``c_idx`` at the report's position,
+    scalars or arrays of rounds alike: ``below`` is the report's position
+    ``idx`` in the round's sorted grid (the count of grid costs below it),
+    ``top`` the grid cost ``c_idx`` there, ``roots`` the sum ``S`` of the
+    square roots of the grid costs at positions ``idx..m-1``, cap included,
     ``budget`` the round budget ``B_i`` and ``widen`` one plus
     ``_screen_slack``.
 
     A round buys when its coin is below the offer ``A_idx``, and an
     unbiased round that does not buy neither pays nor adds to the estimate.
-    The offer is at most ``B_i / (m c_idx)`` (``_screen_slack``), so a round
-    whose coin is at or above that bound, widened by the slack, need not be
-    solved.  Rounds with budget ``B_i <= 0``, which ``_solve_rounds``
-    rejects, are never ruled out.  Callers keep the screen off on the CI
-    task, whose interval counts every round's ignore decision, and in runs
-    that record transcripts, which show every round's offer.
+    The offer is at most ``B_i / (idx c_idx + sqrt(c_idx) S)``
+    (``_screen_slack``), so a round whose coin is at or above that bound,
+    widened by the slack, need not be solved.  Rounds with budget ``B_i <=
+    0``, which ``_solve_rounds`` rejects, are never ruled out, nor are
+    rounds at a zero cost.  Callers keep the screen off on the CI task,
+    whose interval counts every round's ignore decision, and in runs that
+    record transcripts, which show every round's offer.
     """
-    return (budget > 0) & (coin * size * top >= budget * widen)
+    return (budget > 0) & (coin * (below * top + np.sqrt(top) * roots) >= budget * widen)
 
 
 def _run_cached(costs_seq, data_seq, coins, cap, schedule, gamma, cache, record, keys=None):
@@ -313,7 +330,8 @@ def _run_cached(costs_seq, data_seq, coins, cap, schedule, gamma, cache, record,
                 ignored[i] = entry[2][at]
             # an ignored agent's price is NaN: its effective allocation is zero
             price[i] = entry[-3][at]
-        elif not (screen and _ruled_out(coin_list[i], len(grid), grid[at], budget, widen)):
+        elif not (screen and _ruled_out(coin_list[i], at, grid[at], sum(map(math.sqrt, grid[at:])),
+                                        budget, widen)):
             sizes[i], idx[i], missed[i] = len(grid), at, key
         bisect.insort(grid, cost)
     if missed:
@@ -354,8 +372,9 @@ def _result(y, total_paid, flagged, ignored_count, gamma, transcripts):
 
 def _prefix_ranks(arrivals):
     """Where each entry of each row of the 2-D ``arrivals`` falls among the
-    entries before it in its row: ``(below, least)``, the count of earlier
-    entries below it and the least earlier entry at or above it.
+    entries before it in its row: ``(below, least, roots)``, the count of
+    earlier entries below it, the least earlier entry at or above it, and
+    the sum of the square roots of the earlier entries at or above it.
 
     One stable sort of each row ranks its entries, ties in row order, and an
     entry's query rank is the first rank of its value, so an earlier entry
@@ -366,13 +385,19 @@ def _prefix_ranks(arrivals):
     ``block * width + rank`` at once and ``searchsorted``s the right halves'
     queries among them, which counts the left entries below and finds the
     least at or above, for all rows and blocks together: ``O(width log^2
-    width)`` per row, with no ``width x width`` array.  The first entry of a
-    row has no earlier one: its count is 0 and its least entry the row's
-    largest.
+    width)`` per row, with no ``width x width`` array.  The same level sums
+    each left half's square roots from the top, one cumulative sum per
+    block, and reads the sum at the query's position: every root sum adds
+    non-negative terms and is never a difference of prefix sums, so it is
+    off by a relative few ``width`` ulps at most.  The first entry of a row
+    has no earlier one: its count is 0, its least entry the row's largest
+    and its root sum exactly 0, as is the root sum of any entry above all
+    earlier ones.
     """
     runs, width = arrivals.shape
     order = np.argsort(arrivals, axis=1, kind="stable")
     ordered = np.take_along_axis(arrivals, order, axis=1)
+    rank_roots = np.sqrt(ordered)
     cols = np.arange(width)
     row = np.arange(runs)[:, None]
     rank = np.empty_like(order)
@@ -383,12 +408,14 @@ def _prefix_ranks(arrivals):
     query[row, order] = np.maximum.accumulate(np.where(starts, cols, 0), axis=1)
     below = np.zeros_like(order)
     least = np.full_like(order, width - 1)
+    roots = np.zeros(arrivals.shape)
     h = 1
     while h < width:
         half = cols // h % 2
         left, right = np.flatnonzero(half == 0), np.flatnonzero(half == 1)
         blocks = -(-width // (2 * h))
-        keys = np.sort(((row * blocks + left // (2 * h)) * width + rank[:, left]).ravel())
+        base = (row * blocks + left // (2 * h)) * width
+        keys = np.sort((base + rank[:, left]).ravel())
         block = row * blocks + right // (2 * h)
         pos = np.searchsorted(keys, (block * width + query[:, right]).ravel()).reshape(block.shape)
         # a block's left keys follow the whole left halves of the blocks before it
@@ -396,8 +423,18 @@ def _prefix_ranks(arrivals):
         below[:, right] += pos - first
         found = keys[np.minimum(pos, keys.size - 1)] - block * width
         least[:, right] = np.minimum(least[:, right], np.where(pos < first + h, found, width - 1))
+        # each block's left roots in key order (sorting keeps every block's
+        # keys in its own range, so a key less its block's base is its rank),
+        # zero-padded to h and summed from the top; column h, read where no
+        # left entry is at or above the query, stays 0
+        left_roots = np.zeros((runs, blocks, h))
+        left_roots.reshape(runs, -1)[:, :left.size] = np.take_along_axis(
+            rank_roots, keys.reshape(runs, -1) - base, axis=1)
+        sums = np.zeros((runs, blocks, h + 1))
+        sums[:, :, :h] = np.cumsum(left_roots[:, :, ::-1], axis=2)[:, :, ::-1]
+        roots[:, right] += sums.ravel()[block * (h + 1) + pos - first]
         h *= 2
-    return below, np.take_along_axis(ordered, least, axis=1)
+    return below, np.take_along_axis(ordered, least, axis=1), roots
 
 
 def _plan_chunk(costs, coins, cap, schedule, screen):
@@ -410,11 +447,11 @@ def _plan_chunk(costs, coins, cap, schedule, screen):
     is the first ``m`` entries of its run's row.  The rest is per round, in
     arrival order, what ``_run_cached``'s loop computes there: the grid's
     size ``m``, the position ``idx = bisect_left(grid, c)`` of the report
-    ``c`` and the grid cost ``grid[idx]`` at it (``_prefix_ranks``), the
-    budget ``xi * B * sqrt(i)`` (one row for every run), and whether the
-    round is solved: not flagged, and, with ``screen``, not ruled out by the
-    purchase screen.  A flagged round's ``m``, ``idx`` and grid cost mean
-    nothing.
+    ``c`` and the grid cost ``grid[idx]`` at it (``_prefix_ranks``, whose
+    root sums ``S`` over ``grid[idx:]`` the screen reads too), the budget
+    ``xi * B * sqrt(i)`` (one row for every run), and whether the round is
+    solved: not flagged, and, with ``screen``, not ruled out by the purchase
+    screen.  A flagged round's ``m``, ``idx`` and grid cost mean nothing.
     """
     runs, n = costs.shape
     live = ~(costs > cap)
@@ -424,15 +461,15 @@ def _plan_chunk(costs, coins, cap, schedule, screen):
     arrivals[:, 0] = cap
     arrivals[:, 1:] = np.take_along_axis(costs, moved, axis=1)
     ranks = _prefix_ranks(arrivals)
-    below, tops = (np.empty((runs, n), dtype=part.dtype) for part in ranks)
-    for out, part in zip((below, tops), ranks):
+    below, tops, roots = (np.empty((runs, n), dtype=part.dtype) for part in ranks)
+    for out, part in zip((below, tops, roots), ranks):
         np.put_along_axis(out, moved, part[:, 1:], axis=1)
     sizes = np.cumsum(live, axis=1) - live + 1
     budgets = schedule.per_round(np.arange(1, n + 1))
     solve = live
     if screen:
         widen = 1.0 + _screen_slack(n + 1)
-        solve = live & ~_ruled_out(coins, sizes, tops, budgets, widen)
+        solve = live & ~_ruled_out(coins, below, tops, roots, budgets, widen)
     return arrivals, sizes, below, tops, budgets, solve
 
 
@@ -557,8 +594,10 @@ def _transcripts(costs, data, cap, alloc, ignored, price, bought, y):
 def _run_population(population, schedule, gamma, rng_seed, cap, record, cache):
     """One run over a population in its given order, for both public runners:
     ``_run_cached`` with a round cache, else ``_run_chunk`` as a chunk of one."""
-    cap = population.cap if cap is None else _scalar(cap, "cap")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    cap = population.cap if cap is None else _scalar(cap, "cap", 0.0)
+    rng = rng_seed
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(_scalar(rng_seed, "rng_seed", 0, convert=_whole))
     costs, data = population.costs, population.data
     coins = rng.random(costs.size)
     if cache is not None:
@@ -590,11 +629,18 @@ def run_unbiased_online(
     in its transcript, so the result grows as O(n^2): 35.8 MB at n = 3000
     with continuous costs (tracemalloc), against a 2.9 MB peak with False.
     Pass False for long runs.  With False, a round bought with probability
-    ``A`` at most ``B_i / (m c_idx)`` (its budget over its grid's size ``m``
-    and the grid cost at the report's position) whose purchase coin lands at
-    or above that bound is neither solved nor cached: it cannot buy, and the
-    estimate and the spend come out the same bits.  On continuous costs that
-    skips about 88% of the rounds.
+    ``A`` at most ``B_i / (idx c_idx + sqrt(c_idx) S)`` (its budget over a
+    sum over its grid: ``c_idx`` is the grid cost at the report's position
+    ``idx`` and ``S`` the sum of the square roots of the grid costs from
+    there up, cap included) whose purchase coin lands at or above that bound
+    is neither solved nor cached: it cannot buy, and the estimate and the
+    spend come out the same bits.  On continuous costs that skips about 93%
+    of the rounds.
+
+    Raises:
+        InvalidInputError: unless ``rng_seed`` is a numpy ``Generator`` or a
+            whole number ``>= 0`` and ``cap``, if given, a finite number
+            ``>= 0``.
     """
     return _run_population(population, schedule, None, rng_seed, cap, record_transcripts, cache)
 
@@ -625,6 +671,9 @@ def run_ci_online(
     in its transcript, so the result grows as O(n^2): 35.8 MB at n = 3000
     with continuous costs (tracemalloc), against a 2.9 MB peak with False.
     Pass False for long runs.
+
+    Raises:
+        InvalidInputError: as ``run_unbiased_online``.
     """
     return _run_population(population, schedule, gamma, rng_seed, cap, record_transcripts, cache)
 

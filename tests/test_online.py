@@ -566,15 +566,25 @@ def _outputs(result):
     return repr(dataclasses.replace(result, transcripts=[]))
 
 
+def _offer_bounds(grid):
+    """The purchase screen's offer denominators ``idx c_idx + sqrt(c_idx) S``
+    at every position ``idx`` of a sorted grid, where ``S`` sums the square
+    roots of the grid costs at positions ``idx`` and above."""
+    roots = [math.sqrt(c) for c in grid.tolist()]
+    tails = [math.fsum(roots[k:]) for k in range(grid.size)]
+    return np.arange(grid.size) * grid + np.sqrt(grid) * np.array(tails)
+
+
 class TestPurchaseScreen:
     # An unbiased round that does not buy neither pays nor adds to the
-    # estimate, and its offer is at most B / (m c_idx) on a grid of m points;
-    # so a run that records no transcripts skips solving a missed round whose
-    # coin is at or above that bound, widened by ``_screen_slack``.
+    # estimate, and its offer is at most B / (idx c_idx + sqrt(c_idx) S) at
+    # the report's position idx of its grid; so a run that records no
+    # transcripts skips solving a missed round whose coin is at or above
+    # that bound, widened by ``_screen_slack``.
 
     def test_computed_offers_meet_the_bound(self):
         rng = np.random.default_rng(11)
-        worst = [0.0, 0.0]  # on one-point grids, on wider grids
+        worst = [0.0, 0.0]  # on grids of unequal costs, on grids of equal positive costs
         for grid in _screen_grids(rng):
             m = grid.size
             total = m * float(grid[-1])  # the virtual costs' sum: it buys everything
@@ -582,15 +592,54 @@ class TestPurchaseScreen:
             budgets = [f * total for f in fractions] if total > 0 else [1e-9, 1.0]
             width = len(budgets)
             alloc, _ = _solve_rounds(np.tile(grid, (width, 1)), np.full(width, m), budgets, None)
-            live = grid > 0
+            bounds = _offer_bounds(grid)
+            # never looser than the bound m c_idx of equal costs
+            assert np.all(bounds >= m * grid * (1 - 1e-12)), m
+            equal = bool(grid[0] == grid[-1] > 0)
             for row, budget in zip(alloc, budgets):
-                spent = row * m * grid
-                assert np.all(spent[live] <= budget * (1 + online_runner._screen_slack(m))), m
-                share = float(np.max(spent[live], initial=0.0)) / budget
-                worst[m > 1] = max(worst[m > 1], share)
-        # the bound is sharp: a one-point grid's offer meets it exactly, and
-        # so does an offer on m equal costs at the cap with B < m * cap
-        assert all(1 - 1e-12 < share <= 1 + 1e-12 for share in worst), worst
+                spent = row * bounds
+                assert np.all(spent <= budget * (1 + online_runner._screen_slack(m))), m
+                worst[equal] = max(worst[equal], float(np.max(spent)) / budget)
+        assert worst[0] <= 1 + 1e-12, worst
+        # the bound is sharp: on m equal costs it is B / (m c), which an offer
+        # meets exactly when the budget buys less than all of them
+        assert 1 - 1e-12 < worst[1] <= 1 + 1e-12, worst
+
+    def test_a_coin_between_the_bound_and_m_c_idx_is_screened(self, monkeypatch):
+        # The last report, 1.0, lands at position 0 of the grid (5, 10, 15,
+        # 20, 25): the bound B / (m c_idx) = B / 25 would leave the round to
+        # solve, the square-root bound B / (sqrt(5) S) = B / 41.9 rules it
+        # out, and the run's bits stay the same.
+        pop = make_pop([5.0, 10.0, 15.0, 20.0, 1.0], data=np.full(5, 0.5), cap=25.0)
+        schedule = unbiased_schedule(5, 40.0)
+        budget = schedule.per_round(5)
+        grid = np.array([5.0, 10.0, 15.0, 20.0, 25.0])
+        bound = _offer_bounds(grid)[0]
+        widen = 1 + online_runner._screen_slack(6)
+        coin = budget * widen / math.sqrt(bound * 5 * 5.0)
+        assert budget * widen / bound < coin < budget * widen / (5 * 5.0) < 1
+        # earlier rounds draw coin 1, which buys nothing
+        coins = np.array([1.0] * 4 + [coin])
+        solve = online_runner._plan_chunk(pop.costs[None], coins[None], 25.0, schedule, True)[-1]
+        assert not solve[0, 4]
+        rows = []
+        solve_rounds = online_runner._solve_rounds
+
+        def spy(costs, sizes, budgets, beta):
+            rows.append(sizes.tolist())
+            return solve_rounds(costs, sizes, budgets, beta)
+
+        monkeypatch.setattr(online_runner, "_solve_rounds", spy)
+        caches = [None, {}, None, {}]
+        runs = [run_online(pop.costs, pop.data, 25.0, schedule, None, _Coins(coins), cache, record)
+                for record, cache in zip((True, True, False, False), caches)]
+        assert len({_outputs(run) for run in runs}) == 1
+        offer = runs[0].transcripts[-1].alloc
+        assert not runs[0].transcripts[-1].purchased and offer * bound <= budget * widen
+        # only the runs that record transcripts solve round 5, and the run
+        # that screens it does not cache it
+        assert sum(5 in sizes for sizes in rows) == 2
+        assert tuple(grid) in caches[1] and tuple(grid) not in caches[3]
 
     @pytest.mark.parametrize("gamma", [None, 0.9])
     @pytest.mark.parametrize("shape", ["continuous", "tied", "flagged", "zeros", "capped"])
@@ -728,3 +777,26 @@ class TestPlanners:
                         for cache in (None, {})]
                 assert runs[0] == runs[1], (gamma, record)
 
+    def test_prefix_root_sums_match_fsum(self):
+        # Each entry's root sum from ``_prefix_ranks`` against ``math.fsum`` of
+        # the square roots of the earlier entries at or above it, on rows of
+        # continuous, integer-tied, zero-heavy and cap-first values; where no
+        # earlier entry qualifies, the sum is exactly 0.
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for width in sorted({1, 2, 3, 300, *rng.integers(1, 301, size=16).tolist()}):
+            rows = np.stack([
+                rng.uniform(0.0, 25.0, width),
+                rng.integers(0, 6, width).astype(float),
+                np.where(rng.random(width) < 0.8, 0.0, rng.uniform(0.0, 25.0, width)),
+                np.concatenate(([25.0], rng.uniform(0.0, 25.0, width - 1))),
+            ])
+            roots = online_runner._prefix_ranks(rows)[2]
+            for row, got in zip(rows.tolist(), roots.tolist()):
+                for j, (value, sum_) in enumerate(zip(row, got)):
+                    want = math.fsum(math.sqrt(v) for v in row[:j] if v >= value)
+                    if want == 0:
+                        assert sum_ == 0.0, (width, j)
+                    else:
+                        worst = max(worst, abs(sum_ - want) / want)
+        assert worst < 1e-13, worst

@@ -300,8 +300,9 @@ def _public_runs(task, pop, budget, gamma, runs, seed):
 def _screened_rounds(pop, budget, runs, seed):
     """Rounds of ``runs`` harness runs of the unbiased task that the purchase
     screen of ``online_runner._plan_chunk`` leaves to be solved, from each
-    run's own coins and the bound ``A_idx m c_idx <= B_i (1 + slack)`` on a
-    grid of ``m`` points."""
+    run's own coins and the bound ``A_idx (idx c_idx + sqrt(c_idx) S) <= B_i
+    (1 + slack)``, where ``S`` sums the square roots of the grid costs at
+    positions ``idx`` and above."""
     schedule = unbiased_schedule(pop.n, budget)
     widen = 1.0 + online_runner._screen_slack(pop.n + 1)
     left = 0
@@ -312,7 +313,9 @@ def _screened_rounds(pop, budget, runs, seed):
         grid = [pop.cap]
         for i, (cost, coin) in enumerate(zip(pop.costs[perm].tolist(), coins.tolist()), 1):
             idx = bisect.bisect_left(grid, cost)
-            left += not coin * len(grid) * grid[idx] >= schedule.per_round(i) * widen
+            top = grid[idx]
+            bound = idx * top + math.sqrt(top) * math.fsum(map(math.sqrt, grid[idx:]))
+            left += not coin * bound >= schedule.per_round(i) * widen
             bisect.insort(grid, cost)
     return left
 
