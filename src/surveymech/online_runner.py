@@ -252,14 +252,15 @@ def _screen_slack(m):
     return 64 * m * m * sys.float_info.epsilon
 
 
-def _ruled_out(coin, below, top, roots, budget, widen):
+def _ruled_out(coin, below, top, root, roots, budget, widen):
     """Whether the purchase screen rules out a purchase in a round, for
     scalars or arrays of rounds alike: ``below`` is the report's position
     ``idx`` in the round's sorted grid (the count of grid costs below it),
-    ``top`` the grid cost ``c_idx`` there, ``roots`` the sum ``S`` of the
-    square roots of the grid costs at positions ``idx..m-1``, cap included,
-    ``budget`` the round budget ``B_i`` and ``widen`` one plus
-    ``_screen_slack``.
+    ``top`` the grid cost ``c_idx`` there and ``root`` its square root,
+    ``roots`` the sum ``S`` of the square roots of the grid costs at
+    positions ``idx..m-1``, cap included, ``budget`` the round budget
+    ``B_i`` and ``widen`` one plus ``_screen_slack``.  Callers pass
+    ``root``, so the loop's Python floats need no numpy call.
 
     A round buys when its coin is below the offer ``A_idx``, and an
     unbiased round that does not buy neither pays nor adds to the estimate.
@@ -271,7 +272,7 @@ def _ruled_out(coin, below, top, roots, budget, widen):
     whose interval counts every round's ignore decision, and in runs that
     record transcripts, which show every round's offer.
     """
-    return (budget > 0) & (coin * (below * top + np.sqrt(top) * roots) >= budget * widen)
+    return (budget > 0) & (coin * (below * top + root * roots) >= budget * widen)
 
 
 def _run_cached(costs_seq, data_seq, coins, cap, schedule, gamma, cache, record, keys=None):
@@ -330,8 +331,13 @@ def _run_cached(costs_seq, data_seq, coins, cap, schedule, gamma, cache, record,
                 ignored[i] = entry[2][at]
             # an ignored agent's price is NaN: its effective allocation is zero
             price[i] = entry[-3][at]
-        elif not (screen and _ruled_out(coin_list[i], at, grid[at], sum(map(math.sqrt, grid[at:])),
-                                        budget, widen)):
+        # the screen's root sum S, for the misses it tests only: about 2 us
+        # each on a 51-point grid, where one _prefix_ranks call on the run's
+        # arrivals, the array plan's source of S, takes about 380 us at
+        # n = 100, more than twice a cached run's whole loop.  The two sums
+        # add in different orders; the slack covers both
+        elif not (screen and _ruled_out(coin_list[i], at, grid[at], math.sqrt(grid[at]),
+                                        sum(map(math.sqrt, grid[at:])), budget, widen)):
             sizes[i], idx[i], missed[i] = len(grid), at, key
         bisect.insort(grid, cost)
     if missed:
@@ -469,7 +475,7 @@ def _plan_chunk(costs, coins, cap, schedule, screen):
     solve = live
     if screen:
         widen = 1.0 + _screen_slack(n + 1)
-        solve = live & ~_ruled_out(coins, below, tops, roots, budgets, widen)
+        solve = live & ~_ruled_out(coins, below, tops, np.sqrt(tops), roots, budgets, widen)
     return arrivals, sizes, below, tops, budgets, solve
 
 
@@ -595,9 +601,13 @@ def _run_population(population, schedule, gamma, rng_seed, cap, record, cache):
     """One run over a population in its given order, for both public runners:
     ``_run_cached`` with a round cache, else ``_run_chunk`` as a chunk of one."""
     cap = population.cap if cap is None else _scalar(cap, "cap", 0.0)
-    rng = rng_seed
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(_scalar(rng_seed, "rng_seed", 0, convert=_whole))
+    if np.isscalar(rng_seed):
+        rng_seed = _scalar(rng_seed, "rng_seed", 0, convert=_whole)
+    try:
+        # a Generator comes back as it is
+        rng = np.random.default_rng(rng_seed)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"invalid rng_seed {rng_seed!r}: {exc}") from exc
     costs, data = population.costs, population.data
     coins = rng.random(costs.size)
     if cache is not None:
@@ -638,9 +648,11 @@ def run_unbiased_online(
     of the rounds.
 
     Raises:
-        InvalidInputError: unless ``rng_seed`` is a numpy ``Generator`` or a
-            whole number ``>= 0`` and ``cap``, if given, a finite number
-            ``>= 0``.
+        InvalidInputError: unless ``rng_seed`` is a whole number ``>= 0``
+            or another seed ``np.random.default_rng`` takes (None, a
+            ``SeedSequence``, a sequence of whole numbers ``>= 0`` or a
+            ``Generator``, used as it is), and ``cap``, if given, a finite
+            number ``>= 0``.
     """
     return _run_population(population, schedule, None, rng_seed, cap, record_transcripts, cache)
 

@@ -122,12 +122,12 @@ SCALAR_ARGUMENTS = {
         lambda v: run_unbiased_online(POP, unbiased_schedule(3, 5.0), 0, cap=v), 2.0,
         REAL + (-1.0,), InvalidInputError),
     "run_unbiased_online-rng_seed": (
-        lambda v: run_unbiased_online(POP, unbiased_schedule(3, 5.0), v), 0, WHOLE + (-1, 1.5),
-        InvalidInputError),
+        lambda v: run_unbiased_online(POP, unbiased_schedule(3, 5.0), v), 0,
+        WHOLE + (-1, 1.5, [1, -1], [1.5], ["x"]), InvalidInputError),
     "run_ci_online-cap": (lambda v: run_ci_online(POP, ci_schedule(3, 5.0), 0.9, 0, cap=v), 2.0,
                           REAL + (-1.0,), InvalidInputError),
     "run_ci_online-rng_seed": (lambda v: run_ci_online(POP, ci_schedule(3, 5.0), 0.9, v), 0,
-                               WHOLE + (-1, 1.5), InvalidInputError),
+                               WHOLE + (-1, 1.5, [1, -1], [1.5], ["x"]), InvalidInputError),
     "unbiased_bound_rhs-n": (lambda v: unbiased_bound_rhs(v, 0.1, 0.5), 1, WHOLE + (0,),
                              InvalidInputError),
     "unbiased_bound_rhs-var_star": (lambda v: unbiased_bound_rhs(4, v, 0.5), 0.0,

@@ -107,6 +107,17 @@ class TestRunUnbiased:
         assert a.estimate == b.estimate
         assert a.transcripts == b.transcripts
 
+    def test_takes_every_seed_default_rng_takes(self):
+        # a whole number, a sequence such as the harness's [seed, run], a
+        # SeedSequence or a Generator seeds the run as default_rng does;
+        # None draws fresh entropy
+        pop = make_pop([1, 5, 2, 4, 3], cap=6.0)
+        sched = unbiased_schedule(5, 3.0)
+        for seed in (7, [7, 2], np.random.SeedSequence(7)):
+            want = run_unbiased_online(pop, sched, np.random.default_rng(seed))
+            assert run_unbiased_online(pop, sched, seed) == want, seed
+        assert np.isfinite(run_unbiased_online(pop, sched, None).estimate)
+
     def test_zero_budget_rejected(self):
         pop = make_pop([1.0, 2.0], cap=3.0)
         sched = unbiased_schedule(2, 0.0)
@@ -584,7 +595,8 @@ class TestPurchaseScreen:
 
     def test_computed_offers_meet_the_bound(self):
         rng = np.random.default_rng(11)
-        worst = [0.0, 0.0]  # on grids of unequal costs, on grids of equal positive costs
+        worst = 0.0  # on grids of unequal costs
+        sharp = []  # (m, worst share) of each grid of m equal positive costs
         for grid in _screen_grids(rng):
             m = grid.size
             total = m * float(grid[-1])  # the virtual costs' sum: it buys everything
@@ -595,15 +607,21 @@ class TestPurchaseScreen:
             bounds = _offer_bounds(grid)
             # never looser than the bound m c_idx of equal costs
             assert np.all(bounds >= m * grid * (1 - 1e-12)), m
-            equal = bool(grid[0] == grid[-1] > 0)
+            shares = []
             for row, budget in zip(alloc, budgets):
                 spent = row * bounds
                 assert np.all(spent <= budget * (1 + online_runner._screen_slack(m))), m
-                worst[equal] = max(worst[equal], float(np.max(spent)) / budget)
-        assert worst[0] <= 1 + 1e-12, worst
+                shares.append(float(np.max(spent)) / budget)
+            if grid[0] == grid[-1] > 0:
+                sharp.append((m, max(shares)))
+            else:
+                worst = max(worst, *shares)
+        assert worst <= 1 + 1e-12, worst
         # the bound is sharp: on m equal costs it is B / (m c), which an offer
-        # meets exactly when the budget buys less than all of them
-        assert 1 - 1e-12 < worst[1] <= 1 + 1e-12, worst
+        # meets exactly when the budget buys less than all of them, on one
+        # point and on every wider grid alike
+        assert {1, 3, 40} <= {m for m, _ in sharp}, sharp
+        assert all(1 - 1e-12 < share <= 1 + 1e-12 for _, share in sharp), sharp
 
     def test_a_coin_between_the_bound_and_m_c_idx_is_screened(self, monkeypatch):
         # The last report, 1.0, lands at position 0 of the grid (5, 10, 15,
