@@ -14,8 +14,10 @@ objective is convex in the ignored mass ``M`` and a convex quadratic between
 block events, so one upward sweep over those pieces finds its minimizer in
 closed form; the rule at that mass comes from the same fill-from-the-top
 step and calibration that ``objective_at_mass`` and ``g_derivative`` use.
-Every step works on the rows of a padded batch: the online runner solves a
-batch of rounds in one call, and ``solve_ci`` a batch of one.
+Every step works on the rows of a padded batch, the sweep included: one step
+function, run once on every block of every row to find where each row's walk
+starts, then once a step on the rows still walking.  The online runner
+solves a batch of rounds in one call, and ``solve_ci`` a batch of one.
 """
 
 from __future__ import annotations
@@ -142,14 +144,62 @@ def _rule_at_mass(phi, psi, sizes, budgets, edges, mass):
     return _calibrate_rows(phi, psi, 1.0 - u, budgets, sizes) + (u,)
 
 
-def _optimal_mass(sizes, block_phi, block_sqrt, spend_below, sqrt_below, j, top, above, m, budget, beta):
-    """Smallest minimizer of the outer objective over ignored mass in [0, m].
+@np.errstate(all="ignore")
+def _walk_step(at_top, at_j, top, j, live, above, budget, s, inv_m2, slack_root):
+    """One iteration of ``_walk`` on arrays: ``(stop, mass, slack, event)``.
 
-    Takes a row's blocks as lists (sizes, phi, sqrt(phi), and the sums of
-    ``size * phi`` and ``size * sqrt(phi)`` below each), the lowest block
-    ``j`` not clipped at M = 0, and the block ``top`` the walk starts at,
-    with ``above`` the (integer) mass of the blocks above it, all ignored.
-    The lists need only reach ``top``: the walk reads nothing above it.
+    ``at_top`` and ``at_j`` hold the walk table's five entries at blocks
+    ``top`` and ``j``.  Where ``stop`` the walk returns ``(mass, slack)``;
+    elsewhere it advances ``j`` if ``event < live`` and drops block ``top``
+    if not.  Every expression is the walk's, in its order, with
+    ``where(b < a, b, a)`` for Python's ``min(a, b)`` and ``where(b > a, b, a)``
+    for ``max(a, b)``, so a lane gets the bits of the iteration on Python
+    floats wherever the walk reaches it; lanes it never reaches may divide by
+    zero or overflow, which is why the step ignores floating-point errors.
+    """
+    size, phi, root, spend, roots = at_top
+    _, _, root_j, spend_j, roots_j = at_j
+    mass = above + (size - live)
+    live_spend = spend + live * phi
+    slack_now = (live_spend <= budget) | (j > top)
+    to_slack = (live_spend - budget) / phi
+    event = np.where(to_slack < live, to_slack, live)
+    room = budget - spend_j  # where it is not positive, lam = 0 and the slope is -inf up to the event
+    s1 = roots - roots_j + live * root
+    a = s * root / room
+    at_min = (room > 0) & (mass * inv_m2 >= a * s1)
+    step = (a * s1 - mass * inv_m2) / (a * root + inv_m2)
+    lam_event = (s1 - room / root_j) / root
+    event = np.where((room > 0) & (j < top) & (lam_event < event), lam_event, event)
+    inside = (room > 0) & (step < event)
+    stop = slack_now | at_min | inside | (event == to_slack)
+    slack = slack_now | ~(at_min | inside)
+    mass = np.where(slack_now | at_min, mass, np.where(inside, mass + step, mass + event))
+    return stop, np.where(slack & (slack_root > mass), slack_root, mass), slack, event
+
+
+def _walk_start(table, above, counts, j, params):
+    """Each row's highest block at which ``_walk_step`` does more than drop
+    the block, or -1 where there is none: the step on every block of every
+    row at once, in the state the walk reaches a block in while it only
+    drops blocks (``live`` its size, ``above`` the mass over it)."""
+    live = table[0, :, :-1]
+    t = np.arange(live.shape[1])
+    stop, _, _, event = _walk_step(table[:, :, :-1], table[:, np.arange(j.size)[:, None], j[:, None]],
+                                   t, j[:, None], live, above, *params[:, :, None])
+    acts = (stop | (event < live)) & (t < counts[:, None])
+    return np.where(acts.any(axis=1), t[-1] - np.argmax(acts[:, ::-1], axis=1), -1)
+
+
+def _walk(table, above, m, counts, j, budgets, beta):
+    """Each row's ``(mass, slack)``: the smallest minimizer of the outer
+    objective over ignored mass in [0, m], and whether the budget is slack there.
+
+    ``table[:, r, b]`` holds block ``b`` of row ``r``: its size, phi and
+    sqrt(phi), and the sums of ``size * phi`` and ``size * sqrt(phi)`` below
+    it; ``above[r, b]`` is the (integer) mass over it, ``m[r]`` the row's
+    size and ``j[r]`` its lowest block not clipped at M = 0.
+
     ``F(M) = s V(M) + (M/m)^2`` with ``s = beta^2/m``.  While the budget
     binds, the live blocks below ``j`` are clipped at A = 1 and
     ``V = K + S1^2 / (B - C)``: ``K`` and ``C`` are the size and spend of the
@@ -158,88 +208,45 @@ def _optimal_mass(sizes, block_phi, block_sqrt, spend_below, sqrt_below, j, top,
     right slope ``-2s / A_top + 2M/m^2``.  A piece ends when the top live
     block runs out, when ``lam = (B - C)/S1`` reaches ``sqrt(phi_j)``, or when
     the live spend reaches ``B``; from there on the budget is slack and
-    ``F = s (m - M) + (M/m)^2``.  Walks the pieces upward and returns
-    ``(mass, slack)``: the first point whose right slope is >= 0, and whether
-    the budget is slack there.
+    ``F = s (m - M) + (M/m)^2``.  The walk goes up the pieces from M = 0 at
+    the top block and stops at the first point whose right slope is >= 0.
 
-    Started at the top block, the walk reaches a lower block ``t`` with
-    ``j`` unchanged, ``live = size_t`` and ``above`` the mass over ``t``
-    whenever every iteration above ``t`` only dropped its block; so starting
-    at ``t`` in that state, as ``_solve_ci_rows`` does, gives the same bits.
+    Started at the top block, the walk reaches a lower block ``t`` with ``j``
+    unchanged, ``live = size_t`` and ``above`` the mass over ``t`` whenever
+    every iteration above ``t`` only dropped its block.  So each row starts
+    at the block ``_walk_start`` finds, in that state, with the same bits; a
+    row with none has mass ``m`` and a slack budget, as the walk ends after
+    dropping every block.  Then ``_walk_step`` runs once a step on the rows
+    still walking, and a row leaves as soon as it stops.  A step that does
+    not stop a row advances ``j`` or lowers ``top``, and a row stops once
+    ``j > top`` or ``top < 0``; so a row started at ``top`` stops within
+    ``top - j + 2`` steps, and the loop runs no more.  ``j`` is advanced
+    explicitly, since recomputing ``lam`` where it reaches ``sqrt(phi_j)``
+    can stall on rounding.
     """
-    s = beta * beta / m
-    inv_m2 = 1.0 / (m * m)
-    slack_root = min(float(m), 0.5 * beta * beta * m)  # zero of -s + 2M/m^2
-    live = float(sizes[top])
-    while top >= 0:
-        mass = above + (sizes[top] - live)
-        live_spend = spend_below[top] + live * block_phi[top]
-        if live_spend <= budget or j > top:
-            return max(mass, slack_root), True
-        to_slack = (live_spend - budget) / block_phi[top]
-        event = min(live, to_slack)
-        room = budget - spend_below[j]
-        if room > 0:  # else lam = 0 and the slope is -inf up to the event
-            s1 = sqrt_below[top] - sqrt_below[j] + live * block_sqrt[top]
-            a = s * block_sqrt[top] / room
-            if mass * inv_m2 >= a * s1:
-                return mass, False
-            step = (a * s1 - mass * inv_m2) / (a * block_sqrt[top] + inv_m2)
-            if j < top:
-                event = min(event, (s1 - room / block_sqrt[j]) / block_sqrt[top])
-            if step < event:
-                return mass + step, False
-        if event == to_slack:
-            return max(mass + event, slack_root), True
-        if event < live:
-            # lam reached sqrt(phi_j): advance j explicitly, since recomputing
-            # lam at this point can stall on rounding
-            live -= event
-            j += 1
-        else:
-            above += sizes[top]
-            top -= 1
-            live = float(sizes[top])
-    return float(m), True
-
-
-def _walk_starts(edges, counts, block_phi, block_sqrt, spend_below, sqrt_below, j, budgets, beta):
-    """Each row's highest block at which ``_optimal_mass``' first iteration
-    does more than drop the block, or -1 where there is none.
-
-    Evaluates that iteration at every block ``t`` of every row at once, in
-    the state the walk reaches ``t`` in while it only drops blocks: ``live =
-    size_t``, ``above`` the mass over ``t`` and ``j`` unchanged.  Every
-    expression is the walk's, in its order, and Python's ``min(a, b)`` is
-    ``where(b < a, b, a)``, so each test gives the walk's answer wherever the
-    walk gets to ask it; lanes it never reaches may divide by zero or overflow.
-    """
-    rows = np.arange(edges.shape[0])[:, None]
-    t = np.arange(block_phi.shape[1])
-    m = edges[:, -1:]
-    size = edges[:, 1:] - edges[:, :-1]
-    budget = np.array(budgets, dtype=float)[:, None]
-    j = j[:, None]
-    s = beta * beta / m
-    inv_m2 = 1.0 / (m * m)
-    live = size.astype(float)
-    mass = (m - edges[:, 1:]) + (size - live)
-    with np.errstate(all="ignore"):
-        live_spend = spend_below[:, :-1] + live * block_phi
-        acts = (live_spend <= budget) | (j > t)
-        to_slack = (live_spend - budget) / block_phi
-        event = np.where(to_slack < live, to_slack, live)
-        room = budget - spend_below[rows, j]
-        s1 = sqrt_below[:, :-1] - sqrt_below[rows, j] + live * block_sqrt
-        a = s * block_sqrt / room
-        acts |= (room > 0) & (mass * inv_m2 >= a * s1)
-        step = (a * s1 - mass * inv_m2) / (a * block_sqrt + inv_m2)
-        lam_event = (s1 - room / block_sqrt[rows, np.minimum(j, t[-1])]) / block_sqrt
-        event = np.where((room > 0) & (j < t) & (lam_event < event), lam_event, event)
-        acts |= (room > 0) & (step < event)
-    acts |= (event == to_slack) | (event < live)
-    acts &= t < counts[:, None]
-    return np.where(acts.any(axis=1), t[-1] - np.argmax(acts[:, ::-1], axis=1), -1)
+    slack_root = 0.5 * beta * beta * m  # zero of -s + 2M/m^2, at most m
+    params = np.array((budgets, beta * beta / m, 1.0 / (m * m), np.where(slack_root < m, slack_root, m)))
+    start = _walk_start(table, above, counts, j, params)
+    mass, slack = m.astype(float), np.ones(m.size, dtype=bool)
+    rows = np.flatnonzero(start >= 0)
+    top, j = start[rows], j[rows]
+    live, above = table[0, rows, top], above[rows, top]
+    for _ in range(int(np.max(top - j, initial=-1)) + 2):
+        if not rows.size:
+            break
+        stop, out, out_slack, event = _walk_step(
+            table[:, rows, top], table[:, rows, j], top, j, live, above, *params[:, rows])
+        mass[rows[stop]], slack[rows[stop]] = out[stop], out_slack[stop]
+        advance = event < live
+        j = j + advance
+        above = np.where(advance, above, above + table[0, rows, top])
+        top = top - ~advance
+        live = np.where(advance, live - event, table[0, rows, top])
+        keep = ~stop & (top >= 0)
+        rows, top, j, live, above = rows[keep], top[keep], j[keep], live[keep], above[keep]
+    if rows.size:
+        raise SolverError("the outer walk overran its step bound")
+    return mass, slack
 
 
 def _solve_ci_rows(phi, psi, sizes, budgets, beta):
@@ -247,39 +254,25 @@ def _solve_ci_rows(phi, psi, sizes, budgets, beta):
 
     Row ``r`` holds ``sizes[r]`` ironed and raw virtual costs, padded with
     ``phi = 0`` as for ``_calibrate_rows``, and has budget ``budgets[r]``.
-    The block split, the sweep's set-up, the fill and the calibration run on
-    all rows at once; ``np.add.accumulate`` adds along a row in order, so each row
-    gets the bits of a batch of one.  ``A`` is 1 and ``U`` 0 on the padding.
-
-    Most iterations of a row's walk from its top block only drop an ignored
-    block.  ``_walk_starts`` finds, for all rows at once, the highest block
-    where the first iteration does more; the walk starts there, in the state
-    it would have reached it in, and reads only the blocks up to it.  A row
-    with no such block has mass ``m`` and a slack budget, as the walk would
-    return after dropping them all.  The walk still computes every result."""
+    Every step runs on all rows at once: the block split, the walk's table,
+    the outer walk, the fill and the calibration; ``np.add.accumulate`` adds
+    along a row in order, so each row gets the bits of a batch of one.  ``A``
+    is 1 and ``U`` 0 on the padding."""
     edges, counts = _block_rows(phi, sizes)
-    block_size = edges[:, 1:] - edges[:, :-1]  # 0 past a row's last block
-    block_phi = np.take_along_axis(phi, edges[:, 1:] - 1, axis=1)  # read at each block's last entry
-    block_sqrt = np.sqrt(block_phi)
-    spend_below, sqrt_below = sums = np.zeros((2, phi.shape[0], edges.shape[1]))
-    np.add.accumulate(block_size * np.array((block_phi, block_sqrt)), axis=2, out=sums[:, :, 1:])
+    # the walk's table: size, phi, sqrt(phi) and the sums of size * phi and size * sqrt(phi)
+    # below each block, with one more column for the sums below all blocks
+    table = np.zeros((5, phi.shape[0], edges.shape[1]))
+    block_size, block_phi, block_sqrt, spend_below, sqrt_below = table
+    block_size[:, :-1] = edges[:, 1:] - edges[:, :-1]  # 0 past a row's last block
+    block_phi[:, :-1] = np.take_along_axis(phi, edges[:, 1:] - 1, axis=1)  # read at each block's last entry
+    np.sqrt(block_phi, out=block_sqrt)
+    np.add.accumulate(block_size[:, :-1] * table[1:3, :, :-1], axis=2, out=table[3:, :, 1:])
     # spend with lam at each breakpoint, as in the calibration's breakpoint
     # scan; ``bisect_left`` probes as ``searchsorted`` does, sorted or not
-    spend_bp = spend_below[:, :-1] + block_sqrt * (sqrt_below[:, -1:] - sqrt_below[:, :-1])
+    spend_bp = spend_below[:, :-1] + block_sqrt[:, :-1] * (sqrt_below[:, -1:] - sqrt_below[:, :-1])
     j = np.array([bisect.bisect_left(bp, budget, 0, k)
                   for bp, budget, k in zip(spend_bp.tolist(), budgets, counts.tolist())])
-    start = _walk_starts(edges, counts, block_phi, block_sqrt, spend_below, sqrt_below, j, budgets, beta)
-    above = sizes - np.take_along_axis(edges, start[:, None] + 1, axis=1)[:, 0]
-    # the walk reads each row's blocks up to its start only: gather those, row after row
-    read = np.flatnonzero(np.arange(block_phi.shape[1]) <= start[:, None])
-    lists = [block_size.take(read).tolist()] + np.array(
-        (block_phi, block_sqrt, spend_below[:, :-1], sqrt_below[:, :-1])).reshape(4, -1).take(read, axis=1).tolist()
-    ends = np.add.accumulate(start + 1).tolist()
-    mass, slack = map(np.array, zip(*[
-        _optimal_mass(*[part[end - top - 1:end] for part in lists], j0, top, above_top, m, budget, beta)
-        if top >= 0 else (float(m), True)
-        for m, top, above_top, j0, budget, end in zip(sizes.tolist(), start.tolist(), above.tolist(),
-                                                      j.tolist(), budgets, ends)]))
+    mass, slack = _walk(table, sizes[:, None] - edges[:, 1:], sizes, counts, j, budgets, beta)
     alloc, lam, saturated, u = _rule_at_mass(phi, psi, sizes, budgets, edges, mass)
     # On the saturation kink the calibration's own spend sum decides: step a row up from
     # ulp(m), doubling, until it agrees the budget is slack (as it does at mass m).

@@ -130,7 +130,9 @@ def _rule_at_mass(phi, psi, starts, ends, budget, mass):
 
 
 def _optimal_mass(phi, starts, ends, budget, beta):
-    """Smallest minimizer of the outer objective over ignored mass in [0, m].
+    """Smallest minimizer of the outer objective over ignored mass in [0, m]:
+    the scalar reference walk, one Python iteration per step, that
+    ``ci_solver._walk`` must match bit for bit.
 
     ``F(M) = s V(M) + (M/m)^2`` with ``s = beta^2/m``.  While the budget
     binds, the live blocks below ``j`` are clipped at A = 1 and
@@ -440,13 +442,13 @@ def _record_walk_starts(monkeypatch):
     """A list that gets ``(start, counts)`` of every batch ``_solve_ci_rows``
     solves: where each row's walk starts, and its block count."""
     starts = []
-    walk_starts = ci_solver._walk_starts
+    walk_start = ci_solver._walk_start
 
-    def recorded(edges, counts, *args):
-        starts.append((walk_starts(edges, counts, *args), counts))
+    def recorded(table, above, counts, *args):
+        starts.append((walk_start(table, above, counts, *args), counts))
         return starts[-1][0]
 
-    monkeypatch.setattr(ci_solver, "_walk_starts", recorded)
+    monkeypatch.setattr(ci_solver, "_walk_start", recorded)
     return starts
 
 
@@ -538,6 +540,21 @@ def test_ci_row_whose_walk_skips_every_block(monkeypatch):
     assert batched[0][4] == 8.0 and batched[0][2]
     for k, ((phi, psi), budget) in enumerate(zip(rows, budgets)):
         assert _same_row(batched[k], _solve_ci_arrays(phi, psi, budget, beta)), k
+
+
+def test_ci_walk_that_never_stops_ends_on_its_step_bound(monkeypatch):
+    # A step that never stops a row and always advances ``j`` must not spin:
+    # the walk ends after its bound of steps and says so.
+    walk_step = ci_solver._walk_step
+
+    def never_stops(*args):
+        stop, mass, slack, event = walk_step(*args)
+        return np.zeros_like(stop), mass, slack, np.full_like(event, -np.inf)
+
+    monkeypatch.setattr(ci_solver, "_walk_step", never_stops)
+    psi = _psi_from_sorted(np.array((1.0, 2.0, 3.0, CAP)))
+    with pytest.raises(SolverError, match="step bound"):
+        _rows_solved([(regularize(psi), psi)], [1.0], ci_parameters(0.9, 100).beta)
 
 
 def test_float_rounded_ties_iron_within_rounding():
