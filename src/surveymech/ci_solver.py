@@ -18,6 +18,9 @@ Every step works on the rows of a padded batch, the sweep included: one step
 function, run once on every block of every row to find where each row's walk
 starts, then once a step on the rows still walking.  The online runner
 solves a batch of rounds in one call, and ``solve_ci`` a batch of one.
+Every row is walked; given each row's report position, the solve then
+calibrates only the rows whose report the walk's ignored mass leaves
+unignored, as a report ignored there stays ignored.
 """
 
 from __future__ import annotations
@@ -128,17 +131,23 @@ def _block_rows(phi, sizes):
     return edges[:, :max(counts.tolist()) + 1], counts
 
 
+def _fill_share(mass, above, size):
+    """The ignore share ``clip((M - above) / size, 0, 1)`` of a block of
+    ``size`` entries with ``above`` entries over it, at ignored mass ``M``
+    filled from the top; non-decreasing in ``M``."""
+    # exact while non-negative: the remainder left by ignoring the blocks above one by one
+    return np.clip((mass - above) / np.maximum(size, 1), 0.0, 1.0)  # padding blocks span no entry
+
+
 def _rule_at_mass(phi, psi, sizes, budgets, edges, mass):
     """Each row's ``(alloc, lam, saturated, u)`` at ignored mass ``mass[r]``.
 
-    Block ``b`` gets ``u = clip((M - mass of the blocks above b) / size_b, 0, 1)``,
-    so the mass fills from the top; the padding gets none.  The rows are then
-    calibrated together with weights ``1 - u``.
+    Block ``b`` gets ``u = clip((M - mass of the blocks above b) / size_b, 0, 1)``
+    (``_fill_share``), so the mass fills from the top; the padding gets none.
+    The rows are then calibrated together with weights ``1 - u``.
     """
     block_size = edges[:, 1:] - edges[:, :-1]
-    # exact while non-negative: the remainder left by ignoring the blocks above one by one
-    left = mass[:, None] - (sizes[:, None] - edges[:, 1:])
-    share = np.clip(left / np.maximum(block_size, 1), 0.0, 1.0)  # padding blocks span no entry
+    share = _fill_share(mass[:, None], sizes[:, None] - edges[:, 1:], block_size)
     u = np.zeros(phi.shape)
     u[np.arange(phi.shape[1]) < sizes[:, None]] = np.repeat(share.ravel(), block_size.ravel())
     return _calibrate_rows(phi, psi, 1.0 - u, budgets, sizes) + (u,)
@@ -249,15 +258,24 @@ def _walk(table, above, m, counts, j, budgets, beta):
     return mass, slack
 
 
-def _solve_ci_rows(phi, psi, sizes, budgets, beta):
-    """The CI solve of each row of a padded batch: ``(A, lam, saturated, U, mass)``.
+def _solve_ci_rows(phi, psi, sizes, budgets, beta, at=None):
+    """The CI solve of the rows of a padded batch it keeps: ``(kept, A, lam,
+    saturated, U, mass)``, with row ``k`` of each array for batch row ``kept[k]``.
 
     Row ``r`` holds ``sizes[r]`` ironed and raw virtual costs, padded with
     ``phi = 0`` as for ``_calibrate_rows``, and has budget ``budgets[r]``.
     Every step runs on all rows at once: the block split, the walk's table,
     the outer walk, the fill and the calibration; ``np.add.accumulate`` adds
     along a row in order, so each row gets the bits of a batch of one.  ``A``
-    is 1 and ``U`` 0 on the padding."""
+    is 1 and ``U`` 0 on the padding.
+
+    Every row is walked.  With ``at``, the position of each row's report,
+    the rows whose report the deployed rule ignores at the walk's mass
+    (``_fill_share`` of the report's block ``>= 1/2``) are dropped there and
+    neither calibrated nor stepped: the kink pass only raises a row's mass,
+    and the share does not fall as the mass rises, so the report stays
+    ignored.  With ``at`` None every row is kept.
+    """
     edges, counts = _block_rows(phi, sizes)
     # the walk's table: size, phi, sqrt(phi) and the sums of size * phi and size * sqrt(phi)
     # below each block, with one more column for the sums below all blocks
@@ -272,7 +290,14 @@ def _solve_ci_rows(phi, psi, sizes, budgets, beta):
     spend_bp = spend_below[:, :-1] + block_sqrt[:, :-1] * (sqrt_below[:, -1:] - sqrt_below[:, :-1])
     j = np.array([bisect.bisect_left(bp, budget, 0, k)
                   for bp, budget, k in zip(spend_bp.tolist(), budgets, counts.tolist())])
-    mass, slack = _walk(table, sizes[:, None] - edges[:, 1:], sizes, counts, j, budgets, beta)
+    above = sizes[:, None] - edges[:, 1:]
+    mass, slack = _walk(table, above, sizes, counts, j, budgets, beta)
+    kept = np.arange(sizes.size)
+    if at is not None:
+        block = np.add.reduce(edges[:, 1:] <= at[:, None], axis=1)  # the block holding the report
+        kept = np.flatnonzero(_fill_share(mass, above[kept, block], block_size[kept, block]) < 0.5)
+        phi, psi, sizes, edges, mass, slack = (a[kept] for a in (phi, psi, sizes, edges, mass, slack))
+        budgets = [budgets[r] for r in kept.tolist()]
     alloc, lam, saturated, u = _rule_at_mass(phi, psi, sizes, budgets, edges, mass)
     # On the saturation kink the calibration's own spend sum decides: step a row up from
     # ulp(m), doubling, until it agrees the budget is slack (as it does at mass m).
@@ -285,7 +310,7 @@ def _solve_ci_rows(phi, psi, sizes, budgets, beta):
             phi[todo], psi[todo], sizes[todo], [budgets[r] for r in todo.tolist()], edges[todo],
             mass[todo])
         todo = todo[~saturated[todo] & (mass[todo] < sizes[todo])]
-    return alloc, lam, saturated, u, mass
+    return kept, alloc, lam, saturated, u, mass
 
 
 def solve_ci(cost_set: CostSet, budget: float, beta: float) -> tuple[AllocationRule, IgnoreRule]:
@@ -311,7 +336,7 @@ def solve_ci(cost_set: CostSet, budget: float, beta: float) -> tuple[AllocationR
     psi = virtual_costs(cost_set)[None, :]
     sizes = np.array([psi.size])
     phi = _iron_rows(psi, sizes)
-    alloc, lam, saturated, u, mass = _solve_ci_rows(phi, psi, sizes, (budget,), beta)
+    _, alloc, lam, saturated, u, mass = _solve_ci_rows(phi, psi, sizes, (budget,), beta)
     # The boundary block is the lowest one with any ignore probability.
     touched = (u[0] > 0).nonzero()[0]
     threshold, fraction = math.inf, 1.0

@@ -47,14 +47,16 @@ __all__ = [
 # Grid points per batch of ``_solve_rounds``, counted as its rows times its
 # widest row: each padded temporary of a batch stays within 256 KB whatever
 # n, unless one grid alone is wider (it is then a batch of its own).  A CI
-# batch holds a quarter of that (``_batch_bounds``): its solve keeps more
-# arrays live per point, and batches filled across the runs of a chunk cost
-# that memory.  One full-size ``mc_fresh_ci`` call of the benchmark (n = 100,
-# 10 runs) peaked at 1.22 MB traced with one-run batches of 10,000 points,
-# and with batches filled across its runs at 4.51 MB at 2^15 points, 2.48 MB
-# at 2^14 and 1.38 MB at 2^13 (numpy 2.4.6).  Unbiased rows keep 2^15: one
-# full-size ``mc_fresh_unbiased`` call peaked at 2.63 MB with one-run
-# batches and at 3.17 MB with chunk-filled ones.
+# batch holds half of that (``_batch_bounds``): its walk keeps more arrays
+# live per point, and batches filled across the runs of a chunk cost that
+# memory.  Since a CI batch calibrates only the rows whose report its walk
+# leaves unignored, one full-size ``mc_fresh_ci`` call of the benchmark
+# (n = 100, 10 runs) peaked at 3.02 MB traced with batches of 2^15 points,
+# 1.79 MB at 2^14 and 1.03 MB at 2^13, and took a median 33.8 ms of CPU at
+# 2^14 against 41.2 ms at 2^13 (10 alternated process pairs, 10 calls each)
+# and no less at 2^15 (2-core Xeon VM, Python 3.11.7, numpy 2.4.6).
+# Unbiased rows keep 2^15: one full-size ``mc_fresh_unbiased`` call peaked at
+# 2.63 MB with one-run batches and at 3.17 MB with chunk-filled ones.
 _BATCH_POINTS = 2**15
 
 # Rounds per chunk of runs that read no round cache (``_chunk_bounds``).  A
@@ -164,10 +166,10 @@ class CIRunResult:
 
 def _batch_bounds(widths, ci=False):
     """Split rows of the given widths, in order, into ``(lo, hi)`` runs of at
-    most ``_BATCH_POINTS`` padded points (rows times the widest row), a
-    quarter of that for rows of the CI task (``ci``); a row wider than that
-    is a batch alone."""
-    limit = _BATCH_POINTS // 4 if ci else _BATCH_POINTS
+    most ``_BATCH_POINTS`` padded points (rows times the widest row), half
+    of that for rows of the CI task (``ci``); a row wider than that is a
+    batch alone."""
+    limit = _BATCH_POINTS // 2 if ci else _BATCH_POINTS
     bounds = []
     lo = widest = 0
     for hi, width in enumerate(widths):
@@ -187,7 +189,7 @@ def _chunk_bounds(count, n):
     return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
-def _solve_rounds(costs, sizes, budgets, beta):
+def _solve_rounds(costs, sizes, budgets, beta, at=None):
     """Solve a batch of rounds, one per row of the 2-D ``costs``.
 
     Row ``r`` is a sorted grid of ``sizes[r]`` costs with round budget
@@ -197,6 +199,12 @@ def _solve_rounds(costs, sizes, budgets, beta):
     Returns the batch's 2-D arrays that offers read, row ``r`` valid in its
     first ``sizes[r]`` columns: ``(A, payments)``, or ``(A, ignored,
     payments)`` for the CI task.
+
+    ``at``, if not None, gives each CI row's report position: a row whose
+    report the walk already ignores is neither calibrated nor priced, and
+    offers ``(0, True, NaN)`` throughout, what the full solve offers there
+    but its raw ``A``.  With ``at`` None every row is solved whole, as a
+    round cache and transcripts read it.  The unbiased task reads no ``at``.
     """
     if beta is None and min(budgets) <= 0:
         raise InvalidInputError("unbiased rounds need a positive budget")
@@ -205,8 +213,11 @@ def _solve_rounds(costs, sizes, budgets, beta):
     if beta is None:
         alloc, _, _ = _calibrate_rows(phi, psi, None, budgets, sizes)
         return alloc, _myerson(costs, alloc)
-    alloc, _, _, u, _ = _solve_ci_rows(phi, psi, sizes, budgets, beta)
-    return (alloc,) + _deployed_policy(costs, alloc, u)
+    kept, alloc, _, _, u, _ = _solve_ci_rows(phi, psi, sizes, budgets, beta, at)
+    offers = np.zeros(costs.shape), np.ones(costs.shape, dtype=bool), np.full(costs.shape, math.nan)
+    for out, part in zip(offers, (alloc,) + _deployed_policy(costs[kept], alloc, u)):
+        out[kept] = part
+    return offers
 
 
 def _screen_slack(m):
@@ -269,8 +280,10 @@ def _ruled_out(coin, below, top, root, roots, budget, widen):
     widened by the slack, need not be solved.  Rounds with budget ``B_i <=
     0``, which ``_solve_rounds`` rejects, are never ruled out, nor are
     rounds at a zero cost.  Callers keep the screen off on the CI task,
-    whose interval counts every round's ignore decision, and in runs that
-    record transcripts, which show every round's offer.
+    whose interval counts every round's ignore decision (there
+    ``_solve_ci_rows`` drops, after the outer walk, the rounds whose report
+    it ignores), and in runs that record transcripts, which show every
+    round's offer.
     """
     return (budget > 0) & (coin * (below * top + root * roots) >= budget * widen)
 
@@ -479,12 +492,14 @@ def _plan_chunk(costs, coins, cap, schedule, screen):
     return arrivals, sizes, below, tops, budgets, solve
 
 
-def _solve_chunk(arrivals, sizes, idx, budgets, solve, beta, store=None):
+def _solve_chunk(arrivals, sizes, idx, budgets, solve, beta, store=None, drop=False):
     """Offers ``(alloc, ignored, price)`` of a chunk's planned rounds (see
     ``_plan_chunk``), per round; a round not solved offers ``(0, False,
     NaN)``, which buys nothing.  ``store``, if given, is called after each
     batch with the batch's flat round indices and ``_solve_rounds``' arrays,
-    one row per round.
+    one row per round.  With ``drop``, ``_solve_rounds`` gets each round's
+    report position, so a CI round ignored there offers ``(0, True, NaN)``
+    unpriced; a store or a transcript needs whole rows, so neither drops.
 
     The rounds to solve, stably sorted by grid size so that a batch pads
     little, go through ``_solve_rounds`` in ``_batch_bounds`` batches.  A
@@ -514,9 +529,11 @@ def _solve_chunk(arrivals, sizes, idx, budgets, solve, beta, store=None):
         costs = np.full((batch.size, width), cap)
         # the held arrivals in the order of ``order``: a stable sort of values
         costs[np.arange(width) < size] = np.sort(held, axis=1, kind="stable")[slot][order[slot] < size]
-        parts = _solve_rounds(costs, size[:, 0], budgets[batch % n].tolist(), beta)
+        report = idx.ravel()[batch]
+        parts = _solve_rounds(costs, size[:, 0], budgets[batch % n].tolist(), beta,
+                              report if drop else None)
         # each offer's flat position in the batch's C-ordered arrays
-        at = np.arange(batch.size) * width + idx.ravel()[batch]
+        at = np.arange(batch.size) * width + report
         for out, part in zip(outs, parts):
             np.put(out, batch, part.take(at))
         if store is not None:
@@ -531,16 +548,19 @@ def _run_chunk(costs, data, coins, cap, schedule, gamma, record):
     ``_run_cached``; a list of their results.
 
     Three array steps serve every round of the chunk together: the plan
-    (``_plan_chunk``: grids, positions, budgets and the purchase screen,
-    which is on for the unbiased task without transcripts), the solve
-    (``_solve_chunk``) and the settlement (``_settle``).  So a chunk holds
-    its runs' per-round arrays and one batch at a time.
+    (``_plan_chunk``: grids, positions, budgets and the purchase screen),
+    the solve (``_solve_chunk``) and the settlement (``_settle``).  So a
+    chunk holds its runs' per-round arrays and one batch at a time.  Without
+    transcripts a round's offer matters only where it can buy: the screen
+    is on for the unbiased task, and the CI task drops the rounds its walk
+    ignores before they are calibrated.
     """
     n = costs.shape[1]
-    beta = ci_parameters(gamma, n).beta if gamma is not None else None
+    ci = gamma is not None
+    beta = ci_parameters(gamma, n).beta if ci else None
     arrivals, sizes, idx, _, budgets, solve = _plan_chunk(
-        costs, coins, cap, schedule, gamma is None and not record)
-    offers = _solve_chunk(arrivals, sizes, idx, budgets, solve, beta)
+        costs, coins, cap, schedule, not ci and not record)
+    offers = _solve_chunk(arrivals, sizes, idx, budgets, solve, beta, drop=ci and not record)
     return _settle(costs, data, coins, cap, gamma, record, offers)
 
 
@@ -675,14 +695,18 @@ def run_ci_online(
     ``cache``, if given, is a dict of solved rounds keyed by grid tuple that
     the run reads and adds to, and that may be shared between runs; the run
     then looks its rounds up one by one.  With ``cache`` None the run is planned,
-    solved and settled as arrays, solves every round not flagged, stores
-    nothing and holds only its per-round arrays and one batch of rounds at a
-    time; both give the same bits.
+    solved and settled as arrays, stores nothing and holds only its
+    per-round arrays and one batch of rounds at a time; both give the same
+    bits.
 
     ``record_transcripts=True``, the default, keeps each round's grid tuple
     in its transcript, so the result grows as O(n^2): 35.8 MB at n = 3000
     with continuous costs (tracemalloc), against a 2.9 MB peak with False.
-    Pass False for long runs.
+    Pass False for long runs.  Every round not flagged finds its ignored
+    mass; with False and ``cache`` None, a round whose report that mass
+    already ignores is not calibrated or priced, as it buys nothing and
+    only its ignore decision enters the interval.  On 10 runs of 100 costs
+    uniform on [0, 25] at budget 150, that skipped 944 of 1,000 rounds.
 
     Raises:
         InvalidInputError: as ``run_unbiased_online``.

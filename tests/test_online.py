@@ -26,7 +26,7 @@ from surveymech import (
     virtual_costs,
     worst_case_variance,
 )
-from surveymech import online_runner, simharness
+from surveymech import ci_solver, online_runner, simharness
 from surveymech.audits import random_cost_set
 from surveymech.online_runner import _solve_rounds
 
@@ -262,6 +262,47 @@ class TestRunCI:
         idx = int(np.searchsorted(t.grid, t.cost))
         assert len(t.grid) == 199 and ignored[idx] and t.alloc == alloc[idx]
 
+    @pytest.mark.parametrize("shape", ["tied", "distinct", "zeros", "at_cap", "one_agent", "flagged"])
+    def test_runs_dropping_ignored_rounds_give_the_same_bits(self, shape, monkeypatch):
+        # A cacheless run without transcripts drops the rounds its walk
+        # ignores before they are calibrated and priced; with transcripts, or
+        # with a round cache, every round is solved whole.  The interval,
+        # spend, ignored count and flag count must be the same bits.
+        solve_ci_rows = online_runner._solve_ci_rows
+        kept = []
+
+        def spy(phi, psi, sizes, budgets, beta, at):
+            out = solve_ci_rows(phi, psi, sizes, budgets, beta, at)
+            kept.append((out[0].size, sizes.size, at is not None))
+            return out
+
+        monkeypatch.setattr(online_runner, "_solve_ci_rows", spy)
+        n = 1 if shape == "one_agent" else 120
+        spec = ({"kind": "two_point", "fractions": [0.7, 0.3], "costs": [2.0, 9.0]}
+                if shape == "tied" else {"kind": "independent"})
+        pop = gen_population(spec, n, 25.0, 8)
+        if shape in ("zeros", "at_cap"):
+            value = 0.0 if shape == "zeros" else pop.cap
+            mixed = np.where(np.random.default_rng(8).random(n) < 0.6, value, pop.costs)
+            pop = dataclasses.replace(pop, costs=mixed)
+        cap = 15.0 if shape == "flagged" else pop.cap
+        for total in (0.0, 0.2 * n, 1.5 * n, 40.0 * n):
+            schedule = ci_schedule(n, total)
+            for seed in range(3):
+                runs = [run_online(pop.costs, pop.data, cap, schedule, 0.9,
+                                   np.random.default_rng(seed), cache, record)
+                        for cache, record in ((None, False), (None, True), ({}, False))]
+                outputs = {repr((run.interval, run.total_paid, run.ignored_count, run.flagged))
+                           for run in runs}
+                assert len(outputs) == 1, (total, seed)
+                assert (runs[0].flagged > 0) == (shape == "flagged")
+        # only the cacheless runs without transcripts pass report positions,
+        # and those drop rows
+        positioned = [(k, rows) for k, rows, at in kept if at]
+        assert positioned and len(positioned) < len(kept)
+        assert all(k == rows for k, rows, at in kept if not at)
+        assert sum(k for k, _ in positioned) < sum(rows for _, rows in positioned)
+
 
 class TestUserCache:
     @pytest.mark.parametrize("gamma", [None, 0.9])
@@ -312,9 +353,9 @@ class TestWorkingSet:
         solve = online_runner._solve_rounds
         batch_rows = []
 
-        def spy(costs, sizes, budgets, beta):
+        def spy(costs, sizes, budgets, beta, at):
             batch_rows.append(len(sizes))
-            return solve(costs, sizes, budgets, beta)
+            return solve(costs, sizes, budgets, beta, at)
 
         monkeypatch.setattr(online_runner, "_solve_rounds", spy)
         runs = []
@@ -643,9 +684,9 @@ class TestPurchaseScreen:
         rows = []
         solve_rounds = online_runner._solve_rounds
 
-        def spy(costs, sizes, budgets, beta):
+        def spy(costs, sizes, budgets, beta, at):
             rows.append(sizes.tolist())
-            return solve_rounds(costs, sizes, budgets, beta)
+            return solve_rounds(costs, sizes, budgets, beta, at)
 
         monkeypatch.setattr(online_runner, "_solve_rounds", spy)
         caches = [None, {}, None, {}]
@@ -684,24 +725,40 @@ class TestPurchaseScreen:
 
     def test_only_unbiased_runs_without_transcripts_solve_fewer_rounds(self, monkeypatch):
         solve = online_runner._solve_rounds
-        rows = []
+        rule_at_mass = ci_solver._rule_at_mass
+        rows, calibrated = [], []
 
-        def spy(costs, sizes, budgets, beta):
+        def spy(costs, sizes, budgets, beta, at):
             rows.append(len(sizes))
-            return solve(costs, sizes, budgets, beta)
+            return solve(costs, sizes, budgets, beta, at)
+
+        def calibration_spy(phi, *args):
+            # a batch's first calibration holds every row it keeps; the kink
+            # pass's later ones calibrate some of those again
+            if len(calibrated) < len(rows):
+                calibrated.append(len(phi))
+            return rule_at_mass(phi, *args)
 
         monkeypatch.setattr(online_runner, "_solve_rounds", spy)
+        monkeypatch.setattr(ci_solver, "_rule_at_mass", calibration_spy)
         pop = gen_population({"kind": "independent"}, 200, 25.0, 2)
-        solved = {}
+        solved, calibrated_rows = {}, {}
         for gamma, schedule in ((None, unbiased_schedule(200, 300.0)), (0.9, ci_schedule(200, 300.0))):
             for record in (True, False):
                 rows.clear()
+                calibrated.clear()
                 res = run_online(pop.costs, pop.data, 20.0, schedule, gamma,
                                  np.random.default_rng(4), None, record)
                 solved[gamma, record] = sum(rows)
+                calibrated_rows[gamma, record] = sum(calibrated)
         unflagged = 200 - res.flagged
         assert solved[None, True] == solved[0.9, True] == solved[0.9, False] == unflagged
         assert 0 < solved[None, False] < unflagged / 2
+        # the CI rows that reach calibration: every row with transcripts, and
+        # without them only those whose report the walk does not ignore
+        assert calibrated_rows[None, True] == calibrated_rows[None, False] == 0
+        assert calibrated_rows[0.9, True] == unflagged
+        assert 0 < calibrated_rows[0.9, False] < unflagged / 2
 
     def test_a_coin_just_above_the_exact_bound_still_buys(self):
         # Round m of a run whose costs all sit at the cap has a grid of m

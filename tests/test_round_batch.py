@@ -264,6 +264,7 @@ FAMILIES = {
     "zeros_and_continuous": lambda rng: np.where(
         rng.random(150) < 0.4, 0.0, rng.uniform(0.0, 3.0, 150)),
     "single_cost": lambda rng: np.full(120, 3.0),
+    "cap_ties": lambda rng: np.where(rng.random(150) < 0.5, CAP, rng.uniform(0.0, CAP, 150)),
     "two_point": lambda rng: np.where(rng.random(200) < 0.9, 1.0, 20.0),
 }
 
@@ -295,8 +296,8 @@ def _rows(parts, sizes):
 
 def test_batch_bounds_split_rows_in_order_within_the_point_bound():
     rng = np.random.default_rng(3)
-    # a CI batch holds a quarter of the points of an unbiased one
-    for ci, bound in ((False, online_runner._BATCH_POINTS), (True, online_runner._BATCH_POINTS // 4)):
+    # a CI batch holds half the points of an unbiased one
+    for ci, bound in ((False, online_runner._BATCH_POINTS), (True, online_runner._BATCH_POINTS // 2)):
         assert _batch_bounds([], ci) == []
         cases = [[1], [bound + 5], [bound, bound, 1], list(range(1, 1002)),
                  rng.integers(1, 3 * bound // 100, 500).tolist()]
@@ -386,6 +387,48 @@ def test_ci_batch_matches_per_grid_rounds(family, monkeypatch):
         assert stepped > 0
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_ci_rows_dropped_at_their_report_are_ignored_there(family, monkeypatch):
+    # With report positions a CI batch drops, after the walk, the rows whose
+    # report the walk's mass already ignores.  Each dropped row must be
+    # ignored at its position by the full solve, and each kept row must get
+    # the full solve's bits, at a random, the lowest and the top position.
+    grids, budgets = _family_grids(family, seed=29)
+    kept = []
+    solve_ci_rows = online_runner._solve_ci_rows
+
+    def spy(*args):
+        out = solve_ci_rows(*args)
+        kept.append(out[0])
+        return out
+
+    monkeypatch.setattr(online_runner, "_solve_ci_rows", spy)
+    rng = np.random.default_rng(29)
+    dropped = total = 0
+    for gamma, n, scale in ((0.9, len(grids), 0.25), (0.5, 20, 1.0), (0.99, 1000, 0.05)):
+        beta = ci_parameters(gamma, n).beta
+        # slack, binding and zero budgets
+        scaled = [0.0 if k % 13 == 0 else b * scale for k, b in enumerate(budgets)]
+        for batch, costs, sizes, batch_budgets in _batches(grids, scaled):
+            full = _solve_rounds(costs, sizes, batch_budgets, beta)
+            rows = np.arange(len(batch))
+            for at in (rng.integers(0, sizes), np.zeros_like(sizes), sizes - 1):
+                kept.clear()
+                got = _solve_rounds(costs, sizes, batch_budgets, beta, at)
+                keep = np.isin(rows, kept[0])
+                assert np.all(full[1][rows[~keep], at[~keep]]), (family, gamma)
+                alloc, ignored, price = (part[rows[~keep]] for part in got)
+                assert np.all(alloc == 0.0) and np.all(ignored) and np.all(np.isnan(price))
+                for r in rows[keep].tolist():
+                    m = sizes[r]
+                    for part, want in zip(got, full):
+                        assert _bits(part[r, :m]) == _bits(want[r, :m]), (family, gamma, r)
+                dropped += int(np.sum(~keep))
+                total += len(batch)
+    # not vacuous: some rows are dropped and some kept
+    assert 0 < dropped < total
+
+
 def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
@@ -404,7 +447,8 @@ def _padded(rows):
 def _rows_solved(rows, budgets, beta):
     """``_solve_ci_rows`` on a padded batch, split into one tuple per row."""
     phi, psi, sizes = _padded(rows)
-    alloc, lam, saturated, u, mass = _solve_ci_rows(phi, psi, sizes, budgets, beta)
+    kept, alloc, lam, saturated, u, mass = _solve_ci_rows(phi, psi, sizes, budgets, beta)
+    assert kept.tolist() == list(range(len(rows)))  # no report positions: every row is kept
     pad = np.arange(phi.shape[1]) >= sizes[:, None]
     assert np.all(alloc[pad] == 1.0) and np.all(u[pad] == 0.0)
     return [(alloc[r, :m], lam[r], saturated[r], u[r, :m], mass[r]) for r, m in enumerate(sizes.tolist())]

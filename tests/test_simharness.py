@@ -340,9 +340,9 @@ class TestCachePolicy:
                 super().__init__(max_points)
                 caches.append(self)
 
-        def spy(costs, sizes, budgets, beta):
+        def spy(costs, sizes, budgets, beta, at):
             rows.append(len(sizes))
-            return solve(costs, sizes, budgets, beta)
+            return solve(costs, sizes, budgets, beta, at)
 
         monkeypatch.setattr(simharness, "_RoundCache", Spy)
         monkeypatch.setattr(online_runner, "_solve_rounds", spy)
@@ -385,9 +385,9 @@ class TestCountKeys:
         rows = []
         solve = online_runner._solve_rounds
 
-        def spy(costs, sizes, budgets, beta):
+        def spy(costs, sizes, budgets, beta, at):
             rows.append(len(sizes))
-            return solve(costs, sizes, budgets, beta)
+            return solve(costs, sizes, budgets, beta, at)
 
         monkeypatch.setattr(online_runner, "_solve_rounds", spy)
         _, per_run = monte_carlo(task, pop, budget, gamma, self.RUNS, self.SEED, return_per_run=True)
