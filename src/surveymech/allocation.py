@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, SolverError, _scalar, _vector
+from .errors import InvalidInputError, SolverError, _positive, _scalar, _vector
 from .virtual_cost import CostSet, _iron_rows, virtual_costs
 
 __all__ = [
@@ -135,9 +135,7 @@ def solve_unbiased(cost_set: CostSet, budget: float) -> AllocationRule:
     Raises:
         InvalidInputError: for a non-positive or non-finite budget.
     """
-    budget = _scalar(budget, "budget", 0.0)
-    if not budget > 0:
-        raise InvalidInputError("budget must be positive")
+    budget = _positive(budget, "budget")
     psi = virtual_costs(cost_set)[None, :]
     sizes = np.array([psi.size])
     alloc, lam, saturated = _calibrate_rows(_iron_rows(psi, sizes), psi, None, (budget,), sizes)

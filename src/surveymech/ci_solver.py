@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import AllocationRule, _calibrate_rows, _myerson
-from .errors import InvalidInputError, SolverError, _scalar, _vector, _whole
+from .errors import InvalidInputError, SolverError, _positive, _scalar, _vector, _whole
 from .virtual_cost import CostSet, _iron_rows, virtual_costs
 
 __all__ = [
@@ -67,9 +67,7 @@ class IgnoreRule:
         # the threshold alone may be +inf: no cost is ignored for sure
         threshold = self.threshold_phi
         threshold = math.inf if threshold == math.inf else _scalar(threshold, "threshold_phi")
-        fraction = _scalar(self.boundary_fraction, "boundary_fraction", 0.0, 1.0)
-        if not fraction > 0:
-            raise InvalidInputError("boundary_fraction must be positive")
+        fraction = _positive(self.boundary_fraction, "boundary_fraction", 1.0)
         object.__setattr__(self, "u_values", u)
         object.__setattr__(self, "threshold_phi", threshold)
         object.__setattr__(self, "boundary_fraction", fraction)
@@ -330,9 +328,7 @@ def solve_ci(cost_set: CostSet, budget: float, beta: float) -> tuple[AllocationR
             non-positive or non-finite ``beta``.
     """
     budget = _scalar(budget, "budget", 0.0)
-    beta = _scalar(beta, "beta", 0.0)
-    if not beta > 0:
-        raise InvalidInputError("beta must be positive")
+    beta = _positive(beta, "beta")
     psi = virtual_costs(cost_set)[None, :]
     sizes = np.array([psi.size])
     phi = _iron_rows(psi, sizes)
@@ -408,9 +404,7 @@ def g_derivative(cost_set: CostSet, budget: float, beta: float, mass: float) -> 
             (the subproblem's allocation vanishes at ``c_r``).
     """
     budget = _scalar(budget, "budget", 0.0)
-    beta = _scalar(beta, "beta", 0.0)
-    if not beta > 0:
-        raise InvalidInputError("beta must be positive")
+    beta = _positive(beta, "beta")
     m = len(cost_set)
     mass = _scalar(mass, "mass", 0.0, m)
     if not mass < m:
@@ -434,9 +428,7 @@ def objective_at_mass(cost_set: CostSet, budget: float, beta: float, mass: float
         InvalidInputError: for an invalid budget, ``beta`` or ``mass``.
     """
     budget = _scalar(budget, "budget", 0.0)
-    beta = _scalar(beta, "beta", 0.0)
-    if not beta > 0:
-        raise InvalidInputError("beta must be positive")
+    beta = _positive(beta, "beta")
     m = len(cost_set)
     mass = _scalar(mass, "mass", 0.0, m)
     return _objective_rows(cost_set, budget, beta, (mass,))[0]
@@ -457,7 +449,5 @@ def ci_objective(rule: AllocationRule, ignore: IgnoreRule, beta: float, n: int) 
     n = _scalar(n, "n", convert=_whole)
     if alloc.size != u.size or alloc.size != n:
         raise InvalidInputError("rule, ignore rule and n must agree in length")
-    beta = _scalar(beta, "beta", 0.0)
-    if not beta > 0:
-        raise InvalidInputError("beta must be positive")
+    beta = _positive(beta, "beta")
     return beta ** 2 * _variance_sum(alloc, u) / n + (float(np.sum(u)) / n) ** 2

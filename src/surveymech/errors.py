@@ -1,8 +1,9 @@
 """Exception types shared across the package, the one conversion of
 user-supplied values (CLI flags, config keys, descriptor fields) that raises
 ``ConfigError`` on a value it cannot convert, and the one check of each kind
-of public argument: ``_scalar`` for a number, through the same conversions,
-and ``_vector`` for an array, with ``_float_array``, its conversion."""
+of public argument: ``_scalar`` for a number, through the same conversions
+(``_positive`` for one that must be above 0), and ``_vector`` for an array,
+with ``_float_array``, its conversion."""
 
 import numpy as np
 
@@ -74,6 +75,15 @@ def _scalar(value, name: str, low: float = -np.inf, high: float = np.inf,
     # an int compares with inf exactly, where math.isfinite could overflow
     if not (-np.inf < number < np.inf and low <= number <= high):
         raise error(f"{name} must be finite and lie in [{low:g}, {high:g}]")
+    return number
+
+
+def _positive(value, name: str, high: float = np.inf) -> float:
+    """``_scalar(value, name, 0, high)`` that is also above 0; raises
+    ``InvalidInputError`` naming ``name`` otherwise."""
+    number = _scalar(value, name, 0.0, high)
+    if not number > 0:
+        raise InvalidInputError(f"{name} must be positive")
     return number
 
 

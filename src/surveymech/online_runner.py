@@ -24,7 +24,7 @@ import numpy as np
 
 from .allocation import AllocationRule, _calibrate_rows, _myerson, solve_unbiased, worst_case_variance
 from .ci_solver import _deployed_policy, _solve_ci_rows, _variance_sum, ci_parameters, solve_ci
-from .errors import InvalidInputError, _scalar, _whole
+from .errors import InvalidInputError, _positive, _scalar, _whole
 from .estimation import CIOutput, bernstein_interval, sample_variance
 from .populations import Population
 from .virtual_cost import CostSet, _iron_rows, _psi_from_sorted
@@ -84,10 +84,7 @@ class BudgetSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "total_budget", _scalar(self.total_budget, "total_budget", 0.0))
-        xi = _scalar(self.xi, "xi", 0.0)
-        if not xi > 0:
-            raise InvalidInputError("xi must be positive")
-        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "xi", _positive(self.xi, "xi"))
 
     def per_round(self, i):
         """The budget ``xi * B * sqrt(i)`` of round ``i``, or of each round of
@@ -293,7 +290,9 @@ def _run_cached(costs_seq, data_seq, coins, cap, schedule, gamma, cache, record,
     reads and adds to the round cache ``cache``: the unbiased task if
     ``gamma`` is None, else the confidence-interval task at confidence
     ``gamma``.  Runs that read no cache go through ``_run_chunk`` instead,
-    with the same bits.
+    with the same bits.  Monte Carlo on a population where some cost repeats
+    hands it, one by one, the rows of a chunk of runs it has already drawn
+    (``simharness._mc_batch``), with one cache for the whole batch.
 
     Every round not flagged solves its rule on the grid of earlier reports
     plus the cap, or takes it from ``cache``.  Round ``i`` is keyed by
@@ -758,9 +757,7 @@ def unbiased_bound_rhs(n: int, var_star: float, alloc_at_cap: float) -> float:
     """
     n = _scalar(n, "n", 1, convert=_whole)
     var_star = _scalar(var_star, "var_star", 0.0)
-    alloc_at_cap = _scalar(alloc_at_cap, "alloc_at_cap", 0.0, 1.0)
-    if not alloc_at_cap > 0:
-        raise InvalidInputError("alloc_at_cap must be positive")
+    alloc_at_cap = _positive(alloc_at_cap, "alloc_at_cap", 1.0)
     return 16.0 * (
         (1.0 + 1.0 / n) ** 2 * var_star
         + 1.0 / n

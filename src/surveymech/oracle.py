@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInputError, _scalar, _vector
+from .errors import InvalidInputError, _positive, _scalar, _vector
 from .virtual_cost import CostSet, virtual_costs
 
 __all__ = ["regularize_naive", "grid_search_unbiased", "grid_search_ci"]
@@ -24,25 +24,6 @@ _MAX_M_UNBIASED = 6
 _MAX_M_CI = 4
 _CI_A_STEP = 1e-2  # grid step of the allocation A in grid_search_ci
 _CI_U_STEP = 0.1  # grid step of the ignore probability U in grid_search_ci
-
-
-_INV_COUNT_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _inv_counts(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """1/(k-i+1) for k >= i plus an additive mask hiding the k < i corner."""
-    size = max(m, 200)
-    cached = _INV_COUNT_CACHE.get(size)
-    if cached is None:
-        counts = np.arange(1, size + 1)[None, :] - np.arange(size)[:, None]
-        valid = counts > 0
-        inv = np.where(valid, 1.0 / np.where(valid, counts, 1), 0.0)
-        mask = np.where(valid, 0.0, np.inf)
-        _INV_COUNT_CACHE.clear()  # keep just the largest size seen
-        _INV_COUNT_CACHE[size] = (inv, mask)
-        cached = (inv, mask)
-    inv, mask = cached
-    return inv[:m, :m], mask[:m, :m]
 
 
 def regularize_naive(psi) -> np.ndarray:
@@ -55,8 +36,9 @@ def regularize_naive(psi) -> np.ndarray:
     m = psi.size
     prefix = np.concatenate(([0.0], np.cumsum(psi)))
     sums = prefix[None, 1:] - prefix[:-1, None]  # [i, k] = psi_i + ... + psi_k
-    inv, mask = _inv_counts(m)
-    averages = sums * inv + mask
+    counts = np.arange(1, m + 1)[None, :] - np.arange(m)[:, None]  # [i, k] = k - i + 1
+    # each forward average over the k >= i triangle; the k < i corner never wins
+    averages = np.divide(sums, counts, out=np.full((m, m), np.inf), where=counts > 0)
     psi_prime = averages.min(axis=1)
     return np.maximum.accumulate(psi_prime)
 
@@ -89,9 +71,7 @@ def grid_search_unbiased(cost_set: CostSet, budget: float, step: float):
     step = _scalar(step, "step")
     if not any(math.isclose(step, s) for s in (1e-2, 1e-3)):
         raise InvalidInputError("step must be 1e-2 or 1e-3")
-    budget = _scalar(budget, "budget", 0.0)
-    if not budget > 0:
-        raise InvalidInputError("budget must be positive")
+    budget = _positive(budget, "budget")
     psi = virtual_costs(cost_set)
     num_levels = round(1.0 / step)
 
@@ -237,9 +217,7 @@ def grid_search_ci(cost_set: CostSet, budget: float, beta: float):
     if m > _MAX_M_CI:
         raise InvalidInputError(f"grid search refuses m > {_MAX_M_CI}")
     budget = _scalar(budget, "budget", 0.0)
-    beta = _scalar(beta, "beta", 0.0)
-    if not beta > 0:
-        raise InvalidInputError("beta must be positive")
+    beta = _positive(beta, "beta")
     a_step, u_step = _CI_A_STEP, _CI_U_STEP
     num_levels = round(1.0 / a_step)
     u_grid = np.round(np.arange(0.0, 1.0 + u_step / 2, u_step), 12)

@@ -145,16 +145,17 @@ def _mc_batch(task, costs, data, cap, budget, gamma, master_seed, run_lo, run_hi
     """Per-run outputs for run indices [run_lo, run_hi); order-independent.
 
     A round's grid is the cap and the costs that arrived before it (a
-    population has no cost above its cap, so none is flagged).  Each run
-    draws its permutation and then its purchase coins from its own
-    ``(master_seed, run_index)`` generator.  On a population without ties
-    two runs share round ``i``'s grid only if they drew the same ``i - 1``
-    earlier arrivals, so a round cache would almost never be read again: the
-    runs go through ``online_runner._run_chunk`` in chunks of at most
-    ``_CHUNK_ROUNDS`` rounds (``_chunk_bounds``), each planned, solved and
-    settled as arrays, as a public runner does with ``cache`` None.  Where
-    some cost repeats, the batch keeps a round cache and runs
-    ``_run_cached``, keyed exactly by the running sum of ``_count_weights``.
+    population has no cost above its cap, so none is flagged).  The runs go
+    in chunks of at most ``_CHUNK_ROUNDS`` rounds (``_chunk_bounds``), each
+    run drawing its permutation and then its purchase coins from its own
+    ``(master_seed, run_index)`` generator into the chunk's arrays.  On a
+    population without ties two runs share round ``i``'s grid only if they
+    drew the same ``i - 1`` earlier arrivals, so a round cache would almost
+    never be read again: a chunk goes through ``online_runner._run_chunk``,
+    planned, solved and settled as arrays, as a public runner does with
+    ``cache`` None.  Where some cost repeats, the batch keeps one round
+    cache, and each run of a chunk goes in run order through ``_run_cached``,
+    keyed exactly by the running sum of ``_count_weights``.
     """
     n = costs.size
     count = run_hi - run_lo
@@ -163,47 +164,38 @@ def _mc_batch(task, costs, data, cap, budget, gamma, master_seed, run_lo, run_hi
     lowers = np.full(count, np.nan)
     uppers = np.full(count, np.nan)
     flagged = np.zeros(count, dtype=np.int64)
-    if task == "unbiased":
-        schedule = unbiased_schedule(n, budget)
-    else:
-        schedule = ci_schedule(n, budget)
-    for k, result in enumerate(_mc_results(costs, data, cap, schedule, gamma, master_seed,
-                                           run_lo, run_hi)):
-        if task == "unbiased":
-            estimates[k] = result.estimate
-        else:
-            interval = result.interval
-            estimates[k] = interval.sample_mean
-            lowers[k] = interval.lower
-            uppers[k] = interval.upper
-        spends[k] = result.total_paid
-        flagged[k] = result.flagged
-    return estimates, spends, lowers, uppers, flagged
-
-
-def _mc_results(costs, data, cap, schedule, gamma, master_seed, run_lo, run_hi):
-    """The results of runs [run_lo, run_hi) of ``_mc_batch``, in run order."""
-    n = costs.size
+    schedule = (unbiased_schedule if task == "unbiased" else ci_schedule)(n, budget)
     # Ties by adjacent equality after a sort: a plain ``np.unique`` imports
     # ``numpy.ma``, about 1 MB of resident memory, on every call.
     ordered = np.sort(costs)
-    if not (ordered[1:] == ordered[:-1]).any():
-        for lo, hi in _chunk_bounds(run_hi - run_lo, n):
-            perms = np.empty((hi - lo, n), dtype=np.intp)
-            coins = np.empty((hi - lo, n))
-            for k in range(hi - lo):
-                rng = np.random.default_rng([master_seed, run_lo + lo + k])
-                perms[k] = draw_permutation(rng, n)
-                coins[k] = rng.random(n)
-            yield from _run_chunk(costs[perms], data[perms], coins, cap, schedule, gamma, False)
-        return
-    cache, weight_of = _RoundCache(_CACHE_POINTS), _count_weights(costs)
-    for run_index in range(run_lo, run_hi):
-        rng = np.random.default_rng([master_seed, run_index])
-        perm = draw_permutation(rng, n)
-        keys = list(accumulate(map(weight_of.__getitem__, perm.tolist()), initial=0))
-        yield _run_cached(costs[perm], data[perm], rng.random(n), cap, schedule, gamma, cache,
-                          False, keys)
+    cache = None
+    if (ordered[1:] == ordered[:-1]).any():
+        cache, weight_of = _RoundCache(_CACHE_POINTS), _count_weights(costs)
+    for lo, hi in _chunk_bounds(count, n):
+        perms = np.empty((hi - lo, n), dtype=np.intp)
+        coins = np.empty((hi - lo, n))
+        for k in range(hi - lo):
+            rng = np.random.default_rng([master_seed, run_lo + lo + k])
+            perms[k] = draw_permutation(rng, n)
+            coins[k] = rng.random(n)
+        if cache is None:
+            results = _run_chunk(costs[perms], data[perms], coins, cap, schedule, gamma, False)
+        else:
+            results = (
+                _run_cached(costs[perm], data[perm], coin, cap, schedule, gamma, cache, False,
+                            list(accumulate(map(weight_of.__getitem__, perm.tolist()), initial=0)))
+                for perm, coin in zip(perms, coins))
+        for k, result in enumerate(results, lo):
+            if task == "unbiased":
+                estimates[k] = result.estimate
+            else:
+                interval = result.interval
+                estimates[k] = interval.sample_mean
+                lowers[k] = interval.lower
+                uppers[k] = interval.upper
+            spends[k] = result.total_paid
+            flagged[k] = result.flagged
+    return estimates, spends, lowers, uppers, flagged
 
 
 def monte_carlo(

@@ -157,6 +157,7 @@ def test_criterion_04_truthfulness_and_ir():
            f"{outcome.detail['corruption_detected']}")
 
 
+@pytest.mark.statistical
 def test_criterion_05_expected_budget(unbiased_runs, ci_runs):
     details = []
     passed = True
@@ -175,6 +176,7 @@ def test_criterion_05_expected_budget(unbiased_runs, ci_runs):
            "; ".join(details) + f"; unbiased batch {elapsed:.0f}s")
 
 
+@pytest.mark.statistical
 def test_criterion_06_unbiasedness(unbiased_runs):
     details = []
     passed = True
@@ -190,6 +192,7 @@ def test_criterion_06_unbiasedness(unbiased_runs):
     report(6, "Monte Carlo mean matches population mean", passed, "; ".join(details))
 
 
+@pytest.mark.statistical
 def test_criterion_07_variance_bound(unbiased_runs):
     details = []
     passed = True
@@ -209,6 +212,7 @@ def test_criterion_07_variance_bound(unbiased_runs):
     report(7, "Var(S) <= 16((1+1/n)^2 Var* + 1/n + A*(cap) term)", passed, "; ".join(details))
 
 
+@pytest.mark.statistical
 def test_criterion_08_ci_validity_and_length(ci_runs):
     details = []
     passed = True

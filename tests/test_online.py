@@ -10,9 +10,13 @@ from hypothesis import strategies as st
 
 from surveymech import (
     BudgetSchedule,
+    CIRunResult,
     CostSet,
     InvalidInputError,
     Population,
+    RoundTranscript,
+    UnbiasedRunResult,
+    bernstein_interval,
     benchmark_ci,
     benchmark_unbiased,
     ci_parameters,
@@ -21,6 +25,7 @@ from surveymech import (
     monte_carlo,
     run_ci_online,
     run_unbiased_online,
+    sample_variance,
     solve_unbiased,
     unbiased_schedule,
     virtual_costs,
@@ -29,6 +34,7 @@ from surveymech import (
 from surveymech import ci_solver, online_runner, simharness
 from surveymech.audits import random_cost_set
 from surveymech.online_runner import _solve_rounds
+from test_round_batch import _ci_round_ref, _unbiased_round_ref
 
 
 def make_pop(costs, data=None, cap=None):
@@ -383,24 +389,36 @@ class TestWorkingSet:
                 for part, want_part in zip(entry[1:-2], want_entry[1:-2]):
                     assert part.dtype == want_part.dtype and part.tobytes() == want_part.tobytes()
 
-    @pytest.mark.parametrize("task", ["unbiased", "ci"])
-    def test_monte_carlo_chunks_move_no_bits(self, task, monkeypatch):
-        # On a population without ties ``monte_carlo`` runs chunks of at
-        # most ``_CHUNK_ROUNDS`` rounds, solved in batches of at most
+    @pytest.mark.parametrize("task, tied", [
+        ("unbiased", False), ("ci", False), ("unbiased", True), ("ci", True),
+    ], ids=["unbiased", "ci", "unbiased-tied", "ci-tied"])
+    def test_monte_carlo_chunks_move_no_bits(self, task, tied, monkeypatch):
+        # ``monte_carlo`` draws its runs in chunks of at most
+        # ``_CHUNK_ROUNDS`` rounds, and solves them in batches of at most
         # ``_BATCH_POINTS`` points: one run per chunk and one row per batch,
         # chunks of six runs, the default bounds and the whole call in one
-        # chunk give the same per-run arrays, with one worker or two.
-        pop = gen_population({"kind": "independent"}, 40, 25.0, 5)
+        # chunk give the same per-run arrays, with one worker or two, and
+        # one worker solves the same rows.  Without ties each chunk goes
+        # through ``_run_chunk``; with ties each run reads the batch's one
+        # round cache, which the chunks must neither split nor refill.
+        spec = ({"kind": "two_point", "fractions": [0.7, 0.3], "costs": [2.0, 9.0]} if tied
+                else {"kind": "independent"})
+        pop = gen_population(spec, 40, 25.0, 5)
         gamma = 0.9 if task == "ci" else None
-        run_chunk = simharness._run_chunk
-        chunks = []
+        run_chunk, solve = simharness._run_chunk, online_runner._solve_rounds
+        chunks, rows = [], []
 
-        def spy(costs, *args):
+        def chunk_spy(costs, *args):
             chunks.append(len(costs))
             return run_chunk(costs, *args)
 
-        monkeypatch.setattr(simharness, "_run_chunk", spy)
-        want = None
+        def solve_spy(costs, sizes, *args):
+            rows.append(len(sizes))
+            return solve(costs, sizes, *args)
+
+        monkeypatch.setattr(simharness, "_run_chunk", chunk_spy)
+        monkeypatch.setattr(online_runner, "_solve_rounds", solve_spy)
+        want = want_rows = None
         defaults = (online_runner._BATCH_POINTS, online_runner._CHUNK_ROUNDS)
         for bounds, runs_per_chunk in (((1, 1), 1), ((6 * 40,) * 2, 6), (defaults, 30),
                                        ((math.inf,) * 2, 30)):
@@ -408,10 +426,13 @@ class TestWorkingSet:
             monkeypatch.setattr(online_runner, "_CHUNK_ROUNDS", bounds[1])
             for workers in (1, 2):
                 chunks.clear()
+                rows.clear()
                 _, per_run = monte_carlo(task, pop, 60.0, gamma, 30, 7, workers=workers,
                                          return_per_run=True)
                 if workers == 1:
-                    assert chunks == [runs_per_chunk] * (30 // runs_per_chunk)
+                    assert chunks == ([] if tied else [runs_per_chunk] * (30 // runs_per_chunk))
+                    want_rows = sum(rows) if want_rows is None else want_rows
+                    assert sum(rows) == want_rows > 0, bounds
                 if want is None:
                     want = per_run
                 for key, values in want.items():
@@ -815,6 +836,112 @@ def _plan_cases(draw):
     return costs, cap, total, draw(st.integers(0, 2**16))
 
 
+def _reference_run(costs, data, coins, cap, schedule, gamma, patch):
+    """One online run, literally round by round: the outside reference that
+    both runners, with a round cache and without, are checked against.  The
+    unbiased task if ``gamma`` is None, else the confidence-interval task;
+    the result carries every round's transcript.
+
+    The grid of earlier reports plus the cap is kept with ``bisect.insort``.
+    A report above the cap is flagged: it enters no grid, solves nothing and
+    gets ``y = 0``.  Every other round solves its whole grid with the
+    per-grid references of ``test_round_batch`` (``patch``, a
+    ``MonkeyPatch``, serves the CI one) and offers the rule at
+    ``bisect_left(grid, cost)``; it buys when it is not ignored and its coin
+    is below ``A``.  The spend adds up in round order from 0.0, and the
+    estimate or the interval is assembled as ``online_runner._result`` does.
+    """
+    n = costs.size
+    beta = None if gamma is None else ci_parameters(gamma, n).beta
+    grid = [cap]
+    y = np.zeros(n)
+    spend, ignored_count, flagged = 0.0, 0, 0
+    transcripts = []
+    for i, (cost, z, coin) in enumerate(zip(costs.tolist(), data.tolist(), coins.tolist())):
+        alloc, ignore, price = 0.0, False, math.nan
+        if cost > cap:
+            flagged += 1
+        else:
+            budget = float(schedule.per_round(i + 1))
+            if gamma is None:
+                allocs, prices = _unbiased_round_ref(grid, budget)
+                ignores = np.zeros(len(grid), dtype=bool)
+            else:
+                (allocs, ignores, prices), _ = _ci_round_ref(grid, budget, beta, patch)
+            at = bisect.bisect_left(grid, cost)
+            alloc, ignore, price = float(allocs[at]), bool(ignores[at]), float(prices[at])
+            ignored_count += ignore
+        bought = not ignore and coin < alloc
+        if bought:
+            y[i] = z / alloc
+            spend += price
+        transcripts.append(RoundTranscript(
+            round_index=i + 1, cost=cost, grid=tuple(grid), alloc=alloc, payment_offer=price,
+            ignored=ignore, purchased=bought, observed=z if bought else 0.0, y=float(y[i]),
+            paid=price if bought else 0.0, flagged=cost > cap,
+        ))
+        if not cost > cap:
+            bisect.insort(grid, cost)
+    mean = float(np.mean(y))
+    if gamma is None:
+        return UnbiasedRunResult(estimate=mean, total_paid=spend, flagged=flagged,
+                                 transcripts=transcripts)
+    sigma = math.sqrt(sample_variance(y)) if n >= 2 else 0.0
+    interval = bernstein_interval(mean, sigma, max(n, 2), gamma, bias_term=ignored_count / n)
+    return CIRunResult(interval=interval, total_paid=spend, ignored_count=ignored_count,
+                       flagged=flagged, transcripts=transcripts)
+
+
+def _exact_ties(costs, cap):
+    """Whether every value that repeats in a run's last grid (its reports
+    not above ``cap``, and the cap) has exact virtual costs in a tie,
+    ``(k + 1) c - k c == c`` at every position ``k``.  Where a tie rounds,
+    the pooling passes and the per-grid loop may merge in another order and
+    end an ulp apart (``test_round_batch``)."""
+    grid = np.append(costs[~(costs > cap)], cap)
+    values, counts = np.unique(grid, return_counts=True)
+    k = np.arange(1.0, grid.size + 1.0)
+    return all(np.all((k + 1.0) * c - k * c == c) for c in values[counts > 1].tolist())
+
+
+def _leaves(result):
+    """A run's result as a flat list of its fields, transcripts included."""
+    leaves, stack = [], [dataclasses.astuple(result)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (tuple, list)):
+            stack.extend(reversed(item))
+        else:
+            leaves.append(item)
+    return leaves
+
+
+def _check_against_reference(costs, data, coins, cap, total):
+    """Both tasks, with and without transcripts, with a round cache and
+    without: each run gives the reference runner's bits where every tie is
+    exact, and its decisions with every float within rounding where one is
+    not."""
+    n = costs.size
+    exact = _exact_ties(costs, cap)
+    for gamma in (None, 0.9):
+        schedule = unbiased_schedule(n, total) if gamma is None else ci_schedule(n, total)
+        with pytest.MonkeyPatch.context() as patch:
+            want = _reference_run(costs, data, coins, cap, schedule, gamma, patch)
+        for record in (True, False):
+            ref = want if record else dataclasses.replace(want, transcripts=[])
+            for cache in (None, {}):
+                got = run_online(costs, data, cap, schedule, gamma, _Coins(coins), cache, record)
+                if exact:
+                    assert repr(got) == repr(ref), (gamma, record, cache)
+                    continue
+                for a, b in zip(_leaves(got), _leaves(ref), strict=True):
+                    if isinstance(a, float):
+                        assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12) or (
+                            math.isnan(a) and math.isnan(b)), (gamma, record, a, b)
+                    else:
+                        assert a == b, (gamma, record, a, b)
+
+
 class TestPlanners:
     """A run without a round cache is planned, solved and settled as arrays;
     a run with one looks its rounds up one by one.  Both must make every
@@ -851,6 +978,30 @@ class TestPlanners:
                 runs = [repr(run_online(costs, data, cap, schedule, gamma, _Coins(coins), cache, record))
                         for cache in (None, {})]
                 assert runs[0] == runs[1], (gamma, record)
+
+    @given(_plan_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_both_runners_match_the_reference_runner(self, case):
+        costs, cap, total, seed = case
+        rng = np.random.default_rng(seed)
+        _check_against_reference(costs, rng.random(costs.size), rng.random(costs.size), cap, total)
+
+    @pytest.mark.parametrize("shape", ["tied", "distinct", "zeros", "at_cap", "flagged"])
+    def test_long_runs_match_the_reference_runner(self, shape):
+        # Longer runs than the drawn ones, at budgets where the CI walk
+        # ignores part of a block at some reports and buys at others.
+        n = 120
+        spec = ({"kind": "two_point", "fractions": [0.7, 0.3], "costs": [2.0, 9.0]}
+                if shape == "tied" else {"kind": "independent"})
+        pop = gen_population(spec, n, 25.0, 8)
+        costs = pop.costs
+        if shape in ("zeros", "at_cap"):
+            value = 0.0 if shape == "zeros" else pop.cap
+            costs = np.where(np.random.default_rng(8).random(n) < 0.6, value, costs)
+        cap = 15.0 if shape == "flagged" else pop.cap
+        for total in (0.2 * n, 1.5 * n, 40.0 * n):
+            coins = np.random.default_rng(int(total)).random(n)
+            _check_against_reference(costs, pop.data, coins, cap, total)
 
     def test_prefix_root_sums_match_fsum(self):
         # Each entry's root sum from ``_prefix_ranks`` against ``math.fsum`` of
