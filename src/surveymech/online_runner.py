@@ -45,28 +45,26 @@ __all__ = [
 ]
 
 # Grid points per batch of ``_solve_rounds``, counted as its rows times its
-# widest row: each padded temporary of a batch stays within 256 KB whatever
-# n, unless one grid alone is wider (it is then a batch of its own).  A CI
-# batch holds half of that (``_batch_bounds``): its walk keeps more arrays
-# live per point, and batches filled across the runs of a chunk cost that
-# memory.  Since a CI batch calibrates only the rows whose report its walk
-# leaves unignored, one full-size ``mc_fresh_ci`` call of the benchmark
-# (n = 100, 10 runs) peaked at 3.02 MB traced with batches of 2^15 points,
-# 1.79 MB at 2^14 and 1.03 MB at 2^13, and took a median 33.8 ms of CPU at
-# 2^14 against 41.2 ms at 2^13 (10 alternated process pairs, 10 calls each)
-# and no less at 2^15 (2-core Xeon VM, Python 3.11.7, numpy 2.4.6).
-# Unbiased rows keep 2^15: one full-size ``mc_fresh_unbiased`` call peaked at
-# 2.63 MB with one-run batches and at 3.17 MB with chunk-filled ones.
-_BATCH_POINTS = 2**15
+# widest row: a padded temporary of a batch stays within 128 KB whatever n,
+# unless one grid alone is wider (it is then a batch of its own).  The CI
+# walk steps all rows of a batch at once: a full-size ``mc_fresh_ci`` call
+# took a median 33.8 ms of CPU at 2^14 points against 41.2 ms at 2^13 and no
+# less at 2^15, and peaked at 1.79, 1.03 and 3.02 MB traced.  Unbiased
+# batches of 2^14 points took no more CPU than 2^15 on ``mc_cached`` and
+# ``mc_fresh_unbiased`` (2^13 took about 10% more on the latter), and cut
+# their peaks from 2.82 to 1.93 MB and from 2.66 to 1.56 MB (2-core Xeon VM,
+# Python 3.11.7, numpy 2.4.6).
+_BATCH_POINTS = 2**14
 
-# Rounds per chunk of runs that read no round cache (``_chunk_bounds``).  A
-# chunk holds about 20 arrays of one entry per round besides one solve
-# batch, so this bound, not ``_BATCH_POINTS``, sets what many runs cost.
-# 2,000 unbiased runs at n = 100 in one ``monte_carlo`` call peaked at
-# 5.76 MB traced with chunks of 2^15 rounds, 4.18 MB with 2^14, 2.96 MB with
-# 2^13 and 2.34 MB with 2^12 (numpy 2.4.6); CPU time was the same within
-# noise down to 2^13 and about 10% more at 2^12.  Both continuous-cost
-# benchmark calls (5 x 1000 and 10 x 100 rounds) fit in one chunk.
+# Rounds per chunk of runs that read no round cache (``_chunk_bounds``),
+# every Monte Carlo chunk among them.  A chunk holds about 20 arrays of one
+# entry per round besides one solve batch, so this bound sets what many runs
+# cost.  2,000 unbiased runs of continuous costs at n = 100 peaked at 5.76 MB
+# traced with chunks of 2^15 rounds, 4.18 MB with 2^14, 2.96 MB with 2^13 and
+# 2.34 MB with 2^12 (batches of 2^15 points), with the same CPU time down to
+# 2^13 and about 10% more at 2^12; with today's batches they peak at 1.92 MB
+# at 2^13, and as many runs of five tied costs at 1.90 MB.  Both benchmark
+# calls on continuous costs (5 x 1000 and 10 x 100 rounds) fit in one chunk.
 _CHUNK_ROUNDS = 2**13
 
 
@@ -161,17 +159,15 @@ class CIRunResult:
     transcripts: list = field(default_factory=list)
 
 
-def _batch_bounds(widths, ci=False):
+def _batch_bounds(widths):
     """Split rows of the given widths, in order, into ``(lo, hi)`` runs of at
-    most ``_BATCH_POINTS`` padded points (rows times the widest row), half
-    of that for rows of the CI task (``ci``); a row wider than that is a
-    batch alone."""
-    limit = _BATCH_POINTS // 2 if ci else _BATCH_POINTS
+    most ``_BATCH_POINTS`` padded points (rows times the widest row); a row
+    wider than that is a batch alone."""
     bounds = []
     lo = widest = 0
     for hi, width in enumerate(widths):
         widest = max(widest, width)
-        if hi > lo and (hi + 1 - lo) * widest > limit:
+        if hi > lo and (hi + 1 - lo) * widest > _BATCH_POINTS:
             bounds.append((lo, hi))
             lo, widest = hi, width
     if lo < len(widths):
@@ -285,35 +281,32 @@ def _ruled_out(coin, below, top, root, roots, budget, widen):
     return (budget > 0) & (coin * (below * top + root * roots) >= budget * widen)
 
 
-def _run_cached(costs_seq, data_seq, coins, cap, schedule, gamma, cache, record, keys=None):
+def _run_cached(costs_seq, data_seq, coins, cap, schedule, gamma, cache, record):
     """One online run in arrival order, with purchase coins ``coins``, that
     reads and adds to the round cache ``cache``: the unbiased task if
     ``gamma`` is None, else the confidence-interval task at confidence
-    ``gamma``.  Runs that read no cache go through ``_run_chunk`` instead,
-    with the same bits.  Monte Carlo on a population where some cost repeats
-    hands it, one by one, the rows of a chunk of runs it has already drawn
-    (``simharness._mc_batch``), with one cache for the whole batch.
+    ``gamma``.  Only the public runners' ``cache=`` comes here; every other
+    run, Monte Carlo included, goes through ``_run_chunk``, with the same
+    bits.
 
     Every round not flagged solves its rule on the grid of earlier reports
-    plus the cap, or takes it from ``cache``.  Round ``i`` is keyed by
-    ``keys[i - 1]``, which the caller supplies and which must be equal for
-    two rounds exactly when their grids are; with ``keys`` None it is keyed
-    by the grid tuple, as user caches and transcripts read it (a run that
-    records transcripts keeps ``keys`` None).  An entry is the round's key
-    (slot 0), ``_solve_rounds``' arrays for the round (slots 1-3: ``A``,
-    then ``ignored`` on the CI task, then the payments), and the budget and
-    the CI ``beta`` (None for the unbiased task) it was solved for.  A hit
+    plus the cap, or takes it from ``cache``, keyed by the grid tuple as
+    transcripts show it.  An entry is the round's key (slot 0),
+    ``_solve_rounds``' arrays for the round (slots 1-3: ``A``, then
+    ``ignored`` on the CI task, then the payments), and the budget and the
+    CI ``beta`` (None for the unbiased task) it was solved for.  A hit
     solved for another budget or ``beta`` is solved again: the same grid
     recurs at a later round after a flagged arrival, and a shared cache may
     have served a run at another ``gamma``.
 
     No round's grid depends on a purchase, so one pass looks every round up
     and reads the hits' offers, then ``_solve_chunk`` solves the misses, as
-    a chunk of one run, and the cache gets copies of their rows in round
-    order; ``_settle`` makes the purchases.  The purchase screen
-    (``_ruled_out``, on for the unbiased task without transcripts) applies
-    to the misses: a miss it rules out is not solved and not cached, and
-    offers nothing.  Hits read their cached offer.
+    a chunk of one run whose rounds are each their own key, and the cache
+    gets copies of their rows in round order; ``_settle`` makes the
+    purchases.  The purchase screen (``_ruled_out``, on for the unbiased
+    task without transcripts) applies to the misses: a miss it rules out is
+    not solved and not cached, and offers nothing.  Hits read their cached
+    offer.
     """
     n = costs_seq.size
     ci = gamma is not None
@@ -333,7 +326,7 @@ def _run_cached(costs_seq, data_seq, coins, cap, schedule, gamma, cache, record,
     for i, cost in enumerate(costs_seq.tolist()):
         if cost > cap:
             continue
-        key = keys[i] if keys is not None else tuple(grid)
+        key = tuple(grid)
         at = bisect.bisect_left(grid, cost)
         budget = budget_list[i]
         entry = lookup(key)
@@ -343,11 +336,8 @@ def _run_cached(costs_seq, data_seq, coins, cap, schedule, gamma, cache, record,
                 ignored[i] = entry[2][at]
             # an ignored agent's price is NaN: its effective allocation is zero
             price[i] = entry[-3][at]
-        # the screen's root sum S, for the misses it tests only: about 2 us
-        # each on a 51-point grid, where one _prefix_ranks call on the run's
-        # arrivals, the array plan's source of S, takes about 380 us at
-        # n = 100, more than twice a cached run's whole loop.  The two sums
-        # add in different orders; the slack covers both
+        # the screen's root sum S, for the misses it tests only; it adds in
+        # another order than ``_prefix_ranks``, and the slack covers both
         elif not (screen and _ruled_out(coin_list[i], at, grid[at], math.sqrt(grid[at]),
                                         sum(map(math.sqrt, grid[at:])), budget, widen)):
             sizes[i], idx[i], missed[i] = len(grid), at, key
@@ -365,7 +355,8 @@ def _run_cached(costs_seq, data_seq, coins, cap, schedule, gamma, cache, record,
                 cache[key] = (key, *(part[r, :sizes[i]].copy() for part in parts), budget_list[i], beta)
 
         solved = _solve_chunk(arrivals, np.array(sizes, dtype=np.intp)[None],
-                              np.array(idx, dtype=np.intp)[None], budgets, solve, beta, store)
+                              np.array(idx, dtype=np.intp)[None], budgets, np.arange(n)[None],
+                              solve, beta, store)
         for out, part in zip(offers, solved):
             out[solve] = part[solve]
     return _settle(costs_seq[None], data_seq[None], coins[None], cap, gamma, record, offers)[0]
@@ -455,21 +446,59 @@ def _prefix_ranks(arrivals):
     return below, np.take_along_axis(ordered, least, axis=1), roots
 
 
+def _grid_keys(costs, live):
+    """Each round's grid key, for runs in the rows of the 2-D ``costs`` (a
+    run's reports in arrival order) with ``live`` where a report is not
+    flagged: the counts of each distinct live cost of the chunk among the
+    run's earlier live reports, as one mixed-radix int64 numeral.  The cap
+    and flagged reports are never counted.  Value ``j``'s radix ``r_j`` is
+    one more than its most copies in any run, and its weight ``r_0 ...
+    r_{j-1}``, so two rounds of the chunk get equal keys exactly when their
+    grids (the cap and those reports) are equal.  Where ``prod r_j`` would
+    pass 2^63 the numeral may not fit in int64, and each round is its own key.
+
+    The classes come from sorts, neighbour comparisons and ``searchsorted``:
+    a plain ``np.unique`` imports ``numpy.ma``, about 1 MB of resident memory.
+    """
+    runs, n = costs.shape
+    values = np.sort(costs[live])
+    values = values[np.diff(values, prepend=-np.inf) > 0]
+    d = values.size
+    if d >= 64:  # every radix is at least 2, so the product passes 2^63
+        return np.arange(runs * n).reshape(runs, n)
+    classes = np.where(live, np.searchsorted(values, costs), d)  # flagged: class d
+    # one run of equal (run, class) pairs per class a run holds, as long as its copies
+    pairs = np.sort((np.arange(runs)[:, None] * (d + 1) + classes).ravel())
+    starts = np.flatnonzero(np.diff(pairs, prepend=-1))
+    radix = np.ones(d + 1, dtype=np.int64)
+    np.maximum.at(radix, pairs[starts] % (d + 1), np.diff(np.append(starts, pairs.size)) + 1)
+    weights, total = [], 1
+    for r in radix[:d].tolist():
+        weights.append(total)
+        total *= r
+        if total > 2**63:
+            return np.arange(runs * n).reshape(runs, n)
+    weight = np.append(np.array(weights, dtype=np.int64), 0)[classes]
+    return np.cumsum(weight, axis=1) - weight
+
+
 def _plan_chunk(costs, coins, cap, schedule, screen):
     """Plan the rounds of runs that read no round cache, one run per row of
     the 2-D ``costs`` (its reports in arrival order) and ``coins``.
 
-    Returns ``(arrivals, sizes, idx, tops, budgets, solve)``.  ``arrivals``
-    holds each run's cap, then its reports not above the cap in arrival
-    order, then its flagged ones, so the grid of a round with ``m`` points
-    is the first ``m`` entries of its run's row.  The rest is per round, in
-    arrival order, what ``_run_cached``'s loop computes there: the grid's
-    size ``m``, the position ``idx = bisect_left(grid, c)`` of the report
-    ``c`` and the grid cost ``grid[idx]`` at it (``_prefix_ranks``, whose
-    root sums ``S`` over ``grid[idx:]`` the screen reads too), the budget
-    ``xi * B * sqrt(i)`` (one row for every run), and whether the round is
-    solved: not flagged, and, with ``screen``, not ruled out by the purchase
-    screen.  A flagged round's ``m``, ``idx`` and grid cost mean nothing.
+    Returns ``(arrivals, sizes, idx, tops, budgets, keys, solve)``.
+    ``arrivals`` holds each run's cap, then its reports not above the cap in
+    arrival order, then its flagged ones, so the grid of a round with ``m``
+    points is the first ``m`` entries of its run's row.  The rest is per
+    round, in arrival order: the grid's size ``m``, the position ``idx =
+    bisect_left(grid, c)`` of the report ``c`` and the grid cost
+    ``grid[idx]`` at it (``_prefix_ranks``, whose root sums ``S`` over
+    ``grid[idx:]`` the screen reads too), the budget ``xi * B * sqrt(i)``
+    (one row for every run), the grid's key (``_grid_keys``: equal for two
+    rounds of the chunk exactly when their grids are) and whether the round
+    is solved: not flagged, and, with ``screen``, not ruled out by the
+    purchase screen.  A flagged round's ``m``, ``idx``, grid cost and key
+    mean nothing.
     """
     runs, n = costs.shape
     live = ~(costs > cap)
@@ -488,55 +517,78 @@ def _plan_chunk(costs, coins, cap, schedule, screen):
     if screen:
         widen = 1.0 + _screen_slack(n + 1)
         solve = live & ~_ruled_out(coins, below, tops, np.sqrt(tops), roots, budgets, widen)
-    return arrivals, sizes, below, tops, budgets, solve
+    return arrivals, sizes, below, tops, budgets, _grid_keys(costs, live), solve
 
 
-def _solve_chunk(arrivals, sizes, idx, budgets, solve, beta, store=None, drop=False):
+def _batch_grids(arrivals, rounds, sizes, n):
+    """The padded grids of a batch of rounds, given as flat round indices of
+    runs of ``n`` rounds, in order of their grid sizes ``sizes``.  A batch of
+    grids at most ``W`` wide sorts each of its runs' first ``W`` arrivals
+    once, stably, as ``insort`` orders ties; a row's grid is its run's sorted
+    first ``m`` of them, padded with the cap at the end, and never a row of
+    the whole run."""
+    size, width = sizes[:, None], int(sizes[-1])
+    run = rounds // n
+    present = np.zeros(arrivals.shape[0], dtype=bool)
+    present[run] = True
+    held = arrivals[present, :width]
+    order = np.argsort(held, axis=1, kind="stable")
+    slot = np.cumsum(present)[run] - 1
+    costs = np.full((rounds.size, width), arrivals[0, 0])
+    # the held arrivals in the order of ``order``, a stable sort of values
+    costs[np.arange(width) < size] = np.take_along_axis(held, order, axis=1)[slot][order[slot] < size]
+    return costs
+
+
+def _solve_chunk(arrivals, sizes, idx, budgets, keys, solve, beta, store=None, drop=False):
     """Offers ``(alloc, ignored, price)`` of a chunk's planned rounds (see
     ``_plan_chunk``), per round; a round not solved offers ``(0, False,
     NaN)``, which buys nothing.  ``store``, if given, is called after each
-    batch with the batch's flat round indices and ``_solve_rounds``' arrays,
-    one row per round.  With ``drop``, ``_solve_rounds`` gets each round's
-    report position, so a CI round ignored there offers ``(0, True, NaN)``
-    unpriced; a store or a transcript needs whole rows, so neither drops.
+    batch with the flat indices of the rounds solved in it and
+    ``_solve_rounds``' arrays, one row per round.  With ``drop``,
+    ``_solve_rounds`` gets each solved row's report position, so a CI row
+    ignored there offers ``(0, True, NaN)`` unpriced; a store or a
+    transcript needs whole rows, so neither drops.
 
-    The rounds to solve, stably sorted by grid size so that a batch pads
-    little, go through ``_solve_rounds`` in ``_batch_bounds`` batches.  A
-    batch of grids at most ``W`` wide sorts each of its runs' first ``W``
-    arrivals once, stably, as ``insort`` orders ties; a row's grid is its
-    run's sorted first ``m`` of them, padded with the cap at the end, and
-    never a row of the whole run.  Each batch's offers are gathered from its
-    arrays with one ``take`` per array.
+    The rounds to solve fall into groups of one key and one round index: one
+    grid and one budget.  Each group solves the row of its member with the
+    lowest report position, and every member reads its offer from that row
+    at its own report position.  Ignoring fills a grid from the top, so a
+    dropped row is one where every member's report is ignored; a kept member
+    that is itself ignored offers ``(A, True, NaN)``, which buys nothing,
+    as ``(0, True, NaN)`` does.
+
+    The groups, sorted by grid size so that a batch pads little, go through
+    ``_solve_rounds`` in ``_batch_bounds`` batches of ``_batch_grids``.  Each
+    batch's offers are gathered from its arrays with one ``take`` per array.
     """
     runs, n = solve.shape
-    cap = arrivals[0, 0]
     alloc, ignored, price = _no_offers((runs, n))
     rounds = np.flatnonzero(solve)
-    widths = sizes.ravel()[rounds]
-    by_width = np.argsort(widths, kind="stable")
-    rounds, widths = rounds[by_width], widths[by_width]
+    key, widths, report = (part.ravel()[rounds] for part in (keys, sizes, idx))
+    # by width, then group, then report position: each group's first member solves
+    order = np.lexsort((report, rounds % n, key, widths))
+    rounds, key, widths, report = (part[order] for part in (rounds, key, widths, report))
+    first = np.ones(rounds.size, dtype=bool)
+    first[1:] = (key[1:] != key[:-1]) | (rounds[1:] % n != rounds[:-1] % n)
+    group = np.cumsum(first) - 1
+    starts = np.append(np.flatnonzero(first), rounds.size)
+    solved, widths, at = rounds[first], widths[first], report[first]
     outs = (alloc, price) if beta is None else (alloc, ignored, price)
-    for lo, hi in _batch_bounds(widths.tolist(), beta is not None):
-        batch, size = rounds[lo:hi], widths[lo:hi, None]
-        width = int(size[-1, 0])
-        run = batch // n
-        present = np.zeros(runs, dtype=bool)
-        present[run] = True
-        held = arrivals[present, :width]
-        order = np.argsort(held, axis=1, kind="stable")
-        slot = np.cumsum(present)[run] - 1
-        costs = np.full((batch.size, width), cap)
-        # the held arrivals in the order of ``order``: a stable sort of values
-        costs[np.arange(width) < size] = np.sort(held, axis=1, kind="stable")[slot][order[slot] < size]
-        report = idx.ravel()[batch]
-        parts = _solve_rounds(costs, size[:, 0], budgets[batch % n].tolist(), beta,
-                              report if drop else None)
-        # each offer's flat position in the batch's C-ordered arrays
-        at = np.arange(batch.size) * width + report
+    for lo, hi in _batch_bounds(widths.tolist()):
+        batch = solved[lo:hi]
+        costs = _batch_grids(arrivals, batch, widths[lo:hi], n)
+        parts = _solve_rounds(costs, widths[lo:hi], budgets[batch % n].tolist(), beta,
+                              at[lo:hi] if drop else None)
+        # each member's offer at its flat position in the batch's C-ordered arrays
+        members = slice(starts[lo], starts[hi])
+        offer = (group[members] - lo) * costs.shape[1] + report[members]
         for out, part in zip(outs, parts):
-            np.put(out, batch, part.take(at))
+            np.put(out, rounds[members], part.take(offer))
         if store is not None:
             store(batch, parts)
+        # a batch's arrays are the largest it makes: free them before the next is solved
+        del parts, part
     return alloc, ignored, price
 
 
@@ -547,19 +599,20 @@ def _run_chunk(costs, data, coins, cap, schedule, gamma, record):
     ``_run_cached``; a list of their results.
 
     Three array steps serve every round of the chunk together: the plan
-    (``_plan_chunk``: grids, positions, budgets and the purchase screen),
-    the solve (``_solve_chunk``) and the settlement (``_settle``).  So a
-    chunk holds its runs' per-round arrays and one batch at a time.  Without
-    transcripts a round's offer matters only where it can buy: the screen
-    is on for the unbiased task, and the CI task drops the rounds its walk
-    ignores before they are calibrated.
+    (``_plan_chunk``: grids, positions, budgets, grid keys and the purchase
+    screen), the solve (``_solve_chunk``, once per distinct grid and round)
+    and the settlement (``_settle``).  So a chunk holds its runs' per-round
+    arrays and one batch at a time.  Without transcripts a round's offer
+    matters only where it can buy: the screen is on for the unbiased task,
+    and the CI task drops the rounds its walk ignores before they are
+    calibrated.
     """
     n = costs.shape[1]
     ci = gamma is not None
     beta = ci_parameters(gamma, n).beta if ci else None
-    arrivals, sizes, idx, _, budgets, solve = _plan_chunk(
+    arrivals, sizes, idx, _, budgets, keys, solve = _plan_chunk(
         costs, coins, cap, schedule, not ci and not record)
-    offers = _solve_chunk(arrivals, sizes, idx, budgets, solve, beta, drop=ci and not record)
+    offers = _solve_chunk(arrivals, sizes, idx, budgets, keys, solve, beta, drop=ci and not record)
     return _settle(costs, data, coins, cap, gamma, record, offers)
 
 

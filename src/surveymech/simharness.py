@@ -11,18 +11,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-import operator
-from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from .ci_solver import ci_parameters
-from .errors import InvalidInputError, _float_array, _scalar, _vector, _whole
+from .errors import InvalidInputError, _float_array, _positive, _scalar, _vector, _whole
 from .online_runner import (
     _chunk_bounds,
-    _run_cached,
     _run_chunk,
     benchmark_ci,
     benchmark_unbiased,
@@ -45,43 +41,10 @@ __all__ = [
 
 _TASKS = ("unbiased", "ci")
 
-# Grid points the Monte Carlo round cache keeps; ``_mc_batch`` keeps one only
-# on a population where some cost repeats.  An entry holds two float arrays
-# of its grid's size (and a bool one on the CI task) under an int key: at the
-# bound 4.0-4.25 MB of arrays, and 4.5-6.3 MB with the per-entry overhead on
-# five- to twenty-value populations at n = 100 to 1000 (12-14 MB on fifty
-# values at n = 30, whose grids are short).  A run's working set is this
-# cache, if any, plus one batch of ``_solve_rounds``.
-_CACHE_POINTS = 2**18
 # Points of the uniform grid ``truthfulness_audit`` checks the extension on,
 # and the violation it tolerates.
 _AUDIT_POINTS = 201
 _AUDIT_TOL = 1e-9
-
-
-class _RoundCache(OrderedDict):
-    """Round cache that evicts its oldest entries beyond ``max_points`` grid points.
-
-    A grid's points are counted from its entry (slot 1, ``A``, has the
-    grid's size) when its key is first added, and the key added last is
-    never evicted; a key stored again keeps its place, as in a dict.  Every
-    entry stored under a key is for the same grid, so eviction subtracts
-    what was added.
-    """
-
-    def __init__(self, max_points: int):
-        super().__init__()
-        self.max_points = max_points
-        self.points = 0
-
-    def __setitem__(self, key, entry):
-        size = len(self)
-        super().__setitem__(key, entry)
-        if len(self) > size:
-            self.points += entry[1].size
-        while self.points > self.max_points and len(self) > 1:
-            _, oldest = self.popitem(last=False)
-            self.points -= oldest[1].size
 
 
 @dataclass(frozen=True)
@@ -127,20 +90,6 @@ def draw_permutation(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.permutation(_scalar(n, "n", 1, convert=_whole))
 
 
-def _count_weights(costs):
-    """Each cost's weight in a mixed radix over the distinct values of ``costs``.
-
-    Distinct value ``j`` of multiplicity ``mult_j`` weighs ``W_j``, with
-    ``W_0 = 1`` and ``W_{j+1} = W_j * (mult_j + 1)``.  The weights of any
-    sub-multiset of ``costs`` sum to ``sum_j count_j * W_j`` with
-    ``count_j <= mult_j``: an exact key of its counts, for any number of
-    distinct values, because Python ints do not overflow.
-    """
-    _, classes, mult = np.unique(costs, return_inverse=True, return_counts=True)
-    weights = list(accumulate((mult[:-1] + 1).tolist(), operator.mul, initial=1))
-    return [weights[j] for j in classes.tolist()]
-
-
 def _mc_batch(task, costs, data, cap, budget, gamma, master_seed, run_lo, run_hi):
     """Per-run outputs for run indices [run_lo, run_hi); order-independent.
 
@@ -148,14 +97,12 @@ def _mc_batch(task, costs, data, cap, budget, gamma, master_seed, run_lo, run_hi
     population has no cost above its cap, so none is flagged).  The runs go
     in chunks of at most ``_CHUNK_ROUNDS`` rounds (``_chunk_bounds``), each
     run drawing its permutation and then its purchase coins from its own
-    ``(master_seed, run_index)`` generator into the chunk's arrays.  On a
-    population without ties two runs share round ``i``'s grid only if they
-    drew the same ``i - 1`` earlier arrivals, so a round cache would almost
-    never be read again: a chunk goes through ``online_runner._run_chunk``,
-    planned, solved and settled as arrays, as a public runner does with
-    ``cache`` None.  Where some cost repeats, the batch keeps one round
-    cache, and each run of a chunk goes in run order through ``_run_cached``,
-    keyed exactly by the running sum of ``_count_weights``.
+    ``(master_seed, run_index)`` generator into the chunk's arrays.  Every
+    chunk goes through ``online_runner._run_chunk``, planned, solved and
+    settled as arrays, as a public runner does with ``cache`` None.  Two runs
+    share round ``i``'s grid exactly when their earlier arrivals hold the
+    same count of each cost, so on tied costs a chunk solves each distinct
+    grid once, and no solved round is kept past its chunk.
     """
     n = costs.size
     count = run_hi - run_lo
@@ -165,12 +112,6 @@ def _mc_batch(task, costs, data, cap, budget, gamma, master_seed, run_lo, run_hi
     uppers = np.full(count, np.nan)
     flagged = np.zeros(count, dtype=np.int64)
     schedule = (unbiased_schedule if task == "unbiased" else ci_schedule)(n, budget)
-    # Ties by adjacent equality after a sort: a plain ``np.unique`` imports
-    # ``numpy.ma``, about 1 MB of resident memory, on every call.
-    ordered = np.sort(costs)
-    cache = None
-    if (ordered[1:] == ordered[:-1]).any():
-        cache, weight_of = _RoundCache(_CACHE_POINTS), _count_weights(costs)
     for lo, hi in _chunk_bounds(count, n):
         perms = np.empty((hi - lo, n), dtype=np.intp)
         coins = np.empty((hi - lo, n))
@@ -178,13 +119,7 @@ def _mc_batch(task, costs, data, cap, budget, gamma, master_seed, run_lo, run_hi
             rng = np.random.default_rng([master_seed, run_lo + lo + k])
             perms[k] = draw_permutation(rng, n)
             coins[k] = rng.random(n)
-        if cache is None:
-            results = _run_chunk(costs[perms], data[perms], coins, cap, schedule, gamma, False)
-        else:
-            results = (
-                _run_cached(costs[perm], data[perm], coin, cap, schedule, gamma, cache, False,
-                            list(accumulate(map(weight_of.__getitem__, perm.tolist()), initial=0)))
-                for perm, coin in zip(perms, coins))
+        results = _run_chunk(costs[perms], data[perms], coins, cap, schedule, gamma, False)
         for k, result in enumerate(results, lo):
             if task == "unbiased":
                 estimates[k] = result.estimate
@@ -219,8 +154,9 @@ def monte_carlo(
     Raises:
         InvalidInputError: for an unknown task, a ``gamma`` on the unbiased
             task, a ``gamma`` on the ci task that is missing or not a number
-            strictly between 0 and 1, a budget not a finite number ``>= 0``,
-            ``runs`` or ``workers`` not a whole number ``>= 1``, or
+            strictly between 0 and 1, a budget not a finite number ``> 0``
+            on the unbiased task or ``>= 0`` on the ci task, ``runs`` or
+            ``workers`` not a whole number ``>= 1``, or
             ``master_seed`` not a whole number ``>= 0``.  All are raised
             before any worker starts.
     """
@@ -232,7 +168,8 @@ def monte_carlo(
         if gamma is None:
             raise InvalidInputError("ci task needs a confidence level gamma")
         gamma = ci_parameters(gamma, population.n).gamma
-    budget = _scalar(budget, "budget", 0.0)
+    # an unbiased round needs a positive budget (``_solve_rounds``)
+    budget = _positive(budget, "budget") if task == "unbiased" else _scalar(budget, "budget", 0.0)
     runs = _scalar(runs, "runs", 1, convert=_whole)
     master_seed = _scalar(master_seed, "master_seed", 0, convert=_whole)
     workers = _scalar(workers, "workers", 1, convert=_whole)

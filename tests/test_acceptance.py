@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line each.
 
-The Monte Carlo criteria share session-scoped runs; population shapes are
-chosen so round solutions cache across runs (few distinct cost values), which
-is what keeps 20,000-run batches inside their runtime budgets on one core.
+The Monte Carlo criteria share session-scoped runs.  Their populations hold
+few distinct cost values, so the runs of a Monte Carlo chunk share most round
+grids and solve each distinct one once, which keeps 20,000-run batches inside
+their runtime budgets on one core.
 """
 
 import math

@@ -154,7 +154,7 @@ SCALAR_ARGUMENTS = {
                          ConfigError),
     "gen_population-cap": (lambda v: gen_population(SPEC, 10, v, 0), 0.0, REAL + (-1.0,),
                            ConfigError),
-    "monte_carlo-budget": (lambda v: _monte_carlo(budget=v), 5.0, REAL + (-1.0,),
+    "monte_carlo-budget": (lambda v: _monte_carlo(budget=v), 5.0, REAL + (-1.0, 0.0),
                            InvalidInputError),
     "monte_carlo-runs": (lambda v: _monte_carlo(runs=v), 1, WHOLE + (0,), InvalidInputError),
     "monte_carlo-master_seed": (lambda v: _monte_carlo(master_seed=v), 0, WHOLE + (-1, 1.5),

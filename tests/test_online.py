@@ -35,6 +35,7 @@ from surveymech import ci_solver, online_runner, simharness
 from surveymech.audits import random_cost_set
 from surveymech.online_runner import _solve_rounds
 from test_round_batch import _ci_round_ref, _unbiased_round_ref
+from test_simharness import _distinct_grids
 
 
 def make_pop(costs, data=None, cap=None):
@@ -397,10 +398,9 @@ class TestWorkingSet:
         # ``_CHUNK_ROUNDS`` rounds, and solves them in batches of at most
         # ``_BATCH_POINTS`` points: one run per chunk and one row per batch,
         # chunks of six runs, the default bounds and the whole call in one
-        # chunk give the same per-run arrays, with one worker or two, and
-        # one worker solves the same rows.  Without ties each chunk goes
-        # through ``_run_chunk``; with ties each run reads the batch's one
-        # round cache, which the chunks must neither split nor refill.
+        # chunk give the same per-run arrays, with one worker or two.  Tied
+        # or not, every chunk goes through ``_run_chunk`` in the same sizes,
+        # and solves each distinct ``(round, grid)`` of its rounds once.
         spec = ({"kind": "two_point", "fractions": [0.7, 0.3], "costs": [2.0, 9.0]} if tied
                 else {"kind": "independent"})
         pop = gen_population(spec, 40, 25.0, 5)
@@ -418,7 +418,7 @@ class TestWorkingSet:
 
         monkeypatch.setattr(simharness, "_run_chunk", chunk_spy)
         monkeypatch.setattr(online_runner, "_solve_rounds", solve_spy)
-        want = want_rows = None
+        want = None
         defaults = (online_runner._BATCH_POINTS, online_runner._CHUNK_ROUNDS)
         for bounds, runs_per_chunk in (((1, 1), 1), ((6 * 40,) * 2, 6), (defaults, 30),
                                        ((math.inf,) * 2, 30)):
@@ -430,9 +430,8 @@ class TestWorkingSet:
                 _, per_run = monte_carlo(task, pop, 60.0, gamma, 30, 7, workers=workers,
                                          return_per_run=True)
                 if workers == 1:
-                    assert chunks == ([] if tied else [runs_per_chunk] * (30 // runs_per_chunk))
-                    want_rows = sum(rows) if want_rows is None else want_rows
-                    assert sum(rows) == want_rows > 0, bounds
+                    assert chunks == [runs_per_chunk] * (30 // runs_per_chunk)
+                    assert 0 < sum(rows) == _distinct_grids(task, pop, 60.0, 30, 7, runs_per_chunk)
                 if want is None:
                     want = per_run
                 for key, values in want.items():
@@ -441,10 +440,11 @@ class TestWorkingSet:
     # (shape, traced MB a call may peak at): the two continuous-cost
     # benchmark calls at full size, which peaked at 3.17 and 1.38 MB on
     # numpy 2.4.6, and 2,000 runs at n = 100, which peaked at 2.96 MB.  Each
-    # bound is twice the measured peak, room for the temporaries of sorts
-    # and gathers on other numpy versions.  The 2,000 runs peaked at 25 MB
-    # in one chunk: ``_CHUNK_ROUNDS`` keeps their per-round arrays to one
-    # chunk of runs at a time.
+    # bound is twice that peak, room for the temporaries of sorts and
+    # gathers on other numpy versions.  With batches of 2^14 points rather
+    # than 2^15 they peak at 1.56, 1.65 and 1.92 MB.  The 2,000 runs peaked
+    # at 25 MB in one chunk: ``_CHUNK_ROUNDS`` keeps their per-round arrays
+    # to one chunk of runs at a time.
     @pytest.mark.parametrize("task, n, runs, bound_mb", [
         ("unbiased", 1000, 5, 6.4), ("ci", 100, 10, 2.8), ("unbiased", 100, 2000, 6.0),
     ])
@@ -960,9 +960,10 @@ class TestPlanners:
         loop = run_online(costs, data, cap, schedule, None, _Coins(coins), {}, True)
         solved: dict = {}
         run_online(costs, data, cap, schedule, None, _Coins(coins), solved, False)
-        _, sizes, idx, tops, budgets, solve = online_runner._plan_chunk(
+        _, sizes, idx, tops, budgets, keys, solve = online_runner._plan_chunk(
             costs[None], coins[None], cap, schedule, True)
-        assert solve.shape == (1, n)
+        assert solve.shape == keys.shape == (1, n)
+        grid_of = {}  # key -> grid: one grid per key, and no grid under two keys
         for t in loop.transcripts:
             i = t.round_index - 1
             if t.flagged:
@@ -972,6 +973,8 @@ class TestPlanners:
             assert (sizes[0, i], idx[0, i], tops[0, i]) == (len(t.grid), k, t.grid[k])
             assert budgets[i] == schedule.per_round(t.round_index)
             assert solve[0, i] == (t.grid in solved)
+            assert grid_of.setdefault(keys[0, i], t.grid) == t.grid
+        assert len(set(grid_of.values())) == len(grid_of)
         for gamma in (None, 0.9):
             schedule = unbiased_schedule(n, total) if gamma is None else ci_schedule(n, total)
             for record in (True, False):

@@ -296,22 +296,22 @@ def _rows(parts, sizes):
 
 def test_batch_bounds_split_rows_in_order_within_the_point_bound():
     rng = np.random.default_rng(3)
-    # a CI batch holds half the points of an unbiased one
-    for ci, bound in ((False, online_runner._BATCH_POINTS), (True, online_runner._BATCH_POINTS // 2)):
-        assert _batch_bounds([], ci) == []
-        cases = [[1], [bound + 5], [bound, bound, 1], list(range(1, 1002)),
-                 rng.integers(1, 3 * bound // 100, 500).tolist()]
-        for widths in cases:
-            bounds = _batch_bounds(widths, ci)
-            assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
-            assert bounds[-1][1] == len(widths)
-            for lo, hi in bounds:
-                points = (hi - lo) * max(widths[lo:hi])
-                assert hi > lo and (points <= bound or hi == lo + 1)
-                # greedy: the next row would not have fitted
-                if hi < len(widths):
-                    assert (hi + 1 - lo) * max(widths[lo:hi + 1]) > bound
-        assert _batch_bounds([2, bound // 2 + 1, 2], ci) == [(0, 1), (1, 2), (2, 3)]
+    # one bound for the batches of both tasks
+    bound = online_runner._BATCH_POINTS
+    assert _batch_bounds([]) == []
+    cases = [[1], [bound + 5], [bound, bound, 1], list(range(1, 1002)),
+             rng.integers(1, 3 * bound // 100, 500).tolist()]
+    for widths in cases:
+        bounds = _batch_bounds(widths)
+        assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+        assert bounds[-1][1] == len(widths)
+        for lo, hi in bounds:
+            points = (hi - lo) * max(widths[lo:hi])
+            assert hi > lo and (points <= bound or hi == lo + 1)
+            # greedy: the next row would not have fitted
+            if hi < len(widths):
+                assert (hi + 1 - lo) * max(widths[lo:hi + 1]) > bound
+    assert _batch_bounds([2, bound // 2 + 1, 2]) == [(0, 1), (1, 2), (2, 3)]
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

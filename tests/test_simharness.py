@@ -84,6 +84,16 @@ class TestMonteCarlo:
         with pytest.raises(InvalidInputError, match="gamma"):
             monte_carlo(task, small_pop, 1.0, gamma, 4, 0, workers=2)
 
+    def test_zero_unbiased_budget_is_checked_before_any_worker_starts(self, small_pop, monkeypatch):
+        # an unbiased round needs a positive budget; the CI task takes 0
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(InvalidInputError, match="budget"):
+            monte_carlo("unbiased", small_pop, 0.0, None, 4, 0, workers=2)
+        assert monte_carlo("ci", small_pop, 0.0, 0.9, 4, 0).expected_spend == 0.0
+
     def test_runner_errors_propagate(self, small_pop):
         with pytest.raises(InvalidInputError):
             monte_carlo("unbiased", small_pop, 0.0, None, 2, 0)
@@ -203,33 +213,22 @@ class TestReports:
         assert len(lines) == 6
 
 
-class TestRoundCacheBound:
-    def test_harness_cache_never_exceeds_its_point_bound(self, monkeypatch):
-        # Five cost values at n = 80: 4 runs of 80 rounds store almost
-        # 4 * 3240 grid points, all kept under the default bound; a bound of
-        # 1000 evicts most and changes no output.  On the CI task every miss
-        # is solved and stored; the unbiased task's purchase screen stores
-        # far fewer.
-        pop = gen_population(_spread(), 80, 25.0, 2)
-        args = ("ci", pop, 120.0, 0.9, 4, 9)
-        _, unbounded = monte_carlo(*args, return_per_run=True)
-        seen, added = [], []
-
-        class Spy(simharness._RoundCache):
-            def __setitem__(self, key, entry):
-                super().__setitem__(key, entry)
-                # slot 1, the round's allocations, has its grid's size
-                seen.append((self.points, sum(e[1].size for e in self.values())))
-                added.append(entry[1].size)
-
-        monkeypatch.setattr(simharness, "_RoundCache", Spy)
-        monkeypatch.setattr(simharness, "_CACHE_POINTS", 1000)
-        _, bounded = monte_carlo(*args, return_per_run=True)
-        assert len(seen) > 4 * 80 / 2
-        assert sum(added) > 4 * 1000
-        assert all(counted == stored <= 1000 for counted, stored in seen)
-        for key, values in unbounded.items():
-            assert np.array_equal(bounded[key], values, equal_nan=True), key
+class TestBoundedMemory:
+    def test_tied_costs_run_in_bounded_memory(self):
+        # The ``spread_n100`` acceptance shape, five cost values at n = 100:
+        # 2,000 unbiased runs peaked at 1.90 MB traced on numpy 2.4.6, and at
+        # 7.43 MB with a round cache kept across chunks of runs.  The bound is
+        # the one ``tests/test_online.py::TestWorkingSet`` sets for as many
+        # runs on continuous costs: a tied chunk is no heavier.
+        pop = gen_population(_spread(), 100, 25.0, 17)
+        monte_carlo("unbiased", pop, 150.0, None, 2, 1000)  # numpy's lazy imports happen here
+        tracemalloc.start()
+        try:
+            monte_carlo("unbiased", pop, 150.0, None, 2000, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.0 * 2**20
 
     def test_continuous_costs_run_in_bounded_memory(self):
         # Every round misses with continuous costs, so the harness keeps no
@@ -255,7 +254,7 @@ def _spread(k=5, top=20.0):
     return {"kind": "worst_case", "cost_law": {"dist": "choice", "values": list(np.linspace(0.5, top, k))}}
 
 
-# (population, budget): the edge cases of a round grid, and the acceptance shapes at n = 30.
+# (population, budget): the edge cases of a round grid, and acceptance shapes.
 COUNT_KEY_POPULATIONS = {
     "ties": (_pop([3.0, 1.0, 2.0, 1.0, 3.0, 2.0, 1.0, 3.0], 4.0), 6.0),
     "zero_costs": (_pop([0.0, 2.0, 0.0, 5.0, 0.0, 1.0, 2.0], 6.0), 5.0),
@@ -268,14 +267,18 @@ COUNT_KEY_POPULATIONS = {
     "correlated": (gen_population(
         {"kind": "correlated", "cost_law": {"dist": "choice", "values": [0.5, 5.0, 12.0, 20.0]}},
         30, 25.0, 6), 45.0),
+    # the CI acceptance shape: at n = 200 the CI walk ignores some reports of
+    # a shared grid and not others (at n <= 54 it ignores every report)
+    "ci_shape_n200": (gen_population(
+        {"kind": "two_point", "fractions": [0.85, 0.15], "costs": [1.0, 20.0]}, 200, 25.0, 23), 300.0),
 }
 
 
 def _public_runs(task, pop, budget, gamma, runs, seed):
     """``monte_carlo``'s per-run outputs from the public runners: the harness's
-    per-run generators, and one plain dict shared by every run where the
-    harness keeps a cache, that is where some cost repeats."""
-    cache = {} if np.unique(pop.costs).size < pop.n else None
+    per-run generators, and one plain dict shared by every run, which solves
+    each distinct round grid once, as a chunk of harness runs does."""
+    cache: dict = {}
     out = {name: np.full(runs, np.nan) for name in ("estimate", "spend", "lower", "upper")}
     out["flagged"] = np.zeros(runs, dtype=np.int64)
     for r in range(runs):
@@ -297,33 +300,59 @@ def _public_runs(task, pop, budget, gamma, runs, seed):
     return out
 
 
-def _screened_rounds(pop, budget, runs, seed):
-    """Rounds of ``runs`` harness runs of the unbiased task that the purchase
-    screen of ``online_runner._plan_chunk`` leaves to be solved, from each
-    run's own coins and the bound ``A_idx (idx c_idx + sqrt(c_idx) S) <= B_i
-    (1 + slack)``, where ``S`` sums the square roots of the grid costs at
-    positions ``idx`` and above."""
+def _rounds_to_solve(task, pop, budget, runs, seed):
+    """For each of ``runs`` harness runs, the set of ``(round, grid tuple)``
+    of its rounds that ``monte_carlo`` needs an offer for: every round on the
+    CI task, and on the unbiased task those the purchase screen of
+    ``online_runner._plan_chunk`` leaves, from the run's own coins and the
+    bound ``A_idx (idx c_idx + sqrt(c_idx) S) <= B_i (1 + slack)``, where
+    ``S`` sums the square roots of the grid costs at positions ``idx`` and
+    above."""
     schedule = unbiased_schedule(pop.n, budget)
     widen = 1.0 + online_runner._screen_slack(pop.n + 1)
-    left = 0
+    left = []
     for r in range(runs):
         rng = np.random.default_rng([seed, r])
         perm = draw_permutation(rng, pop.n)
         coins = rng.random(pop.n)
-        grid = [pop.cap]
+        grid, rounds = [pop.cap], set()
         for i, (cost, coin) in enumerate(zip(pop.costs[perm].tolist(), coins.tolist()), 1):
             idx = bisect.bisect_left(grid, cost)
             top = grid[idx]
             bound = idx * top + math.sqrt(top) * math.fsum(map(math.sqrt, grid[idx:]))
-            left += not coin * bound >= schedule.per_round(i) * widen
+            if task == "ci" or not coin * bound >= schedule.per_round(i) * widen:
+                rounds.add((i, tuple(grid)))
             bisect.insort(grid, cost)
+        left.append(rounds)
     return left
 
 
+def _distinct_grids(task, pop, budget, runs, seed, per_chunk):
+    """The rows ``monte_carlo`` solves in chunks of ``per_chunk`` runs where
+    its grid keys fit in int64: the count of distinct ``(round, grid)`` of
+    ``_rounds_to_solve`` in each chunk."""
+    left = _rounds_to_solve(task, pop, budget, runs, seed)
+    return sum(len(set().union(*left[lo:lo + per_chunk])) for lo in range(0, runs, per_chunk))
+
+
+def _solve_rows(monkeypatch):
+    """The row count of each ``_solve_rounds`` call from here on."""
+    rows = []
+    solve = online_runner._solve_rounds
+
+    def spy(costs, sizes, budgets, beta, at):
+        rows.append(len(sizes))
+        return solve(costs, sizes, budgets, beta, at)
+
+    monkeypatch.setattr(online_runner, "_solve_rounds", spy)
+    return rows
+
+
 class TestCachePolicy:
-    """``monte_carlo`` keeps a round cache only where some cost repeats: with
-    all-distinct costs it solves every round the purchase screen leaves, as
-    the public runners do with ``cache`` None."""
+    """``monte_carlo`` keeps no round cache.  Each chunk of runs solves each
+    distinct ``(round, grid)`` among the rounds it needs once, on any
+    population, and every other round of that grid reads its offer from the
+    same row; no solved row outlives its chunk."""
 
     RUNS = 6
     SEED = 23
@@ -332,29 +361,12 @@ class TestCachePolicy:
     @pytest.mark.parametrize("name", ["continuous", "one_agent", "spread"])
     def test_caches_only_where_a_cost_repeats(self, monkeypatch, name, task):
         pop, budget = COUNT_KEY_POPULATIONS[name]
-        caches, rows = [], []
-        solve = online_runner._solve_rounds
-
-        class Spy(simharness._RoundCache):
-            def __init__(self, max_points):
-                super().__init__(max_points)
-                caches.append(self)
-
-        def spy(costs, sizes, budgets, beta, at):
-            rows.append(len(sizes))
-            return solve(costs, sizes, budgets, beta, at)
-
-        monkeypatch.setattr(simharness, "_RoundCache", Spy)
-        monkeypatch.setattr(online_runner, "_solve_rounds", spy)
+        rows = _solve_rows(monkeypatch)
         monte_carlo(task, pop, budget, 0.9 if task == "ci" else None, self.RUNS, self.SEED)
-        if name == "spread":
-            assert len(caches) == 1 and len(caches[0]) > 0
-            assert 0 < sum(rows) < self.RUNS * pop.n
-        elif task == "unbiased":
-            assert not caches
-            assert sum(rows) == _screened_rounds(pop, budget, self.RUNS, self.SEED)
-        else:
-            assert not caches and sum(rows) == self.RUNS * pop.n
+        # the six runs are one chunk; on the CI task their first rounds, at
+        # least, share one grid
+        assert 0 < sum(rows) == _distinct_grids(task, pop, budget, self.RUNS, self.SEED, self.RUNS)
+        assert task == "unbiased" or sum(rows) < self.RUNS * pop.n
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("task", ["unbiased", "ci"])
@@ -370,9 +382,10 @@ class TestCachePolicy:
 
 
 class TestCountKeys:
-    """Where some cost repeats, the harness keys its round cache by counts
-    over the distinct costs; the public runners key a plain dict by grid
-    tuples."""
+    """The harness shares a round's row among the rounds of a chunk whose
+    grid keys (``online_runner._grid_keys``: counts over the chunk's
+    distinct costs) and round indices are equal; the public runners key a
+    plain dict by grid tuples."""
 
     RUNS = 40
     SEED = 17
@@ -382,19 +395,31 @@ class TestCountKeys:
     def test_monte_carlo_matches_public_runners_bit_for_bit(self, monkeypatch, name, task):
         pop, budget = COUNT_KEY_POPULATIONS[name]
         gamma = 0.9 if task == "ci" else None
-        rows = []
-        solve = online_runner._solve_rounds
-
-        def spy(costs, sizes, budgets, beta, at):
-            rows.append(len(sizes))
-            return solve(costs, sizes, budgets, beta, at)
-
-        monkeypatch.setattr(online_runner, "_solve_rounds", spy)
+        rows = _solve_rows(monkeypatch)
         _, per_run = monte_carlo(task, pop, budget, gamma, self.RUNS, self.SEED, return_per_run=True)
         harness_rows = sum(rows)
         rows.clear()
         want = _public_runs(task, pop, budget, gamma, self.RUNS, self.SEED)
+        # the 40 runs are one chunk, which solves each grid once, as the shared dict does
         assert harness_rows == sum(rows) > 0
+        for key, values in want.items():
+            assert per_run[key].tobytes() == values.tobytes(), key
+
+    @pytest.mark.parametrize("values, shared", [(19, True), (20, False)])
+    def test_grids_are_shared_only_where_their_keys_fit(self, monkeypatch, values, shared):
+        # Each of ``values`` costs 8 times: the keys' radix product is 9^19,
+        # about 1.35e18, below 2^63, or 9^20, about 1.2e19, above it, where
+        # every round is its own key and is solved on its own.
+        pop = _pop(np.repeat(np.arange(1.0, values + 1), 8), values + 1.0)
+        budget, runs = 1.5 * pop.n, 6
+        rows = _solve_rows(monkeypatch)
+        _, per_run = monte_carlo("ci", pop, budget, 0.9, runs, self.SEED, return_per_run=True)
+        if shared:
+            assert sum(rows) == _distinct_grids("ci", pop, budget, runs, self.SEED, runs)
+            assert sum(rows) < runs * pop.n
+        else:
+            assert sum(rows) == runs * pop.n
+        want = _public_runs("ci", pop, budget, 0.9, runs, self.SEED)
         for key, values in want.items():
             assert per_run[key].tobytes() == values.tobytes(), key
 
@@ -403,22 +428,36 @@ class TestCountKeys:
                                  for m in mult))))
     @settings(max_examples=300, deadline=None)
     def test_count_keys_equal_only_for_equal_counts(self, classes):
-        # Distinct cost j appears mult_j times, in shuffled order; two
-        # sub-multisets take the first count_j copies of each.
-        costs = np.repeat(np.arange(len(classes), dtype=float), [m for m, _, _ in classes])
-        costs = np.random.default_rng(costs.size).permutation(costs)
-        weights = simharness._count_weights(costs)
-        where = [np.flatnonzero(costs == j).tolist() for j in range(len(classes))]
-
-        def key(which):
-            return sum(weights[i] for j, c in enumerate(classes) for i in where[j][:c[which]])
-
-        first = [c[1] for c in classes]
-        second = [c[2] for c in classes]
-        assert (key(1) == key(2)) == (first == second)
-        # the key is the counts' mixed-radix numeral: it decodes back to them
-        decoded, rest = [], key(1)
-        for m, _, _ in classes:
-            rest, count = divmod(rest, m + 1)
-            decoded.append(count)
-        assert decoded == first and rest == 0
+        # Distinct cost j, the largest at the cap, appears mult_j times in
+        # each of two runs; run w first takes count_j copies of each (slot w
+        # of ``classes``), in shuffled order, then the rest.  Flagged reports
+        # fall anywhere, one last.  Each round's key must be the numeral, in
+        # radix mult_j + 1, of the counts of the run's earlier reports that
+        # are not flagged: the cap and flagged reports never count.
+        d = len(classes)
+        cap = d - 1.0
+        rng = np.random.default_rng(d)
+        flagged = int(rng.integers(0, 4))
+        runs = []
+        for w in (1, 2):
+            head = np.repeat(np.arange(d, dtype=float), [c[w] for c in classes])
+            tail = np.repeat(np.arange(d, dtype=float), [c[0] - c[w] for c in classes])
+            row = np.concatenate((rng.permutation(head), rng.permutation(tail)))
+            runs.append(np.append(np.insert(row, rng.integers(0, row.size + 1, flagged), cap + 1),
+                                  cap + 1))
+        costs = np.array(runs)
+        keys = online_runner._plan_chunk(costs, np.ones(costs.shape), cap,
+                                         unbiased_schedule(costs.shape[1], 1.0), False)[5]
+        live = costs <= cap
+        onehot = (costs[:, :, None] == np.arange(d)) & live[:, :, None]
+        counts = np.cumsum(onehot, axis=1) - onehot
+        for key_row, count_row in zip(keys.tolist(), counts.tolist()):
+            for key, count in zip(key_row, count_row):
+                decoded = []
+                for m, _, _ in classes:
+                    key, digit = divmod(key, m + 1)
+                    decoded.append(digit)
+                assert decoded == count and key == 0
+        # across the runs too: keys are equal only for equal counts
+        same_counts = (counts[0][:, None] == counts[1][None, :]).all(axis=2)
+        assert np.array_equal(keys[0][:, None] == keys[1][None, :], same_counts)
