@@ -18,9 +18,11 @@ Every step works on the rows of a padded batch, the sweep included: one step
 function, run once on every block of every row to find where each row's walk
 starts, then once a step on the rows still walking.  The online runner
 solves a batch of rounds in one call, and ``solve_ci`` a batch of one.
-Every row is walked; given each row's report position, the solve then
-calibrates only the rows whose report the walk's ignored mass leaves
-unignored, as a report ignored there stays ignored.
+Given each row's report position, the solve first drops the rows whose
+report is ignored at a floor on the ignored mass, ``min(m, beta^2 m / 2)``,
+then walks the rest and calibrates only the rows whose report the walk's
+mass leaves unignored, as a report ignored there stays ignored.  With no
+positions every row is walked and calibrated.
 """
 
 from __future__ import annotations
@@ -137,6 +139,13 @@ def _fill_share(mass, above, size):
     return np.clip((mass - above) / np.maximum(size, 1), 0.0, 1.0)  # padding blocks span no entry
 
 
+def _mass_floor(beta, m):
+    """``min(m, beta^2 m / 2)`` for each row size in ``m``: the walk's clamp
+    where the budget is slack, and the floor ``_solve_ci_rows`` screens at."""
+    floor = 0.5 * beta * beta * m
+    return np.where(floor < m, floor, m)
+
+
 def _rule_at_mass(phi, psi, sizes, budgets, edges, mass):
     """Each row's ``(alloc, lam, saturated, u)`` at ignored mass ``mass[r]``.
 
@@ -231,8 +240,8 @@ def _walk(table, above, m, counts, j, budgets, beta):
     explicitly, since recomputing ``lam`` where it reaches ``sqrt(phi_j)``
     can stall on rounding.
     """
-    slack_root = 0.5 * beta * beta * m  # zero of -s + 2M/m^2, at most m
-    params = np.array((budgets, beta * beta / m, 1.0 / (m * m), np.where(slack_root < m, slack_root, m)))
+    # the slack clamp is the zero of -s + 2M/m^2, at most m
+    params = np.array((budgets, beta * beta / m, 1.0 / (m * m), _mass_floor(beta, m)))
     start = _walk_start(table, above, counts, j, params)
     mass, slack = m.astype(float), np.ones(m.size, dtype=bool)
     rows = np.flatnonzero(start >= 0)
@@ -267,14 +276,58 @@ def _solve_ci_rows(phi, psi, sizes, budgets, beta, at=None):
     along a row in order, so each row gets the bits of a batch of one.  ``A``
     is 1 and ``U`` 0 on the padding.
 
-    Every row is walked.  With ``at``, the position of each row's report,
-    the rows whose report the deployed rule ignores at the walk's mass
-    (``_fill_share`` of the report's block ``>= 1/2``) are dropped there and
-    neither calibrated nor stepped: the kink pass only raises a row's mass,
-    and the share does not fall as the mass rises, so the report stays
-    ignored.  With ``at`` None every row is kept.
+    With ``at``, the position of each row's report, only the rows whose
+    report the deployed rule leaves unignored are kept, in two screens on
+    the share ``_fill_share`` of the report's block (ignored where it is
+    ``>= 1/2``).  Right after the block split, the rows whose report is
+    ignored at the floor ``L = min(m, beta^2 m / 2)`` on the ignored mass
+    are dropped; a batch left with no row returns there.  The rest are
+    walked, and the rows whose report the walk's mass ignores are dropped
+    before calibration.  Neither is calibrated or priced: the walk's mass
+    is at least ``L``, the kink pass only raises it, and the share does not
+    fall as the mass rises, so the report stays ignored.  With ``at`` None
+    every row is walked and kept.
+
+    The floor.  A row with no start, or whose walk ends without stopping,
+    has mass ``m``, and a stop where the budget is slack returns at least
+    the walk's clamp ``_mass_floor``.  A stop where it binds (``at_min`` or
+    ``inside`` in ``_walk_step``) has a live spend above ``B``, and phi does
+    not fall below the top block, so ``sqrt(phi_top) S1`` is at least the
+    spend of the blocks ``j..top-1`` plus ``live phi_top``, the live spend
+    less ``C``, which exceeds the room ``B - C``.  So ``A_top = (B - C) /
+    (sqrt(phi_top) S1) < 1``, the right slope ``-2s / A_top + 2M/m^2`` is
+    below ``2 (M/m^2 - s)``, and that is negative below ``M = beta^2 m``:
+    in exact arithmetic on the walk's table a binding stop is at twice the
+    floor at least, and every row's mass is at least ``L``.
+
+    The rounding margin is zero.  The screen's floor is ``_mass_floor``,
+    the walk's own clamp, so a slack stop and an unstopped row are at or
+    above it bit for bit, and the computed ``_fill_share`` is non-decreasing
+    in the computed mass, as each of its operations rounds monotonically.
+    A binding stop's test reads ``sqrt(phi_top) S1`` and ``B - C`` from the
+    table's prefix sums.  The prefix below block ``j`` is at most ``m``
+    times block ``j``'s own term, so against the live spend they are off by
+    a relative ``O(m^2 eps)``, as in ``online_runner._screen_slack``, and
+    the factor 2 absorbs that.  The exception is a room ``B - C`` within
+    that rounding of zero, a round budget within about ``m^2`` ulps of a
+    prefix spend of the grid, such as ``1e-14`` on costs of order 1: there
+    rounding can stop the walk short of the floor, and the screen ignores
+    the report as exact arithmetic does.
     """
     edges, counts = _block_rows(phi, sizes)
+    kept = np.arange(sizes.size)
+    if at is not None:
+        block = np.add.reduce(edges[:, 1:] <= at[:, None], axis=1)  # the block holding the report
+        report_above = sizes - edges[kept, block + 1]
+        report_size = edges[kept, block + 1] - edges[kept, block]
+        kept = np.flatnonzero(_fill_share(_mass_floor(beta, sizes), report_above, report_size) < 0.5)
+        if not kept.size:
+            rows = np.zeros((0, phi.shape[1]))
+            return kept, rows + 1.0, np.zeros(0), np.ones(0, dtype=bool), rows, np.zeros(0)
+        phi, psi, sizes, counts, report_above, report_size = (
+            a[kept] for a in (phi, psi, sizes, counts, report_above, report_size))
+        edges = edges[kept, :max(counts.tolist()) + 1]
+        budgets = [budgets[r] for r in kept.tolist()]
     # the walk's table: size, phi, sqrt(phi) and the sums of size * phi and size * sqrt(phi)
     # below each block, with one more column for the sums below all blocks
     table = np.zeros((5, phi.shape[0], edges.shape[1]))
@@ -288,14 +341,12 @@ def _solve_ci_rows(phi, psi, sizes, budgets, beta, at=None):
     spend_bp = spend_below[:, :-1] + block_sqrt[:, :-1] * (sqrt_below[:, -1:] - sqrt_below[:, :-1])
     j = np.array([bisect.bisect_left(bp, budget, 0, k)
                   for bp, budget, k in zip(spend_bp.tolist(), budgets, counts.tolist())])
-    above = sizes[:, None] - edges[:, 1:]
-    mass, slack = _walk(table, above, sizes, counts, j, budgets, beta)
-    kept = np.arange(sizes.size)
+    mass, slack = _walk(table, sizes[:, None] - edges[:, 1:], sizes, counts, j, budgets, beta)
     if at is not None:
-        block = np.add.reduce(edges[:, 1:] <= at[:, None], axis=1)  # the block holding the report
-        kept = np.flatnonzero(_fill_share(mass, above[kept, block], block_size[kept, block]) < 0.5)
-        phi, psi, sizes, edges, mass, slack = (a[kept] for a in (phi, psi, sizes, edges, mass, slack))
-        budgets = [budgets[r] for r in kept.tolist()]
+        walked = np.flatnonzero(_fill_share(mass, report_above, report_size) < 0.5)
+        kept = kept[walked]
+        phi, psi, sizes, edges, mass, slack = (a[walked] for a in (phi, psi, sizes, edges, mass, slack))
+        budgets = [budgets[r] for r in walked.tolist()]
     alloc, lam, saturated, u = _rule_at_mass(phi, psi, sizes, budgets, edges, mass)
     # On the saturation kink the calibration's own spend sum decides: step a row up from
     # ulp(m), doubling, until it agrees the budget is slack (as it does at mass m).

@@ -194,10 +194,12 @@ def _solve_rounds(costs, sizes, budgets, beta, at=None):
     payments)`` for the CI task.
 
     ``at``, if not None, gives each CI row's report position: a row whose
-    report the walk already ignores is neither calibrated nor priced, and
-    offers ``(0, True, NaN)`` throughout, what the full solve offers there
-    but its raw ``A``.  With ``at`` None every row is solved whole, as a
-    round cache and transcripts read it.  The unbiased task reads no ``at``.
+    report is ignored at the floor on the ignored mass, or at the walk's
+    mass, is neither calibrated nor priced (``_solve_ci_rows``; the first
+    is not walked either), and offers ``(0, True, NaN)`` throughout, what
+    the full solve offers there but its raw ``A``.  With ``at`` None every
+    row is solved whole, as a round cache and transcripts read it.  The
+    unbiased task reads no ``at``.
     """
     if beta is None and min(budgets) <= 0:
         raise InvalidInputError("unbiased rounds need a positive budget")
@@ -274,8 +276,9 @@ def _ruled_out(coin, below, top, root, roots, budget, widen):
     0``, which ``_solve_rounds`` rejects, are never ruled out, nor are
     rounds at a zero cost.  Callers keep the screen off on the CI task,
     whose interval counts every round's ignore decision (there
-    ``_solve_ci_rows`` drops, after the outer walk, the rounds whose report
-    it ignores), and in runs that record transcripts, which show every
+    ``_solve_ci_rows`` drops the rounds whose report it ignores: at the
+    floor on the ignored mass before the outer walk, and at the walk's mass
+    after it), and in runs that record transcripts, which show every
     round's offer.
     """
     return (budget > 0) & (coin * (below * top + root * roots) >= budget * widen)
@@ -547,8 +550,9 @@ def _solve_chunk(arrivals, sizes, idx, budgets, keys, solve, beta, store=None, d
     batch with the flat indices of the rounds solved in it and
     ``_solve_rounds``' arrays, one row per round.  With ``drop``,
     ``_solve_rounds`` gets each solved row's report position, so a CI row
-    ignored there offers ``(0, True, NaN)`` unpriced; a store or a
-    transcript needs whole rows, so neither drops.
+    ignored there, at the floor on the ignored mass or at the walk's mass,
+    offers ``(0, True, NaN)`` unpriced; a store or a transcript needs whole
+    rows, so neither drops.
 
     The rounds to solve fall into groups of one key and one round index: one
     grid and one budget.  Each group solves the row of its member with the
@@ -561,6 +565,9 @@ def _solve_chunk(arrivals, sizes, idx, budgets, keys, solve, beta, store=None, d
     The groups, sorted by grid size so that a batch pads little, go through
     ``_solve_rounds`` in ``_batch_bounds`` batches of ``_batch_grids``.  Each
     batch's offers are gathered from its arrays with one ``take`` per array.
+    A batch's arrays live until the next batch replaces them: freeing them
+    first lets the allocator return the heap top, and the next batch faults
+    its pages in again.
     """
     runs, n = solve.shape
     alloc, ignored, price = _no_offers((runs, n))
@@ -587,8 +594,6 @@ def _solve_chunk(arrivals, sizes, idx, budgets, keys, solve, beta, store=None, d
             np.put(out, rounds[members], part.take(offer))
         if store is not None:
             store(batch, parts)
-        # a batch's arrays are the largest it makes: free them before the next is solved
-        del parts, part
     return alloc, ignored, price
 
 
@@ -604,8 +609,9 @@ def _run_chunk(costs, data, coins, cap, schedule, gamma, record):
     and the settlement (``_settle``).  So a chunk holds its runs' per-round
     arrays and one batch at a time.  Without transcripts a round's offer
     matters only where it can buy: the screen is on for the unbiased task,
-    and the CI task drops the rounds its walk ignores before they are
-    calibrated.
+    and the CI task drops the rounds whose report is ignored at the floor
+    on the ignored mass before the outer walk, and those its walk ignores
+    before they are calibrated.
     """
     n = costs.shape[1]
     ci = gamma is not None

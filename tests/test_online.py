@@ -442,7 +442,8 @@ class TestWorkingSet:
     # numpy 2.4.6, and 2,000 runs at n = 100, which peaked at 2.96 MB.  Each
     # bound is twice that peak, room for the temporaries of sorts and
     # gathers on other numpy versions.  With batches of 2^14 points rather
-    # than 2^15 they peak at 1.56, 1.65 and 1.92 MB.  The 2,000 runs peaked
+    # than 2^15 they peak at 1.81, 1.58 and 2.16 MB, a batch's arrays kept
+    # until the next batch replaces them.  The 2,000 runs peaked
     # at 25 MB in one chunk: ``_CHUNK_ROUNDS`` keeps their per-round arrays
     # to one chunk of runs at a time.
     @pytest.mark.parametrize("task, n, runs, bound_mb", [

@@ -13,7 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from surveymech import CostSet, ci_solver, online_runner, regularize, solve_ci
+from surveymech import (
+    CostSet, ci_solver, gen_population, monte_carlo, online_runner, regularize, simharness, solve_ci,
+)
 from surveymech.ci_solver import _deployed_policy, _solve_ci_rows, ci_parameters
 from surveymech.errors import SolverError
 from surveymech.online_runner import _batch_bounds, _solve_rounds
@@ -387,35 +389,90 @@ def test_ci_batch_matches_per_grid_rounds(family, monkeypatch):
         assert stepped > 0
 
 
+# (gamma, n, budget scale), n None for the run's length: beta^2 = 4 alpha^2 / n
+# well below 1, at least 2 (the floor is m, so every row is screened), and small
+CI_SETTINGS = ((0.9, None, 0.25), (0.5, 20, 1.0), (0.99, 1000, 0.05))
+
+
+def _ci_settings(grids, budgets):
+    """Each of ``CI_SETTINGS`` as ``(gamma, beta, budgets)``, the budgets
+    scaled, slack, binding and every 13th zero."""
+    for gamma, n, scale in CI_SETTINGS:
+        beta = ci_parameters(gamma, n or len(grids)).beta
+        yield gamma, beta, [0.0 if k % 13 == 0 else b * scale for k, b in enumerate(budgets)]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_ci_walk_mass_is_never_below_the_floor(family, monkeypatch):
+    # Every row's walked mass is at least min(m, beta^2 m / 2), the floor
+    # ``_solve_ci_rows`` screens at; slack stops sit on it.
+    grids, budgets = _family_grids(family, seed=29)
+    walks = []
+    walk = ci_solver._walk
+
+    def spy(table, above, m, counts, j, budgets, beta):
+        mass, slack = walk(table, above, m, counts, j, budgets, beta)
+        walks.append((mass, m, beta))
+        return mass, slack
+
+    monkeypatch.setattr(ci_solver, "_walk", spy)
+    for gamma, beta, scaled in _ci_settings(grids, budgets):
+        walks.clear()
+        for batch, costs, sizes, batch_budgets in _batches(grids, scaled):
+            _solve_rounds(costs, sizes, batch_budgets, beta)
+        rows = 0
+        for mass, m, walk_beta in walks:
+            floor = np.minimum(m, 0.5 * walk_beta ** 2 * m)
+            assert np.all(mass >= floor), (family, gamma, (mass / floor).min())
+            rows += m.size
+        assert rows == len(grids)
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_ci_rows_dropped_at_their_report_are_ignored_there(family, monkeypatch):
-    # With report positions a CI batch drops, after the walk, the rows whose
-    # report the walk's mass already ignores.  Each dropped row must be
-    # ignored at its position by the full solve, and each kept row must get
-    # the full solve's bits, at a random, the lowest and the top position.
+    # With report positions a CI batch drops the rows whose report is
+    # ignored at the floor on the ignored mass before the walk, and those
+    # whose report the walk's mass ignores after it.  Each dropped row must
+    # be ignored at its position by the full solve, and each kept row must
+    # get the full solve's bits, at a random, the lowest and the top position.
     grids, budgets = _family_grids(family, seed=29)
-    kept = []
-    solve_ci_rows = online_runner._solve_ci_rows
+    kept, walked = [], []
+    solve_ci_rows, walk = online_runner._solve_ci_rows, ci_solver._walk
 
     def spy(*args):
         out = solve_ci_rows(*args)
         kept.append(out[0])
         return out
 
+    def walk_spy(table, above, m, *args):
+        walked.append(m.size)
+        return walk(table, above, m, *args)
+
     monkeypatch.setattr(online_runner, "_solve_ci_rows", spy)
+    monkeypatch.setattr(ci_solver, "_walk", walk_spy)
     rng = np.random.default_rng(29)
     dropped = total = 0
-    for gamma, n, scale in ((0.9, len(grids), 0.25), (0.5, 20, 1.0), (0.99, 1000, 0.05)):
-        beta = ci_parameters(gamma, n).beta
-        # slack, binding and zero budgets
-        scaled = [0.0 if k % 13 == 0 else b * scale for k, b in enumerate(budgets)]
+    for gamma, beta, scaled in _ci_settings(grids, budgets):
+        screened = reach = 0
         for batch, costs, sizes, batch_budgets in _batches(grids, scaled):
             full = _solve_rounds(costs, sizes, batch_budgets, beta)
             rows = np.arange(len(batch))
+            # the report's block, and the screen: its share at the floor
+            edges, counts = ci_solver._block_rows(_iron_rows(_psi_from_sorted(costs), sizes), sizes)
+            floor = np.minimum(sizes, 0.5 * beta ** 2 * sizes)
+            # rows whose top block is at most twice the floor: a report there is screened
+            reach += int(np.sum(2 * floor >= sizes - edges[rows, counts - 1]))
             for at in (rng.integers(0, sizes), np.zeros_like(sizes), sizes - 1):
+                block = np.add.reduce(edges[:, 1:] <= at[:, None], axis=1)
+                share = ci_solver._fill_share(
+                    floor, sizes - edges[rows, block + 1], edges[rows, block + 1] - edges[rows, block])
+                screen = share >= 0.5
                 kept.clear()
+                walked.clear()
                 got = _solve_rounds(costs, sizes, batch_budgets, beta, at)
+                assert sum(walked) == np.sum(~screen), (family, gamma)
                 keep = np.isin(rows, kept[0])
+                assert not np.any(keep & screen)
                 assert np.all(full[1][rows[~keep], at[~keep]]), (family, gamma)
                 alloc, ignored, price = (part[rows[~keep]] for part in got)
                 assert np.all(alloc == 0.0) and np.all(ignored) and np.all(np.isnan(price))
@@ -424,9 +481,29 @@ def test_ci_rows_dropped_at_their_report_are_ignored_there(family, monkeypatch):
                     for part, want in zip(got, full):
                         assert _bits(part[r, :m]) == _bits(want[r, :m]), (family, gamma, r)
                 dropped += int(np.sum(~keep))
+                screened += int(np.sum(screen))
                 total += len(batch)
+        # not vacuous: the floor screens rows wherever it reaches a top block
+        assert (screened > 0) == (reach > 0), (family, gamma)
     # not vacuous: some rows are dropped and some kept
     assert 0 < dropped < total
+
+
+def test_ci_monte_carlo_at_a_floor_of_m_never_walks(monkeypatch):
+    # At beta^2 = 4 alpha^2 / n >= 2 the floor is m: every round's report
+    # is ignored there, every batch is screened whole and no round is
+    # walked.  The benchmark target's ``solve_ci`` keeps its walk, so it
+    # solves first, and then the walk raises.
+    def no_walk(*args):
+        raise AssertionError("a CI round was walked")
+
+    pop = gen_population({"kind": "independent"}, 40, 25.0, 3)
+    assert ci_parameters(0.9, 40).beta ** 2 >= 2.0
+    target = online_runner.benchmark_ci(pop.costs, pop.cap, 60.0, 0.9)
+    monkeypatch.setattr(simharness, "benchmark_ci", lambda *args: target)
+    monkeypatch.setattr(ci_solver, "_walk", no_walk)
+    metrics, per_run = monte_carlo("ci", pop, 60.0, 0.9, 50, 1, return_per_run=True)
+    assert metrics.expected_spend == 0.0 and np.all(per_run["spend"] == 0.0)
 
 
 def _bits(x):

@@ -27,6 +27,23 @@ from surveymech import (
 from surveymech import online_runner, simharness
 
 
+class _RunnerFailed(RuntimeError):
+    pass
+
+
+_MC_BATCH = simharness._mc_batch
+
+
+def _failing_runner(costs, *args):
+    raise _RunnerFailed(f"chunk of {len(costs)} runs")
+
+
+def _batch_with_failing_runner(*args):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simharness, "_run_chunk", _failing_runner)
+        return _MC_BATCH(*args)
+
+
 @pytest.fixture(scope="module")
 def small_pop():
     spec = {"kind": "worst_case", "cost_law": {"dist": "choice", "values": [1.0, 4.0]}}
@@ -94,9 +111,17 @@ class TestMonteCarlo:
             monte_carlo("unbiased", small_pop, 0.0, None, 4, 0, workers=2)
         assert monte_carlo("ci", small_pop, 0.0, 0.9, 4, 0).expected_spend == 0.0
 
-    def test_runner_errors_propagate(self, small_pop):
-        with pytest.raises(InvalidInputError):
-            monte_carlo("unbiased", small_pop, 0.0, None, 2, 0)
+    def test_runner_errors_propagate(self, small_pop, monkeypatch):
+        # The chunk runner fails inside ``_mc_batch``, in this process or in
+        # a worker: the error reaches the caller.  The pool pickles
+        # ``_mc_batch`` by name, so the failing runner goes in through a
+        # batch function of this module, which a worker imports under any
+        # start method.
+        monkeypatch.setattr(simharness, "_mc_batch", _batch_with_failing_runner)
+        for workers in (1, 2):
+            # the runs split evenly between the workers, each batch one chunk
+            with pytest.raises(_RunnerFailed, match=f"chunk of {4 // workers} runs"):
+                monte_carlo("unbiased", small_pop, 6.0, None, 4, 0, workers=workers)
 
     def test_worker_count_does_not_change_bytes(self, small_pop):
         m1, r1 = monte_carlo("unbiased", small_pop, 30.0, None, 64, 9, workers=1, return_per_run=True)
@@ -216,7 +241,7 @@ class TestReports:
 class TestBoundedMemory:
     def test_tied_costs_run_in_bounded_memory(self):
         # The ``spread_n100`` acceptance shape, five cost values at n = 100:
-        # 2,000 unbiased runs peaked at 1.90 MB traced on numpy 2.4.6, and at
+        # 2,000 unbiased runs peaked at 2.15 MB traced on numpy 2.4.6, and at
         # 7.43 MB with a round cache kept across chunks of runs.  The bound is
         # the one ``tests/test_online.py::TestWorkingSet`` sets for as many
         # runs on continuous costs: a tied chunk is no heavier.
