@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, SolverError, _positive, _scalar, _vector
+from .errors import InvalidInputError, _positive, _scalar, _vector
 from .virtual_cost import CostSet, _iron_rows, virtual_costs
 
 __all__ = [
@@ -108,16 +108,19 @@ def _calibrate_rows(phi, psi, weights, budgets, sizes):
             # Spend when lam sits at breakpoint sqrt(phi_j): entries below j are clipped.
             spend_bp = pref_wphi[r, :m] + sqrt_phi[r, :m] * (total_wsqrt - pref_wsqrt[r, :m])
             j = int(spend_bp.searchsorted(budget, side="left"))
-        if j >= m:  # budget covers full collection, or numerically at its boundary
-            saturated[r] = True
-            lam[r] = sqrt_phi[r, m - 1]
-            continue
-        i0 = int(sqrt_phi[r, :m].searchsorted(sqrt_phi[r, j], side="left"))
-        clipped_spend = float(pref_wphi[r, i0 - 1]) if i0 > 0 else 0.0
-        slope = float(total_wsqrt - (pref_wsqrt[r, i0 - 1] if i0 > 0 else 0.0))
-        if slope <= 0:
-            raise SolverError("degenerate calibration segment")
-        lam[r] = (budget - clipped_spend) / slope
+        if j < m:
+            i0 = int(sqrt_phi[r, :m].searchsorted(sqrt_phi[r, j], side="left"))
+            clipped_spend = float(pref_wphi[r, i0 - 1]) if i0 > 0 else 0.0
+            slope = float(total_wsqrt - (pref_wsqrt[r, i0 - 1] if i0 > 0 else 0.0))
+            if slope > 0:
+                lam[r] = (budget - clipped_spend) / slope
+                continue
+        # The budget covers full collection, or numerically sits at its
+        # boundary: the search passed every breakpoint, or the segment it
+        # found carries no live weight, so the live mass is bought in full
+        # up to rounding.
+        saturated[r] = True
+        lam[r] = sqrt_phi[r, m - 1]
     # A saturated row's lam is its largest sqrt(phi), so it gets all ones too.
     alloc = np.ones_like(phi)
     np.divide(lam[:, None], sqrt_phi, out=alloc, where=phi > 0)
@@ -138,7 +141,7 @@ def solve_unbiased(cost_set: CostSet, budget: float) -> AllocationRule:
     budget = _positive(budget, "budget")
     psi = virtual_costs(cost_set)[None, :]
     sizes = np.array([psi.size])
-    alloc, lam, saturated = _calibrate_rows(_iron_rows(psi, sizes), psi, None, (budget,), sizes)
+    alloc, lam, saturated = _calibrate_rows(_iron_rows(psi, sizes)[0], psi, None, (budget,), sizes)
     return AllocationRule(probabilities=alloc[0], lam=lam[0], saturated=bool(saturated[0]))
 
 

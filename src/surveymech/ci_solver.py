@@ -16,13 +16,19 @@ closed form; the rule at that mass comes from the same fill-from-the-top
 step and calibration that ``objective_at_mass`` and ``g_derivative`` use.
 Every step works on the rows of a padded batch, the sweep included: one step
 function, run once on every block of every row to find where each row's walk
-starts, then once a step on the rows still walking.  The online runner
-solves a batch of rounds in one call, and ``solve_ci`` a batch of one.
-Given each row's report position, the solve first drops the rows whose
-report is ignored at a floor on the ignored mass, ``min(m, beta^2 m / 2)``,
-then walks the rest and calibrates only the rows whose report the walk's
-mass leaves unignored, as a report ignored there stays ignored.  With no
-positions every row is walked and calibrated.
+starts, then once a step on the rows still walking.  The solve has two
+stages.  The first (``_walk_entry``) takes a batch of ironed rows with the
+blocks the ironing found and builds each row's walk entry: five numbers per
+block, and a few per row, but no grid row.  Given each row's report
+position, it first drops the rows whose report is ignored at a floor on
+the ignored mass, ``min(m, beta^2 m / 2)``.  The second
+(``_solve_ci_rows``) walks the entries of many batches in one call and
+drops the rows whose report the walk's mass ignores, as a report ignored
+there stays ignored; the rows left are calibrated and priced
+(``_table_profile``, ``_rule_rows``, ``_deployed_policy``).  The online
+runner queues the entries of a chunk of rounds between the stages;
+``solve_ci`` runs both on a batch of one.  With no positions every row is
+walked and calibrated.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import numpy as np
 
 from .allocation import AllocationRule, _calibrate_rows, _myerson
 from .errors import InvalidInputError, SolverError, _positive, _scalar, _vector, _whole
-from .virtual_cost import CostSet, _iron_rows, virtual_costs
+from .virtual_cost import CostSet, _block_edges, _iron_rows, virtual_costs
 
 __all__ = [
     "IgnoreRule",
@@ -116,21 +122,6 @@ def ci_parameters(gamma: float, n: int) -> CIParameters:
     return CIParameters(gamma=float(gamma), alpha_gamma=alpha, beta=2.0 * alpha / math.sqrt(n))
 
 
-def _block_rows(phi, sizes):
-    """``(edges, counts)`` of the maximal equal-phi blocks of each row of a
-    padded 2-D ``phi``: the block starts, then the row size, padded with it,
-    and the number of blocks."""
-    cols = np.arange(phi.shape[1] + 1)
-    m = sizes[:, None]
-    first = np.ones((phi.shape[0], cols.size), dtype=bool)
-    np.not_equal(phi[:, 1:], phi[:, :-1], out=first[:, 1:-1])
-    first &= cols < m
-    edges = np.where(first, cols, m)
-    edges.sort(axis=1)
-    counts = np.add.reduce(first, axis=1)
-    return edges[:, :max(counts.tolist()) + 1], counts
-
-
 def _fill_share(mass, above, size):
     """The ignore share ``clip((M - above) / size, 0, 1)`` of a block of
     ``size`` entries with ``above`` entries over it, at ignored mass ``M``
@@ -141,7 +132,7 @@ def _fill_share(mass, above, size):
 
 def _mass_floor(beta, m):
     """``min(m, beta^2 m / 2)`` for each row size in ``m``: the walk's clamp
-    where the budget is slack, and the floor ``_solve_ci_rows`` screens at."""
+    where the budget is slack, and the floor ``_walk_entry`` screens at."""
     floor = 0.5 * beta * beta * m
     return np.where(floor < m, floor, m)
 
@@ -160,7 +151,6 @@ def _rule_at_mass(phi, psi, sizes, budgets, edges, mass):
     return _calibrate_rows(phi, psi, 1.0 - u, budgets, sizes) + (u,)
 
 
-@np.errstate(all="ignore")
 def _walk_step(at_top, at_j, top, j, live, above, budget, s, inv_m2, slack_root):
     """One iteration of ``_walk`` on arrays: ``(stop, mass, slack, event)``.
 
@@ -171,29 +161,38 @@ def _walk_step(at_top, at_j, top, j, live, above, budget, s, inv_m2, slack_root)
     ``where(b < a, b, a)`` for Python's ``min(a, b)`` and ``where(b > a, b, a)``
     for ``max(a, b)``, so a lane gets the bits of the iteration on Python
     floats wherever the walk reaches it; lanes it never reaches may divide by
-    zero or overflow, which is why the step ignores floating-point errors.
+    zero or overflow, which is why its callers, ``_walk_start`` and
+    ``_walk``, ignore floating-point errors (once a call, not once a step).
     """
     size, phi, root, spend, roots = at_top
     _, _, root_j, spend_j, roots_j = at_j
+    # temporaries go after their last read: ``_walk_start`` runs the step on
+    # every block of every row of a walk, as many as a flush has queued
     mass = above + (size - live)
     live_spend = spend + live * phi
     slack_now = (live_spend <= budget) | (j > top)
     to_slack = (live_spend - budget) / phi
+    del live_spend
     event = np.where(to_slack < live, to_slack, live)
     room = budget - spend_j  # where it is not positive, lam = 0 and the slope is -inf up to the event
     s1 = roots - roots_j + live * root
     a = s * root / room
     at_min = (room > 0) & (mass * inv_m2 >= a * s1)
     step = (a * s1 - mass * inv_m2) / (a * root + inv_m2)
+    del a
     lam_event = (s1 - room / root_j) / root
+    del s1
     event = np.where((room > 0) & (j < top) & (lam_event < event), lam_event, event)
+    del lam_event
     inside = (room > 0) & (step < event)
     stop = slack_now | at_min | inside | (event == to_slack)
+    del to_slack
     slack = slack_now | ~(at_min | inside)
     mass = np.where(slack_now | at_min, mass, np.where(inside, mass + step, mass + event))
     return stop, np.where(slack & (slack_root > mass), slack_root, mass), slack, event
 
 
+@np.errstate(all="ignore")
 def _walk_start(table, above, counts, j, params):
     """Each row's highest block at which ``_walk_step`` does more than drop
     the block, or -1 where there is none: the step on every block of every
@@ -207,6 +206,7 @@ def _walk_start(table, above, counts, j, params):
     return np.where(acts.any(axis=1), t[-1] - np.argmax(acts[:, ::-1], axis=1), -1)
 
 
+@np.errstate(all="ignore")
 def _walk(table, above, m, counts, j, budgets, beta):
     """Each row's ``(mass, slack)``: the smallest minimizer of the outer
     objective over ignored mass in [0, m], and whether the budget is slack there.
@@ -265,28 +265,30 @@ def _walk(table, above, m, counts, j, budgets, beta):
     return mass, slack
 
 
-def _solve_ci_rows(phi, psi, sizes, budgets, beta, at=None):
-    """The CI solve of the rows of a padded batch it keeps: ``(kept, A, lam,
-    saturated, U, mass)``, with row ``k`` of each array for batch row ``kept[k]``.
+def _walk_entry(phi, blocks, sizes, budgets, beta, at=None):
+    """The first stage of the CI solve of a padded batch: ``(kept, entry)``,
+    the batch rows that go on to the outer walk and their walk entry, or
+    ``(kept, None)`` where no row does.
 
-    Row ``r`` holds ``sizes[r]`` ironed and raw virtual costs, padded with
-    ``phi = 0`` as for ``_calibrate_rows``, and has budget ``budgets[r]``.
-    Every step runs on all rows at once: the block split, the walk's table,
-    the outer walk, the fill and the calibration; ``np.add.accumulate`` adds
-    along a row in order, so each row gets the bits of a batch of one.  ``A``
-    is 1 and ``U`` 0 on the padding.
+    Row ``r`` holds ``sizes[r]`` ironed virtual costs, padded, and has
+    budget ``budgets[r]``; ``blocks`` are the rows' maximal equal-phi
+    blocks, those the ironing ends with (``_block_edges``).  The entry
+    holds, per kept row, no grid row but ``(table, above, sizes, counts, j,
+    budgets, block)``: the walk's table (five numbers per block, see
+    ``_walk``), the mass above each block, the row's size, block count,
+    lowest block ``j`` not clipped at M = 0 and budget, and the block
+    holding its report (None without ``at``).  So the entries of many
+    batches can wait for one walk (``_solve_ci_rows``).  Every step runs on
+    all rows at once, and ``np.add.accumulate`` adds along a row in order,
+    so each row gets the bits of a batch of one.
 
-    With ``at``, the position of each row's report, only the rows whose
-    report the deployed rule leaves unignored are kept, in two screens on
-    the share ``_fill_share`` of the report's block (ignored where it is
-    ``>= 1/2``).  Right after the block split, the rows whose report is
-    ignored at the floor ``L = min(m, beta^2 m / 2)`` on the ignored mass
-    are dropped; a batch left with no row returns there.  The rest are
-    walked, and the rows whose report the walk's mass ignores are dropped
-    before calibration.  Neither is calibrated or priced: the walk's mass
-    is at least ``L``, the kink pass only raises it, and the share does not
-    fall as the mass rises, so the report stays ignored.  With ``at`` None
-    every row is walked and kept.
+    With ``at``, the position of each row's report, a row whose report is
+    ignored at the floor ``L = min(m, beta^2 m / 2)`` on the ignored mass,
+    where the share ``_fill_share`` of the report's block is ``>= 1/2``,
+    is not kept.  The walk's mass is at least ``L``, the kink pass
+    (``_rule_rows``) only raises it, and the share does not fall as the
+    mass rises, so the report stays ignored.  With ``at`` None every row is
+    kept.
 
     The floor.  A row with no start, or whose walk ends without stopping,
     has mass ``m``, and a stop where the budget is slack returns at least
@@ -314,18 +316,17 @@ def _solve_ci_rows(phi, psi, sizes, budgets, beta, at=None):
     rounding can stop the walk short of the floor, and the screen ignores
     the report as exact arithmetic does.
     """
-    edges, counts = _block_rows(phi, sizes)
+    edges, counts = blocks
     kept = np.arange(sizes.size)
+    block = None
     if at is not None:
         block = np.add.reduce(edges[:, 1:] <= at[:, None], axis=1)  # the block holding the report
         report_above = sizes - edges[kept, block + 1]
         report_size = edges[kept, block + 1] - edges[kept, block]
         kept = np.flatnonzero(_fill_share(_mass_floor(beta, sizes), report_above, report_size) < 0.5)
         if not kept.size:
-            rows = np.zeros((0, phi.shape[1]))
-            return kept, rows + 1.0, np.zeros(0), np.ones(0, dtype=bool), rows, np.zeros(0)
-        phi, psi, sizes, counts, report_above, report_size = (
-            a[kept] for a in (phi, psi, sizes, counts, report_above, report_size))
+            return kept, None
+        phi, sizes, counts, block = (a[kept] for a in (phi, sizes, counts, block))
         edges = edges[kept, :max(counts.tolist()) + 1]
         budgets = [budgets[r] for r in kept.tolist()]
     # the walk's table: size, phi, sqrt(phi) and the sums of size * phi and size * sqrt(phi)
@@ -341,15 +342,79 @@ def _solve_ci_rows(phi, psi, sizes, budgets, beta, at=None):
     spend_bp = spend_below[:, :-1] + block_sqrt[:, :-1] * (sqrt_below[:, -1:] - sqrt_below[:, :-1])
     j = np.array([bisect.bisect_left(bp, budget, 0, k)
                   for bp, budget, k in zip(spend_bp.tolist(), budgets, counts.tolist())])
-    mass, slack = _walk(table, sizes[:, None] - edges[:, 1:], sizes, counts, j, budgets, beta)
-    if at is not None:
-        walked = np.flatnonzero(_fill_share(mass, report_above, report_size) < 0.5)
-        kept = kept[walked]
-        phi, psi, sizes, edges, mass, slack = (a[walked] for a in (phi, psi, sizes, edges, mass, slack))
-        budgets = [budgets[r] for r in walked.tolist()]
+    return kept, (table, sizes[:, None] - edges[:, 1:], sizes, counts, j,
+                  np.array(budgets, dtype=float), block)
+
+
+def _solve_ci_rows(entries, beta):
+    """The outer walk of the rows of a list of ``_walk_entry`` entries, in
+    one ``_walk`` call: ``(kept, rows)``, the kept rows' indices, counted
+    across the entries in order, and their ``(mass, slack, block_size,
+    block_phi, sizes, budgets)`` for ``_table_profile`` and ``_rule_rows``.
+
+    The entries' tables are laid into one, each row padded past its own
+    columns with blocks of no entry whose sums are its totals, as a batch
+    of its own pads it; the list is emptied as they are.  The walk reads
+    only a row's own lanes, so a row gets the same bits whatever rows share
+    the call.  Where the entries carry report blocks, the rows whose report
+    the walk's mass ignores are dropped: they are neither calibrated nor
+    priced, as the report stays ignored (``_walk_entry``).  Without them
+    every row is kept.
+    """
+    if len(entries) == 1:
+        table, above, sizes, counts, j, budgets, block = entries.pop()
+    else:
+        sizes, counts, j, budgets = (np.concatenate([entry[i] for entry in entries]) for i in range(2, 6))
+        block = None if entries[0][6] is None else np.concatenate([entry[6] for entry in entries])
+        width = max(entry[0].shape[2] for entry in entries)
+        table = np.zeros((5, sizes.size, width))
+        above = np.zeros((sizes.size, width - 1), dtype=np.intp)
+        r = 0
+        # each entry is let go once laid out, so the queue is not held twice
+        while entries:
+            part, part_above, *_ = entries.pop(0)
+            k, w = part_above.shape[0], part.shape[2]
+            table[:, r:r + k, :w] = part
+            table[3:, r:r + k, w:] = part[3:, :, -1:]
+            above[r:r + k, :w - 1] = part_above
+            r += k
+    mass, slack = _walk(table, above, sizes, counts, j, budgets.tolist(), beta)
+    kept = np.arange(sizes.size)
+    if block is not None:
+        kept = np.flatnonzero(_fill_share(mass, above[kept, block], table[0, kept, block]) < 0.5)
+    return kept, (mass[kept], slack[kept], table[0, kept, :-1], table[1, kept, :-1],
+                  sizes[kept], budgets[kept])
+
+
+def _table_profile(block_size, block_phi, sizes, width):
+    """Rows' ``(phi, edges)`` from their walk tables' block sizes and
+    values: ``phi`` repeats each block's value over the block, 0 on the
+    padding out to ``width``, and ``edges`` are the block starts, then the
+    row's size, padded with it, as ``_block_edges`` gives them.  The table's
+    blocks are maximal equal-phi blocks, each read at its last entry, so
+    this is the profile the table was built from, bit for bit."""
+    sizes_per_block = block_size.astype(np.intp)
+    edges = np.zeros((sizes.size, block_size.shape[1] + 1), dtype=np.intp)
+    np.cumsum(sizes_per_block, axis=1, out=edges[:, 1:])
+    phi = np.zeros((sizes.size, width))
+    phi[np.arange(width) < sizes[:, None]] = np.repeat(block_phi.ravel(), sizes_per_block.ravel())
+    return phi, edges
+
+
+def _rule_rows(phi, psi, sizes, budgets, edges, mass, slack):
+    """Each row's rule ``(A, lam, saturated, U, mass)`` at its walked
+    ``mass``, given whether the budget is ``slack`` there.
+
+    The rows are calibrated together (``_rule_at_mass``, with ``psi`` the
+    raw virtual costs padded as ``phi``; ``A`` is 1 and ``U`` 0 on the
+    padding).  Then the kink pass: on the saturation kink the calibration's
+    own spend sum decides, so a slack row the calibration finds not
+    saturated steps up from ``ulp(m)``, doubling, until it agrees the budget
+    is slack, as it does at mass ``m``.  The first calibration cannot be
+    skipped for slack rows: about half of them saturate at the walk's own
+    mass, and starting those one step up moves their mass and ``U``.
+    """
     alloc, lam, saturated, u = _rule_at_mass(phi, psi, sizes, budgets, edges, mass)
-    # On the saturation kink the calibration's own spend sum decides: step a row up from
-    # ulp(m), doubling, until it agrees the budget is slack (as it does at mass m).
     todo = (slack & ~saturated).nonzero()[0]
     scale = 1.0
     while todo.size:
@@ -359,7 +424,7 @@ def _solve_ci_rows(phi, psi, sizes, budgets, beta, at=None):
             phi[todo], psi[todo], sizes[todo], [budgets[r] for r in todo.tolist()], edges[todo],
             mass[todo])
         todo = todo[~saturated[todo] & (mass[todo] < sizes[todo])]
-    return kept, alloc, lam, saturated, u, mass
+    return alloc, lam, saturated, u, mass
 
 
 def solve_ci(cost_set: CostSet, budget: float, beta: float) -> tuple[AllocationRule, IgnoreRule]:
@@ -382,8 +447,11 @@ def solve_ci(cost_set: CostSet, budget: float, beta: float) -> tuple[AllocationR
     beta = _positive(beta, "beta")
     psi = virtual_costs(cost_set)[None, :]
     sizes = np.array([psi.size])
-    phi = _iron_rows(psi, sizes)
-    _, alloc, lam, saturated, u, mass = _solve_ci_rows(phi, psi, sizes, (budget,), beta)
+    phi, bounds = _iron_rows(psi, sizes)
+    blocks = _block_edges(bounds, sizes)
+    _, entry = _walk_entry(phi, blocks, sizes, (budget,), beta)
+    _, (mass, slack, *_) = _solve_ci_rows([entry], beta)
+    alloc, lam, saturated, u, mass = _rule_rows(phi, psi, sizes, (budget,), blocks[0], mass, slack)
     # The boundary block is the lowest one with any ignore probability.
     touched = (u[0] > 0).nonzero()[0]
     threshold, fraction = math.inf, 1.0
@@ -420,13 +488,14 @@ def _deployed_policy(costs: np.ndarray, alloc: np.ndarray, u: np.ndarray):
 
 def _rule_for(cost_set: CostSet, budget: float, masses):
     """``_rule_at_mass`` on a cost set at each of ``masses``, one row per mass
-    of a batch ironed and split into blocks once; ``(alloc, saturated, u)``."""
+    of a batch ironed once, with the blocks the ironing finds;
+    ``(alloc, saturated, u)``."""
     psi = virtual_costs(cost_set)[None, :]
     sizes = np.array([psi.size])
-    phi = _iron_rows(psi, sizes)
+    phi, bounds = _iron_rows(psi, sizes)
+    edges = _block_edges(bounds, sizes)[0]
     rows = len(masses)
-    phi, psi, sizes, edges = (
-        np.repeat(a, rows, axis=0) for a in (phi, psi, sizes, _block_rows(phi, sizes)[0]))
+    phi, psi, sizes, edges = (np.repeat(a, rows, axis=0) for a in (phi, psi, sizes, edges))
     alloc, _, saturated, u = _rule_at_mass(
         phi, psi, sizes, (budget,) * rows, edges, np.array(masses, dtype=float))
     return alloc, saturated, u

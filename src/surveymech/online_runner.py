@@ -23,11 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import AllocationRule, _calibrate_rows, _myerson, solve_unbiased, worst_case_variance
-from .ci_solver import _deployed_policy, _solve_ci_rows, _variance_sum, ci_parameters, solve_ci
+from .ci_solver import (
+    _deployed_policy, _rule_rows, _solve_ci_rows, _table_profile, _variance_sum, _walk_entry, ci_parameters,
+    solve_ci,
+)
 from .errors import InvalidInputError, _positive, _scalar, _whole
 from .estimation import CIOutput, bernstein_interval, sample_variance
 from .populations import Population
-from .virtual_cost import CostSet, _iron_rows, _psi_from_sorted
+from .virtual_cost import CostSet, _block_edges, _iron_rows, _psi_from_sorted
 
 __all__ = [
     "BudgetSchedule",
@@ -44,16 +47,18 @@ __all__ = [
     "ci_bound_rhs",
 ]
 
-# Grid points per batch of ``_solve_rounds``, counted as its rows times its
-# widest row: a padded temporary of a batch stays within 128 KB whatever n,
-# unless one grid alone is wider (it is then a batch of its own).  The CI
-# walk steps all rows of a batch at once: a full-size ``mc_fresh_ci`` call
-# took a median 33.8 ms of CPU at 2^14 points against 41.2 ms at 2^13 and no
-# less at 2^15, and peaked at 1.79, 1.03 and 3.02 MB traced.  Unbiased
+# Grid points per batch of ``_solve_rounds`` and ``_queue_rounds``, counted
+# as its rows times its widest row, and table cells per CI walk
+# (``_solve_chunk``'s queue), counted as its rows times its most blocks: a
+# padded temporary of a batch or a walk stays within 128 KB whatever n,
+# unless one grid alone is wider (it is then a batch of its own).  Unbiased
 # batches of 2^14 points took no more CPU than 2^15 on ``mc_cached`` and
 # ``mc_fresh_unbiased`` (2^13 took about 10% more on the latter), and cut
-# their peaks from 2.82 to 1.93 MB and from 2.66 to 1.56 MB (2-core Xeon VM,
-# Python 3.11.7, numpy 2.4.6).
+# their peaks from 2.82 to 1.93 MB and from 2.66 to 1.56 MB.  On the CI task
+# at 2^13, 2^14 and 2^15, a seed-1 ``mc_fresh_ci`` call took a median 11.8,
+# 9.4 and 10.3 ms of CPU and peaked at 1.21, 1.65 and 2.54 MB traced; 4 runs
+# of 1,000 continuous costs at gamma 0.1 took 251, 167 and 137 ms and peaked
+# at 1.80, 2.88 and 4.77 MB (2-core Xeon VM, Python 3.11.7, numpy 2.4.6).
 _BATCH_POINTS = 2**14
 
 # Rounds per chunk of runs that read no round cache (``_chunk_bounds``),
@@ -187,32 +192,74 @@ def _solve_rounds(costs, sizes, budgets, beta, at=None):
 
     Row ``r`` is a sorted grid of ``sizes[r]`` costs with round budget
     ``budgets[r]``, padded by repeating its last cost.  Every step runs on
-    all rows together: virtual costs, ironing, the solve (``_calibrate_rows``,
-    or ``_solve_ci_rows`` for the CI task, ``beta`` not None) and payments.
+    all rows together: virtual costs, ironing, the solve and payments.
     Returns the batch's 2-D arrays that offers read, row ``r`` valid in its
     first ``sizes[r]`` columns: ``(A, payments)``, or ``(A, ignored,
-    payments)`` for the CI task.
+    payments)`` for the CI task (``beta`` not None).  The unbiased task
+    calibrates (``_calibrate_rows``) and prices the batch at once; the CI
+    task queues the batch (``_queue_rounds``) and flushes that queue at once
+    (``_flush_ci``), as a chunk of runs does once its queue is full.
 
     ``at``, if not None, gives each CI row's report position: a row whose
     report is ignored at the floor on the ignored mass, or at the walk's
-    mass, is neither calibrated nor priced (``_solve_ci_rows``; the first
-    is not walked either), and offers ``(0, True, NaN)`` throughout, what
-    the full solve offers there but its raw ``A``.  With ``at`` None every
-    row is solved whole, as a round cache and transcripts read it.  The
-    unbiased task reads no ``at``.
+    mass, is neither calibrated nor priced (the first is not walked either),
+    and offers ``(0, True, NaN)`` throughout, what the full solve offers
+    there but its raw ``A``.  With ``at`` None every row is solved whole,
+    as a round cache and transcripts read it.  The unbiased task reads no
+    ``at``.
     """
-    if beta is None and min(budgets) <= 0:
-        raise InvalidInputError("unbiased rounds need a positive budget")
-    psi = _psi_from_sorted(costs)
-    phi = _iron_rows(psi, sizes)
     if beta is None:
-        alloc, _, _ = _calibrate_rows(phi, psi, None, budgets, sizes)
+        if min(budgets) <= 0:
+            raise InvalidInputError("unbiased rounds need a positive budget")
+        psi = _psi_from_sorted(costs)
+        alloc, _, _ = _calibrate_rows(_iron_rows(psi, sizes)[0], psi, None, budgets, sizes)
         return alloc, _myerson(costs, alloc)
-    kept, alloc, _, _, u, _ = _solve_ci_rows(phi, psi, sizes, budgets, beta, at)
     offers = np.zeros(costs.shape), np.ones(costs.shape, dtype=bool), np.full(costs.shape, math.nan)
-    for out, part in zip(offers, (alloc,) + _deployed_policy(costs[kept], alloc, u)):
-        out[kept] = part
+    kept, entry = _queue_rounds(costs, sizes, budgets, beta, at)
+    if entry is not None:
+        for rows, parts in _flush_ci([(kept, entry)], beta, costs.__getitem__):
+            for out, part in zip(offers, parts):
+                out[rows] = part
     return offers
+
+
+def _queue_rounds(costs, sizes, budgets, beta, at=None):
+    """The first stage of the CI solve of a batch of rounds, laid out as
+    for ``_solve_rounds``: virtual costs and ironing, then ``_walk_entry``
+    on the ironing's own blocks, which screens at the floor on the ignored
+    mass (with ``at``) and builds the walk entry of the rows it keeps.
+    Returns ``(kept, entry)``, the batch rows kept and their entry, or
+    ``(kept, None)`` where no row is kept."""
+    phi, bounds = _iron_rows(_psi_from_sorted(costs), sizes)
+    return _walk_entry(phi, _block_edges(bounds, sizes), sizes, budgets, beta, at)
+
+
+def _flush_ci(queue, beta, grids):
+    """The offers of the rows of a queue of ``(ids, entry)`` pairs, an entry
+    of ``_queue_rounds`` with the caller's ids of its kept rows; the queue
+    is emptied.
+
+    One ``_walk`` call walks every queued row and drops those whose report
+    its mass ignores (``_solve_ci_rows``).  The rows it keeps are
+    calibrated, kink pass included (``_rule_rows``), and priced
+    (``_deployed_policy``) in ``_batch_bounds`` batches, one batch unless
+    their grids pass ``_BATCH_POINTS`` points.  A batch's rows are rebuilt
+    from its grids, ``grids(ids)`` as padded 2-D costs: ``phi`` from the
+    walk table's blocks (``_table_profile``), and ``psi`` from the costs.
+    Yields ``(ids, (A, ignored, payments))`` per batch, one row per id.
+    """
+    ids = np.concatenate([part for part, _ in queue])
+    entries = [entry for _, entry in queue]
+    queue.clear()
+    kept, (mass, slack, block_size, block_phi, sizes, budgets) = _solve_ci_rows(entries, beta)
+    ids = ids[kept]
+    for lo, hi in _batch_bounds(sizes.tolist()):
+        costs = grids(ids[lo:hi])
+        psi = _psi_from_sorted(costs)
+        phi, edges = _table_profile(block_size[lo:hi], block_phi[lo:hi], sizes[lo:hi], costs.shape[1])
+        alloc, _, _, u, _ = _rule_rows(phi, psi, sizes[lo:hi], budgets[lo:hi].tolist(), edges,
+                                       mass[lo:hi], slack[lo:hi])
+        yield ids[lo:hi], (alloc,) + _deployed_policy(costs, alloc, u)
 
 
 def _screen_slack(m):
@@ -275,11 +322,10 @@ def _ruled_out(coin, below, top, root, roots, budget, widen):
     widened by the slack, need not be solved.  Rounds with budget ``B_i <=
     0``, which ``_solve_rounds`` rejects, are never ruled out, nor are
     rounds at a zero cost.  Callers keep the screen off on the CI task,
-    whose interval counts every round's ignore decision (there
-    ``_solve_ci_rows`` drops the rounds whose report it ignores: at the
-    floor on the ignored mass before the outer walk, and at the walk's mass
-    after it), and in runs that record transcripts, which show every
-    round's offer.
+    whose interval counts every round's ignore decision (there the solve
+    drops the rounds whose report it ignores: at the floor on the ignored
+    mass before the outer walk, and at the walk's mass after it), and in
+    runs that record transcripts, which show every round's offer.
     """
     return (budget > 0) & (coin * (below * top + root * roots) >= budget * widen)
 
@@ -324,7 +370,7 @@ def _run_cached(costs_seq, data_seq, coins, cap, schedule, gamma, cache, record)
     alloc, ignored, price = (out[0] for out in offers)
     lookup = cache.get
     grid: list[float] = [cap]
-    sizes, idx = [0] * n, [0] * n
+    sizes = [0] * n
     missed = {}  # round -> grid key, for the rounds still to be solved
     for i, cost in enumerate(costs_seq.tolist()):
         if cost > cap:
@@ -343,7 +389,7 @@ def _run_cached(costs_seq, data_seq, coins, cap, schedule, gamma, cache, record)
         # another order than ``_prefix_ranks``, and the slack covers both
         elif not (screen and _ruled_out(coin_list[i], at, grid[at], math.sqrt(grid[at]),
                                         sum(map(math.sqrt, grid[at:])), budget, widen)):
-            sizes[i], idx[i], missed[i] = len(grid), at, key
+            sizes[i], missed[i] = len(grid), key
         bisect.insort(grid, cost)
     if missed:
         solve = np.zeros((1, n), dtype=bool)
@@ -357,9 +403,8 @@ def _run_cached(costs_seq, data_seq, coins, cap, schedule, gamma, cache, record)
                 key = missed[i]
                 cache[key] = (key, *(part[r, :sizes[i]].copy() for part in parts), budget_list[i], beta)
 
-        solved = _solve_chunk(arrivals, np.array(sizes, dtype=np.intp)[None],
-                              np.array(idx, dtype=np.intp)[None], budgets, np.arange(n)[None],
-                              solve, beta, store)
+        solved = _solve_chunk(arrivals, np.array(sizes, dtype=np.intp)[None], costs_seq[None],
+                              budgets, np.arange(n)[None], solve, beta, store)
         for out, part in zip(offers, solved):
             out[solve] = part[solve]
     return _settle(costs_seq[None], data_seq[None], coins[None], cap, gamma, record, offers)[0]
@@ -493,15 +538,17 @@ def _plan_chunk(costs, coins, cap, schedule, screen):
     ``arrivals`` holds each run's cap, then its reports not above the cap in
     arrival order, then its flagged ones, so the grid of a round with ``m``
     points is the first ``m`` entries of its run's row.  The rest is per
-    round, in arrival order: the grid's size ``m``, the position ``idx =
-    bisect_left(grid, c)`` of the report ``c`` and the grid cost
-    ``grid[idx]`` at it (``_prefix_ranks``, whose root sums ``S`` over
-    ``grid[idx:]`` the screen reads too), the budget ``xi * B * sqrt(i)``
-    (one row for every run), the grid's key (``_grid_keys``: equal for two
-    rounds of the chunk exactly when their grids are) and whether the round
-    is solved: not flagged, and, with ``screen``, not ruled out by the
-    purchase screen.  A flagged round's ``m``, ``idx``, grid cost and key
-    mean nothing.
+    round, in arrival order: the grid's size ``m``, the purchase screen's
+    position ``idx = bisect_left(grid, c)`` of the report ``c`` and grid
+    cost ``grid[idx]`` at it, the budget ``xi * B * sqrt(i)`` (one row for
+    every run), the grid's key (``_grid_keys``: equal for two rounds of the
+    chunk exactly when their grids are) and whether the round is solved:
+    not flagged, and, with ``screen``, not ruled out by the purchase
+    screen.  Only the screen ranks the reports (``_prefix_ranks``, whose
+    root sums ``S`` over ``grid[idx:]`` it reads too), so without
+    ``screen`` ``idx`` and the grid costs are None; the solve looks each
+    position up in its grid (``_solve_chunk``).  A flagged round's ``m``,
+    ``idx``, grid cost and key mean nothing.
     """
     runs, n = costs.shape
     live = ~(costs > cap)
@@ -510,14 +557,14 @@ def _plan_chunk(costs, coins, cap, schedule, screen):
     arrivals = np.empty((runs, n + 1))
     arrivals[:, 0] = cap
     arrivals[:, 1:] = np.take_along_axis(costs, moved, axis=1)
-    ranks = _prefix_ranks(arrivals)
-    below, tops, roots = (np.empty((runs, n), dtype=part.dtype) for part in ranks)
-    for out, part in zip((below, tops, roots), ranks):
-        np.put_along_axis(out, moved, part[:, 1:], axis=1)
     sizes = np.cumsum(live, axis=1) - live + 1
     budgets = schedule.per_round(np.arange(1, n + 1))
-    solve = live
+    solve, below, tops = live, None, None
     if screen:
+        ranks = _prefix_ranks(arrivals)
+        below, tops, roots = (np.empty((runs, n), dtype=part.dtype) for part in ranks)
+        for out, part in zip((below, tops, roots), ranks):
+            np.put_along_axis(out, moved, part[:, 1:], axis=1)
         widen = 1.0 + _screen_slack(n + 1)
         solve = live & ~_ruled_out(coins, below, tops, np.sqrt(tops), roots, budgets, widen)
     return arrivals, sizes, below, tops, budgets, _grid_keys(costs, live), solve
@@ -543,28 +590,54 @@ def _batch_grids(arrivals, rounds, sizes, n):
     return costs
 
 
-def _solve_chunk(arrivals, sizes, idx, budgets, keys, solve, beta, store=None, drop=False):
+def _positions(costs, rows, values):
+    """``bisect_left`` of each of ``values`` in its row ``rows`` of the
+    padded batch of grids ``costs``: the count of the row's costs below it.
+    A grid is padded with its cap, which is never below a report, so the
+    count is the grid's own.  The lookups compare in slices of as many as
+    the batch has rows, so each temporary holds at most one batch of floats
+    and one of booleans."""
+    found = np.empty(rows.size, dtype=np.intp)
+    step = costs.shape[0]
+    for lo in range(0, rows.size, step):
+        found[lo:lo + step] = np.add.reduce(costs[rows[lo:lo + step]] < values[lo:lo + step, None], axis=1)
+    return found
+
+
+def _solve_chunk(arrivals, sizes, reports, budgets, keys, solve, beta, store=None, drop=False):
     """Offers ``(alloc, ignored, price)`` of a chunk's planned rounds (see
-    ``_plan_chunk``), per round; a round not solved offers ``(0, False,
-    NaN)``, which buys nothing.  ``store``, if given, is called after each
-    batch with the flat indices of the rounds solved in it and
-    ``_solve_rounds``' arrays, one row per round.  With ``drop``,
-    ``_solve_rounds`` gets each solved row's report position, so a CI row
-    ignored there, at the floor on the ignored mass or at the walk's mass,
-    offers ``(0, True, NaN)`` unpriced; a store or a transcript needs whole
-    rows, so neither drops.
+    ``_plan_chunk``), per round, given the ``reports`` (2-D, in arrival
+    order); a round not solved offers ``(0, False, NaN)``, which buys
+    nothing.  ``store``, if given, is called with the flat indices of rounds
+    solved together and their arrays, one row per round: after each batch
+    on the unbiased task (``_solve_rounds``' arrays), and after each
+    calibration of a flush on the CI task (``_flush_ci``'s).  With ``drop``,
+    a CI row's report position goes to ``_queue_rounds``, so a row ignored
+    there, at the floor on the ignored mass or at the walk's mass, offers
+    ``(0, True, NaN)`` unpriced; a store or a transcript needs whole rows,
+    so neither drops.
 
     The rounds to solve fall into groups of one key and one round index: one
-    grid and one budget.  Each group solves the row of its member with the
-    lowest report position, and every member reads its offer from that row
-    at its own report position.  Ignoring fills a grid from the top, so a
-    dropped row is one where every member's report is ignored; a kept member
-    that is itself ignored offers ``(A, True, NaN)``, which buys nothing,
-    as ``(0, True, NaN)`` does.
+    grid and one budget.  A group's members are sorted by report cost, so
+    its first member has its lowest report position; the group solves its
+    row there, and every member reads its offer from that row at its own
+    position.  A position is ``bisect_left`` on the grid, looked up once per
+    distinct report cost of a group (``_positions``): on continuous costs
+    that compares a batch's grid points once, and on tied costs at most as
+    many times as the chunk has distinct costs.  Ignoring fills a grid from
+    the top, so a dropped row is one where every member's report is
+    ignored; a kept member that is itself ignored offers ``(A, True, NaN)``,
+    which buys nothing, as ``(0, True, NaN)`` does.
 
-    The groups, sorted by grid size so that a batch pads little, go through
-    ``_solve_rounds`` in ``_batch_bounds`` batches of ``_batch_grids``.  Each
-    batch's offers are gathered from its arrays with one ``take`` per array.
+    The groups, sorted by grid size so that a batch pads little, go in
+    ``_batch_bounds`` batches of ``_batch_grids``.  An unbiased batch is
+    solved and priced at once (``_solve_rounds``).  A CI batch is ironed and
+    screened at the floor (``_queue_rounds``), and the walk entries of its
+    rows wait in a queue, which holds no grid row.  The queue is flushed
+    (``_flush_ci``: one walk, then the calibration and pricing of the rows
+    it keeps, rebuilt from their grids) before an entry would take it past
+    ``_BATCH_POINTS`` table cells, and at the chunk's end.  Each batch's or
+    flush's offers are gathered from its arrays with one ``take`` per array.
     A batch's arrays live until the next batch replaces them: freeing them
     first lets the allocator return the heap top, and the next batch faults
     its pages in again.
@@ -572,28 +645,70 @@ def _solve_chunk(arrivals, sizes, idx, budgets, keys, solve, beta, store=None, d
     runs, n = solve.shape
     alloc, ignored, price = _no_offers((runs, n))
     rounds = np.flatnonzero(solve)
-    key, widths, report = (part.ravel()[rounds] for part in (keys, sizes, idx))
-    # by width, then group, then report position: each group's first member solves
+    key, widths, report = (part.ravel()[rounds] for part in (keys, sizes, reports))
+    # by width, then group, then report cost: each group's first member has its lowest position
     order = np.lexsort((report, rounds % n, key, widths))
     rounds, key, widths, report = (part[order] for part in (rounds, key, widths, report))
     first = np.ones(rounds.size, dtype=bool)
     first[1:] = (key[1:] != key[:-1]) | (rounds[1:] % n != rounds[:-1] % n)
     group = np.cumsum(first) - 1
     starts = np.append(np.flatnonzero(first), rounds.size)
-    solved, widths, at = rounds[first], widths[first], report[first]
+    # one position lookup per distinct (group, report cost), and each member's lookup
+    distinct = first.copy()
+    distinct[1:] |= report[1:] != report[:-1]
+    lookups = np.flatnonzero(distinct)
+    lookup = np.cumsum(distinct) - 1
+    at = np.empty(rounds.size, dtype=np.intp)  # each member's report position in its grid
+    solved, widths = rounds[first], widths[first]
     outs = (alloc, price) if beta is None else (alloc, ignored, price)
+
+    def offer(members, rows, parts):
+        # each member reads its row of ``parts`` at its flat position in the C-ordered arrays
+        flat = rows * parts[0].shape[1] + at[members]
+        for out, part in zip(outs, parts):
+            np.put(out, rounds[members], part.take(flat))
+
+    def flush(queue):
+        def grids(groups):
+            return _batch_grids(arrivals, solved[groups], widths[groups], n)
+
+        for groups, parts in _flush_ci(queue, beta, grids):
+            # the members of the sorted ``groups``, each reading its group's row
+            chosen = np.zeros(solved.size, dtype=bool)
+            chosen[groups] = True
+            members = np.flatnonzero(chosen[group])
+            offer(members, np.searchsorted(groups, group[members]), parts)
+            if store is not None:
+                store(solved[groups], parts)
+
+    if beta is not None:
+        ignored[solve] = True  # what a row dropped unpriced offers: (0, True, NaN)
+    queue, held, most = [], 0, 0  # the queued rows, and the most blocks of one
     for lo, hi in _batch_bounds(widths.tolist()):
         batch = solved[lo:hi]
         costs = _batch_grids(arrivals, batch, widths[lo:hi], n)
-        parts = _solve_rounds(costs, widths[lo:hi], budgets[batch % n].tolist(), beta,
-                              at[lo:hi] if drop else None)
-        # each member's offer at its flat position in the batch's C-ordered arrays
         members = slice(starts[lo], starts[hi])
-        offer = (group[members] - lo) * costs.shape[1] + report[members]
-        for out, part in zip(outs, parts):
-            np.put(out, rounds[members], part.take(offer))
-        if store is not None:
-            store(batch, parts)
+        pairs = lookups[lookup[starts[lo]]:lookup[starts[hi] - 1] + 1]
+        at[members] = _positions(costs, group[pairs] - lo, report[pairs])[lookup[members] - lookup[starts[lo]]]
+        batch_budgets = budgets[batch % n].tolist()
+        if beta is None:
+            parts = _solve_rounds(costs, widths[lo:hi], batch_budgets, None, None)
+            offer(members, group[members] - lo, parts)
+            if store is not None:
+                store(batch, parts)
+            continue
+        kept, entry = _queue_rounds(costs, widths[lo:hi], batch_budgets, beta,
+                                    at[starts[lo:hi]] if drop else None)
+        if entry is None:
+            continue
+        blocks = entry[0].shape[2] - 1
+        if queue and (held + kept.size) * max(most, blocks) > _BATCH_POINTS:
+            flush(queue)
+            held = most = 0
+        queue.append((lo + kept, entry))
+        held, most = held + kept.size, max(most, blocks)
+    if queue:
+        flush(queue)
     return alloc, ignored, price
 
 
@@ -604,21 +719,22 @@ def _run_chunk(costs, data, coins, cap, schedule, gamma, record):
     ``_run_cached``; a list of their results.
 
     Three array steps serve every round of the chunk together: the plan
-    (``_plan_chunk``: grids, positions, budgets, grid keys and the purchase
-    screen), the solve (``_solve_chunk``, once per distinct grid and round)
-    and the settlement (``_settle``).  So a chunk holds its runs' per-round
-    arrays and one batch at a time.  Without transcripts a round's offer
-    matters only where it can buy: the screen is on for the unbiased task,
-    and the CI task drops the rounds whose report is ignored at the floor
-    on the ignored mass before the outer walk, and those its walk ignores
-    before they are calibrated.
+    (``_plan_chunk``: grids, budgets, grid keys and the purchase screen),
+    the solve (``_solve_chunk``, once per distinct grid and round, with the
+    CI rounds walked together once per queue flush) and the settlement
+    (``_settle``).  So a chunk holds its runs' per-round arrays, one batch
+    and, on the CI task, a queue of walk entries at a time.  Without
+    transcripts a round's offer matters only where it can buy: the screen
+    is on for the unbiased task, and the CI task drops the rounds whose
+    report is ignored at the floor on the ignored mass before they are
+    queued, and those the walk ignores before they are calibrated.
     """
     n = costs.shape[1]
     ci = gamma is not None
     beta = ci_parameters(gamma, n).beta if ci else None
-    arrivals, sizes, idx, _, budgets, keys, solve = _plan_chunk(
+    arrivals, sizes, _, _, budgets, keys, solve = _plan_chunk(
         costs, coins, cap, schedule, not ci and not record)
-    offers = _solve_chunk(arrivals, sizes, idx, budgets, keys, solve, beta, drop=ci and not record)
+    offers = _solve_chunk(arrivals, sizes, costs, budgets, keys, solve, beta, drop=ci and not record)
     return _settle(costs, data, coins, cap, gamma, record, offers)
 
 

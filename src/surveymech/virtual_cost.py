@@ -17,7 +17,9 @@ runner irons all the rounds of a run together.  Each pass gathers the blocks
 it keeps by integer index (``np.flatnonzero`` and ``take``): its merge mask
 is scattered, and a boolean compress of a scattered mask costs several times
 more per element.  ``regularize`` and the solvers iron a single grid as a
-batch of one row.
+batch of one row.  The ironing also returns the blocks it ends with, which
+the CI solver lays out by row (``_block_edges``) rather than splitting
+``phi`` into blocks again.
 """
 
 from __future__ import annotations
@@ -68,8 +70,9 @@ def _psi_from_sorted(costs: np.ndarray) -> np.ndarray:
     return psi
 
 
-def _iron_rows(psi: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Ironed profiles of the rows of a padded 2-D ``psi``.
+def _iron_rows(psi: np.ndarray, sizes: np.ndarray):
+    """Ironed profiles of the rows of a padded 2-D ``psi``, and the blocks
+    the pooling ends with: ``(phi, bounds)``.
 
     Row ``r`` holds ``sizes[r]`` values followed by padding, which is ignored
     and comes back as 0.  The rows are laid end to end without their padding,
@@ -83,6 +86,11 @@ def _iron_rows(psi: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     and gathers the bounds and averages with ``take``; only the grown blocks'
     averages are recomputed.  The NaN blocks are dropped before the blocks
     are spread back over their entries.
+
+    ``bounds`` are the final blocks' starts in the rows laid end to end,
+    each followed by its NaN, then the end of the last NaN.  When no pass
+    merges, each row's block averages rise strictly, so its final blocks
+    are its maximal equal-phi blocks; ``_block_edges`` lays them out by row.
     """
     rows, width = psi.shape
     lanes = np.arange(width + 1) <= sizes[:, None]  # each row and its NaN
@@ -115,7 +123,24 @@ def _iron_rows(psi: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     real = np.flatnonzero(first == first)
     phi = np.zeros_like(psi)
     phi[np.arange(width) < sizes[:, None]] = np.repeat(avg.take(real), np.diff(bounds).take(real))
-    return phi
+    return phi, bounds
+
+
+def _block_edges(bounds, sizes):
+    """``(edges, counts)`` of the blocks ``_iron_rows`` ends with, row by
+    row: ``counts[r]`` blocks in row ``r``, and ``edges[r]`` their starts,
+    then the row's size, padded with it to the most blocks of any row plus
+    one."""
+    ends = np.cumsum(sizes + 1) - 1  # where each row's NaN sits, a block of its own
+    nan = np.searchsorted(bounds, ends)
+    # the NaN of row r follows the real blocks of rows 0..r and r NaNs
+    counts = nan - np.arange(sizes.size)
+    counts[1:] -= counts[:-1].copy()
+    real = np.ones(bounds.size - 1, dtype=bool)
+    real[nan] = False
+    edges = np.repeat(sizes[:, None], int(counts.max()) + 1, axis=1)
+    edges[np.arange(edges.shape[1]) < counts[:, None]] = bounds[:-1][real] - np.repeat(ends - sizes, counts)
+    return edges, counts
 
 
 def virtual_costs(cost_set: CostSet) -> np.ndarray:
@@ -136,4 +161,4 @@ def regularize(psi) -> np.ndarray:
     exactly up to floating-point block-boundary ties.
     """
     psi = _vector(psi, "psi")
-    return _iron_rows(psi[None, :], np.array([psi.size]))[0]
+    return _iron_rows(psi[None, :], np.array([psi.size]))[0][0]

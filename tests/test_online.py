@@ -31,7 +31,7 @@ from surveymech import (
     virtual_costs,
     worst_case_variance,
 )
-from surveymech import ci_solver, online_runner, simharness
+from surveymech import online_runner, simharness
 from surveymech.audits import random_cost_set
 from surveymech.online_runner import _solve_rounds
 from test_round_batch import _ci_round_ref, _unbiased_round_ref
@@ -275,15 +275,22 @@ class TestRunCI:
         # ignores before they are calibrated and priced; with transcripts, or
         # with a round cache, every round is solved whole.  The interval,
         # spend, ignored count and flag count must be the same bits.
-        solve_ci_rows = online_runner._solve_ci_rows
-        kept = []
+        queue_rounds, flush_ci = online_runner._queue_rounds, online_runner._flush_ci
+        # rows queued and rows kept by the flushes, with report positions and without
+        queued, kept, positioned = {True: 0, False: 0}, {True: 0, False: 0}, []
 
-        def spy(phi, psi, sizes, budgets, beta, at):
-            out = solve_ci_rows(phi, psi, sizes, budgets, beta, at)
-            kept.append((out[0].size, sizes.size, at is not None))
-            return out
+        def queue_spy(costs, sizes, budgets, beta, at):
+            positioned[:] = [at is not None]
+            queued[at is not None] += sizes.size
+            return queue_rounds(costs, sizes, budgets, beta, at)
 
-        monkeypatch.setattr(online_runner, "_solve_ci_rows", spy)
+        def flush_spy(*args):
+            for rows, parts in flush_ci(*args):
+                kept[positioned[0]] += rows.size
+                yield rows, parts
+
+        monkeypatch.setattr(online_runner, "_queue_rounds", queue_spy)
+        monkeypatch.setattr(online_runner, "_flush_ci", flush_spy)
         n = 1 if shape == "one_agent" else 120
         spec = ({"kind": "two_point", "fractions": [0.7, 0.3], "costs": [2.0, 9.0]}
                 if shape == "tied" else {"kind": "independent"})
@@ -305,10 +312,9 @@ class TestRunCI:
                 assert (runs[0].flagged > 0) == (shape == "flagged")
         # only the cacheless runs without transcripts pass report positions,
         # and those drop rows
-        positioned = [(k, rows) for k, rows, at in kept if at]
-        assert positioned and len(positioned) < len(kept)
-        assert all(k == rows for k, rows, at in kept if not at)
-        assert sum(k for k, _ in positioned) < sum(rows for _, rows in positioned)
+        assert queued[True] > 0 and queued[False] > 0
+        assert kept[False] == queued[False]
+        assert kept[True] < queued[True]
 
 
 class TestUserCache:
@@ -357,14 +363,16 @@ class TestWorkingSet:
         # one (the array steps), and the same cache entries in the same order.
         # A cap below the costs' range flags some arrivals, so batches are
         # assembled from arrival lists with gaps.
-        solve = online_runner._solve_rounds
+        # a chunk solves an unbiased batch with ``_solve_rounds`` and queues
+        # a CI batch with ``_queue_rounds``
         batch_rows = []
 
-        def spy(costs, sizes, budgets, beta, at):
-            batch_rows.append(len(sizes))
-            return solve(costs, sizes, budgets, beta, at)
+        for name in ("_solve_rounds", "_queue_rounds"):
+            def spy(costs, sizes, budgets, beta, at, solve=getattr(online_runner, name)):
+                batch_rows.append(len(sizes))
+                return solve(costs, sizes, budgets, beta, at)
 
-        monkeypatch.setattr(online_runner, "_solve_rounds", spy)
+            monkeypatch.setattr(online_runner, name, spy)
         runs = []
         for points in (1, online_runner._BATCH_POINTS, math.inf):
             monkeypatch.setattr(online_runner, "_BATCH_POINTS", points)
@@ -405,19 +413,21 @@ class TestWorkingSet:
                 else {"kind": "independent"})
         pop = gen_population(spec, 40, 25.0, 5)
         gamma = 0.9 if task == "ci" else None
-        run_chunk, solve = simharness._run_chunk, online_runner._solve_rounds
+        run_chunk = simharness._run_chunk
         chunks, rows = [], []
 
         def chunk_spy(costs, *args):
             chunks.append(len(costs))
             return run_chunk(costs, *args)
 
-        def solve_spy(costs, sizes, *args):
-            rows.append(len(sizes))
-            return solve(costs, sizes, *args)
-
         monkeypatch.setattr(simharness, "_run_chunk", chunk_spy)
-        monkeypatch.setattr(online_runner, "_solve_rounds", solve_spy)
+        # the batches a chunk solves (unbiased) or queues (CI)
+        for name in ("_solve_rounds", "_queue_rounds"):
+            def solve_spy(costs, sizes, *args, solve=getattr(online_runner, name)):
+                rows.append(len(sizes))
+                return solve(costs, sizes, *args)
+
+            monkeypatch.setattr(online_runner, name, solve_spy)
         want = None
         defaults = (online_runner._BATCH_POINTS, online_runner._CHUNK_ROUNDS)
         for bounds, runs_per_chunk in (((1, 1), 1), ((6 * 40,) * 2, 6), (defaults, 30),
@@ -746,23 +756,23 @@ class TestPurchaseScreen:
                 assert (runs[0].flagged > 0) == (shape == "flagged")
 
     def test_only_unbiased_runs_without_transcripts_solve_fewer_rounds(self, monkeypatch):
-        solve = online_runner._solve_rounds
-        rule_at_mass = ci_solver._rule_at_mass
+        rule_rows = online_runner._rule_rows
         rows, calibrated = [], []
 
-        def spy(costs, sizes, budgets, beta, at):
-            rows.append(len(sizes))
-            return solve(costs, sizes, budgets, beta, at)
+        # the batches a chunk solves (unbiased) or queues (CI)
+        for name in ("_solve_rounds", "_queue_rounds"):
+            def spy(costs, sizes, budgets, beta, at, solve=getattr(online_runner, name)):
+                rows.append(len(sizes))
+                return solve(costs, sizes, budgets, beta, at)
+
+            monkeypatch.setattr(online_runner, name, spy)
 
         def calibration_spy(phi, *args):
-            # a batch's first calibration holds every row it keeps; the kink
-            # pass's later ones calibrate some of those again
-            if len(calibrated) < len(rows):
-                calibrated.append(len(phi))
-            return rule_at_mass(phi, *args)
+            # a flush calibrates every row it keeps once, kink pass included
+            calibrated.append(len(phi))
+            return rule_rows(phi, *args)
 
-        monkeypatch.setattr(online_runner, "_solve_rounds", spy)
-        monkeypatch.setattr(ci_solver, "_rule_at_mass", calibration_spy)
+        monkeypatch.setattr(online_runner, "_rule_rows", calibration_spy)
         pop = gen_population({"kind": "independent"}, 200, 25.0, 2)
         solved, calibrated_rows = {}, {}
         for gamma, schedule in ((None, unbiased_schedule(200, 300.0)), (0.9, ci_schedule(200, 300.0))):

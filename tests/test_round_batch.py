@@ -4,7 +4,10 @@
 (``_phi_blocks`` to ``_solve_ci_arrays``) and the two round functions below
 are the former single-grid implementations, kept verbatim as references: a
 batch of rounds must give every round the same bits as solving its grid
-alone did.
+alone did.  The one change: ``_calibrate_ref`` returns the saturated rule
+on a segment with no live weight, as the batch calibration does, where
+both raised.  ``_block_rows``, the former batch block split, is the
+reference for the blocks the ironing ends with.
 """
 
 import bisect
@@ -12,14 +15,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surveymech import (
     CostSet, ci_solver, gen_population, monte_carlo, online_runner, regularize, simharness, solve_ci,
 )
-from surveymech.ci_solver import _deployed_policy, _solve_ci_rows, ci_parameters
+from surveymech.ci_solver import (
+    _deployed_policy, _rule_rows, _solve_ci_rows, _table_profile, _walk_entry, ci_parameters,
+)
 from surveymech.errors import SolverError
 from surveymech.online_runner import _batch_bounds, _solve_rounds
-from surveymech.virtual_cost import _iron_rows, _psi_from_sorted
+from surveymech.virtual_cost import _block_edges, _iron_rows, _psi_from_sorted
 
 CAP = 25.0
 
@@ -76,7 +83,8 @@ def _calibrate_ref(phi, psi, weights, budget):
     clipped_spend = float(pref_wphi[i0 - 1]) if i0 > 0 else 0.0
     slope = float(total_wsqrt - (pref_wsqrt[i0 - 1] if i0 > 0 else 0.0))
     if slope <= 0:
-        raise SolverError("degenerate calibration segment")
+        # the segment carries no live weight: the live mass is bought in full
+        return np.ones(m), float(sqrt_phi[-1]), True
     lam = (budget - clipped_spend) / slope
     if phi[0] > 0.0:
         alloc = np.minimum(1.0, lam / sqrt_phi)
@@ -89,6 +97,22 @@ def _calibrate_ref(phi, psi, weights, budget):
 
 # The per-grid CI solve calibrates with the per-grid reference.
 _calibrate = _calibrate_ref
+
+
+def _block_rows(phi, sizes):
+    """``(edges, counts)`` of the maximal equal-phi blocks of each row of a
+    padded 2-D ``phi``: the block starts, then the row size, padded with it,
+    and the number of blocks.  The reference for the blocks ``_block_edges``
+    reads off the ironing."""
+    cols = np.arange(phi.shape[1] + 1)
+    m = sizes[:, None]
+    first = np.ones((phi.shape[0], cols.size), dtype=bool)
+    np.not_equal(phi[:, 1:], phi[:, :-1], out=first[:, 1:-1])
+    first &= cols < m
+    edges = np.where(first, cols, m)
+    edges.sort(axis=1)
+    counts = np.add.reduce(first, axis=1)
+    return edges[:, :max(counts.tolist()) + 1], counts
 
 
 def _phi_blocks(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -320,13 +344,39 @@ def test_batch_bounds_split_rows_in_order_within_the_point_bound():
 def test_ironing_rows_match_pav_loop(family):
     grids, budgets = _family_grids(family, seed=7)
     for batch, costs, sizes, _ in _batches(grids, budgets):
-        phi = _iron_rows(_psi_from_sorted(costs), sizes)
+        phi, bounds = _iron_rows(_psi_from_sorted(costs), sizes)
+        _same_blocks(_block_edges(bounds, sizes), _block_rows(phi, sizes))
         for r, grid in enumerate(batch):
             psi = _psi_ref(np.asarray(grid))
             ref = _pav_loop(psi)
             assert np.array_equal(phi[r, :len(grid)], ref), (family, len(grid))
             assert np.all(phi[r, len(grid):] == 0.0)
             assert np.array_equal(regularize(psi), ref)
+
+
+def _same_blocks(got, want):
+    """Block edges and counts, equal in value, shape and integer kind."""
+    for part, want_part in zip(got, want):
+        assert part.dtype.kind == "i" and np.array_equal(part, want_part), (part, want_part)
+        assert part.shape == want_part.shape
+
+
+@given(st.lists(st.tuples(
+    st.integers(1, 40),
+    st.lists(st.sampled_from([0.0, 0.25, 1.0, 2.5, CAP]) | st.floats(0.0, CAP), min_size=0, max_size=40),
+), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_ironing_blocks_match_the_equal_phi_blocks(rows):
+    # Rows of ties, zeros, single points and costs equal to the cap, each
+    # padded by repeating its cap: the ironing's blocks are the maximal
+    # equal-phi blocks of its profile.
+    grids = [np.append(np.sort(values[:size - 1]), CAP) for size, values in rows]
+    sizes = np.array([grid.size for grid in grids])
+    costs = np.full((len(grids), int(sizes.max())), CAP)
+    for r, grid in enumerate(grids):
+        costs[r, :grid.size] = grid
+    phi, bounds = _iron_rows(_psi_from_sorted(costs), sizes)
+    _same_blocks(_block_edges(bounds, sizes), _block_rows(phi, sizes))
 
 
 def test_ironing_long_decreasing_runs_match_pav_loop():
@@ -350,7 +400,8 @@ def test_ironing_long_decreasing_runs_match_pav_loop():
     psi = np.full((len(rows), int(sizes.max())), 3.0)
     for r, row in enumerate(rows):
         psi[r, :row.size] = row
-    phi = _iron_rows(psi, sizes)
+    phi, bounds = _iron_rows(psi, sizes)
+    _same_blocks(_block_edges(bounds, sizes), _block_rows(phi, sizes))
     for r, row in enumerate(rows):
         assert _bits(phi[r, :row.size]) == _bits(_pav_loop(row)), r
         assert np.all(phi[r, row.size:] == 0.0)
@@ -405,7 +456,7 @@ def _ci_settings(grids, budgets):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_ci_walk_mass_is_never_below_the_floor(family, monkeypatch):
     # Every row's walked mass is at least min(m, beta^2 m / 2), the floor
-    # ``_solve_ci_rows`` screens at; slack stops sit on it.
+    # ``_walk_entry`` screens at; slack stops sit on it.
     grids, budgets = _family_grids(family, seed=29)
     walks = []
     walk = ci_solver._walk
@@ -437,18 +488,19 @@ def test_ci_rows_dropped_at_their_report_are_ignored_there(family, monkeypatch):
     # get the full solve's bits, at a random, the lowest and the top position.
     grids, budgets = _family_grids(family, seed=29)
     kept, walked = [], []
-    solve_ci_rows, walk = online_runner._solve_ci_rows, ci_solver._walk
+    flush_ci, walk = online_runner._flush_ci, ci_solver._walk
 
     def spy(*args):
-        out = solve_ci_rows(*args)
-        kept.append(out[0])
-        return out
+        # the batch rows the flush calibrates and prices: those it keeps
+        for rows, parts in flush_ci(*args):
+            kept.append(rows)
+            yield rows, parts
 
     def walk_spy(table, above, m, *args):
         walked.append(m.size)
         return walk(table, above, m, *args)
 
-    monkeypatch.setattr(online_runner, "_solve_ci_rows", spy)
+    monkeypatch.setattr(online_runner, "_flush_ci", spy)
     monkeypatch.setattr(ci_solver, "_walk", walk_spy)
     rng = np.random.default_rng(29)
     dropped = total = 0
@@ -458,7 +510,7 @@ def test_ci_rows_dropped_at_their_report_are_ignored_there(family, monkeypatch):
             full = _solve_rounds(costs, sizes, batch_budgets, beta)
             rows = np.arange(len(batch))
             # the report's block, and the screen: its share at the floor
-            edges, counts = ci_solver._block_rows(_iron_rows(_psi_from_sorted(costs), sizes), sizes)
+            edges, counts = _block_rows(_iron_rows(_psi_from_sorted(costs), sizes)[0], sizes)
             floor = np.minimum(sizes, 0.5 * beta ** 2 * sizes)
             # rows whose top block is at most twice the floor: a report there is screened
             reach += int(np.sum(2 * floor >= sizes - edges[rows, counts - 1]))
@@ -471,7 +523,7 @@ def test_ci_rows_dropped_at_their_report_are_ignored_there(family, monkeypatch):
                 walked.clear()
                 got = _solve_rounds(costs, sizes, batch_budgets, beta, at)
                 assert sum(walked) == np.sum(~screen), (family, gamma)
-                keep = np.isin(rows, kept[0])
+                keep = np.isin(rows, np.concatenate(kept or [rows[:0]]))
                 assert not np.any(keep & screen)
                 assert np.all(full[1][rows[~keep], at[~keep]]), (family, gamma)
                 alloc, ignored, price = (part[rows[~keep]] for part in got)
@@ -506,6 +558,25 @@ def test_ci_monte_carlo_at_a_floor_of_m_never_walks(monkeypatch):
     assert metrics.expected_spend == 0.0 and np.all(per_run["spend"] == 0.0)
 
 
+def test_ci_monte_carlo_walks_its_chunk_in_one_call(monkeypatch):
+    # The ``mc_fresh_ci`` benchmark shape at seed 1: ten runs of 100
+    # continuous costs are one chunk, whose 1,000 rounds fill four grid
+    # batches.  The 382 rows its floor screen keeps queue up in fewer
+    # table cells than ``_BATCH_POINTS``, so one walk serves them all; the
+    # benchmark target's ``solve_ci`` walks once more.
+    walks = []
+    walk = ci_solver._walk
+
+    def spy(table, above, m, *args):
+        walks.append(m.size)
+        return walk(table, above, m, *args)
+
+    monkeypatch.setattr(ci_solver, "_walk", spy)
+    pop = gen_population({"kind": "independent"}, 100, 25.0, 1)
+    monte_carlo("ci", pop, 150.0, 0.9, 10, 1)
+    assert sorted(walks) == [1, 382]
+
+
 def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
@@ -522,10 +593,20 @@ def _padded(rows):
 
 
 def _rows_solved(rows, budgets, beta):
-    """``_solve_ci_rows`` on a padded batch, split into one tuple per row."""
+    """The CI solve of a padded batch without report positions, split into
+    one tuple per row: its walk entry on the reference blocks
+    (``_walk_entry``), one walk (``_solve_ci_rows``), the profile rebuilt
+    from the walk table (``_table_profile``) and the calibration with its
+    kink pass (``_rule_rows``), as a flush makes them."""
     phi, psi, sizes = _padded(rows)
-    kept, alloc, lam, saturated, u, mass = _solve_ci_rows(phi, psi, sizes, budgets, beta)
+    blocks = _block_rows(phi, sizes)
+    _, entry = _walk_entry(phi, blocks, sizes, budgets, beta)
+    kept, (mass, slack, block_size, block_phi, walked_sizes, walked_budgets) = _solve_ci_rows([entry], beta)
     assert kept.tolist() == list(range(len(rows)))  # no report positions: every row is kept
+    assert np.array_equal(walked_sizes, sizes) and walked_budgets.tolist() == list(budgets)
+    rebuilt, edges = _table_profile(block_size, block_phi, sizes, phi.shape[1])
+    assert _bits(rebuilt) == _bits(phi) and np.array_equal(edges, blocks[0])
+    alloc, lam, saturated, u, mass = _rule_rows(phi, psi, sizes, budgets, edges, mass, slack)
     pad = np.arange(phi.shape[1]) >= sizes[:, None]
     assert np.all(alloc[pad] == 1.0) and np.all(u[pad] == 0.0)
     return [(alloc[r, :m], lam[r], saturated[r], u[r, :m], mass[r]) for r, m in enumerate(sizes.tolist())]
@@ -561,7 +642,7 @@ def _ci_instances(seed, count):
 
 def _record_walk_starts(monkeypatch):
     """A list that gets ``(start, counts)`` of every batch ``_solve_ci_rows``
-    solves: where each row's walk starts, and its block count."""
+    walks: where each row's walk starts, and its block count."""
     starts = []
     walk_start = ci_solver._walk_start
 
@@ -661,6 +742,25 @@ def test_ci_row_whose_walk_skips_every_block(monkeypatch):
     assert batched[0][4] == 8.0 and batched[0][2]
     for k, ((phi, psi), budget) in enumerate(zip(rows, budgets)):
         assert _same_row(batched[k], _solve_ci_arrays(phi, psi, budget, beta)), k
+
+
+def test_ci_calibration_segment_with_no_live_weight_saturates():
+    # The walk stops 1 ulp short of ignoring the top three blocks (mass 10),
+    # so the 2s keep a live weight of about 3e-16.  The calibration's search
+    # then lands on a segment whose slope, a difference of prefix sums of
+    # the live roots, rounds to 0 or below: the live mass is bought in full
+    # up to rounding, and the rule is the saturated one, as where the search
+    # passes every breakpoint.  It raised "degenerate calibration segment".
+    costs = np.array([0.0] * 5 + [1.0] * 6 + [2.0] * 6 + [3.0] * 3 + [CAP])
+    budget, beta = 11.000000000000005, 0.70517
+    rule, ignore = solve_ci(CostSet(costs=costs, cap=CAP), budget, beta)
+    psi = _psi_ref(costs)
+    phi = _pav_loop(psi)
+    want = _solve_ci_arrays(phi, psi, budget, beta)
+    assert _same_row((rule.probabilities, rule.lam, rule.saturated, ignore.u_values,
+                      ignore.total_mass), want)
+    assert rule.saturated and np.all(rule.probabilities == 1.0)
+    assert ignore.total_mass == np.nextafter(10.0, 0.0)
 
 
 def test_ci_walk_that_never_stops_ends_on_its_step_bound(monkeypatch):
